@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import MspgError
+from .errors import ConfigError, MspgError
 from .fields import DELTA_DEFAULT
 from .harness import (
     ExperimentConfig,
@@ -82,27 +82,49 @@ def _load_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise MspgError(f"{path}:{lineno}: expected key=value")
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
     return values
 
 
+# store_true options; a config file sets them with a boolean value
+FLAG_KEYS = ("flip_darcy_sign", "infsup", "full_res")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _merge_config(args: argparse.Namespace, sweep: bool):
-    """Fill argparse gaps from the config file, then apply defaults."""
+    """Fill argparse gaps from the config file, then apply defaults.
+
+    Returns the ``ExperimentConfig`` values (with list-valued m, L and
+    eigenproblem), the three flags of ``FLAG_KEYS``, and the output path and
+    format.  A config file key that no option reads is a ``ConfigError``.
+    """
     file_values = _load_config_file(args.config) if args.config else {}
     name_map = {"nc": "coarse", "n": "fine", "m": "trial", "L": "test",
                 "eigenproblem": "eig", "online_iters": "online",
                 "raster_path": "raster"}
+    read = set()
 
     def pick(name, cast, default):
         key = name_map.get(name, name)  # argparse dest == config file key
+        read.add(key)
         cli = getattr(args, key, None)
         if cli is not None and cli is not False:
             return cli
         if key in file_values:
-            return cast(file_values[key])
+            try:
+                return cast(file_values[key])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
         return default
+
+    def flag(text):
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"expected a boolean (1/0, true/false), got {text!r}")
+        return _BOOLEANS[text.lower()]
+
     list_cast = _int_list if sweep else int
     values = dict(
         example=pick("example", int, 1),
@@ -121,15 +143,21 @@ def _merge_config(args: argparse.Namespace, sweep: bool):
         delta=pick("delta", float, DELTA_DEFAULT),
         raster_path=pick("raster_path", str, None),
     )
-    return values, file_values
+    flags = {key: pick(key, flag, False) for key in FLAG_KEYS}
+    out = args.out if args.out != "-" else file_values.get("out", "-")
+    fmt = args.format if args.format != "csv" else file_values.get("format", "csv")
+    unknown = sorted(set(file_values) - read - {"out", "format"})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+    return values, flags, out, fmt
 
 
 def _build_config(args: argparse.Namespace, sweep: bool):
-    values, file_values = _merge_config(args, sweep)
+    values, flags, out, fmt = _merge_config(args, sweep)
     ms = values.pop("m")
     Ls = values.pop("L")
     eigs = values.pop("eigenproblem")
-    if args.full_res:
+    if flags["full_res"]:
         from .fields import ALPHA_DEFAULTS
 
         alpha = values["alpha"]
@@ -140,12 +168,10 @@ def _build_config(args: argparse.Namespace, sweep: bool):
         m=max(ms) if sweep else ms,
         L=max(Ls) if sweep else Ls,
         eigenproblem=max(eigs) if sweep else eigs,
-        darcy_sign=-1.0 if args.flip_darcy_sign else 1.0,
-        infsup=bool(args.infsup),
+        darcy_sign=-1.0 if flags["flip_darcy_sign"] else 1.0,
+        infsup=flags["infsup"],
         **values,
     )
-    out = args.out if args.out != "-" else file_values.get("out", "-")
-    fmt = args.format if args.format != "csv" else file_values.get("format", "csv")
     return config, ms, Ls, eigs, out, fmt
 
 
@@ -155,8 +181,9 @@ def _cmd_run(args) -> int:
         ws = Workspace(config)
         rows = ws.run_cell(config.m, config.L, config.eigenproblem, config.online_iters)
         if args.dump_eigs:
-            _, report = ws.theta(config.m, config.L, config.eigenproblem)
-            dump_edge_spectra(report, args.dump_eigs)
+            dump_edge_spectra(
+                ws.w3_selection(config.L, config.eigenproblem), args.dump_eigs
+            )
         if args.dump_basis:
             dump_basis(ws.trial(config.m), args.dump_basis)
     else:

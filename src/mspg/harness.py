@@ -410,11 +410,17 @@ def emit_report(rows: list[ReportRow], format: str = "csv", path=None) -> str:
     return text
 
 
-def dump_edge_spectra(report: test_space.SpectralReport, path) -> None:
-    """Per-edge eigenvalue table: edge id, index, eigenvalue, selected flag."""
+def dump_edge_spectra(spectra, path) -> None:
+    """Per-edge eigenvalue table: edge id, index, eigenvalue, selected flag.
+
+    ``spectra`` is a ``SpectralReport`` or the per-edge results themselves,
+    as ``Workspace.w3_selection`` returns them.
+    """
+    if isinstance(spectra, test_space.SpectralReport):
+        spectra = spectra.edge_results
     with open(path, "w") as fh:
         fh.write("edge,index,eigenvalue,selected\n")
-        for res in report.edge_results:
+        for res in spectra:
             for i, lam in enumerate(res.eigenvalues):
                 fh.write(
                     f"{res.edge.index},{i},{_fmt(float(lam))},{int(i < res.L)}\n"

@@ -13,8 +13,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
-from .errors import LocalSolverError, SingularMetricError
+from .errors import LocalSolverError, SingularMetricError, SolverFailureError
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +69,29 @@ def local_dirichlet_solve(A_local, rhs, tol: float = 1e-10, label: str = ""):
     return x
 
 
+def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
+    """CSC matrix assembled from ``(rows, values)`` blocks, in order.
+
+    ``values`` holds one row per entry of ``rows`` and one column per output
+    column, so a block contributes ``values.shape[1]`` columns supported on
+    ``rows`` (which must not repeat).
+    """
+    blocks = [(np.asarray(rows), np.asarray(vals, dtype=float)) for rows, vals in blocks]
+    widths = [vals.shape[1] for _, vals in blocks]
+    lengths = np.repeat([rows.size for rows, _ in blocks], widths).astype(np.int64)
+    return sp.csc_matrix(
+        (
+            np.concatenate([vals.ravel(order="F") for _, vals in blocks] + [np.zeros(0)]),
+            np.concatenate(
+                [np.tile(rows, vals.shape[1]) for rows, vals in blocks]
+                + [np.zeros(0, dtype=np.int64)]
+            ),
+            np.concatenate([[0], np.cumsum(lengths)]),
+        ),
+        shape=(num_rows, sum(widths)),
+    )
+
+
 def extend_orthonormal(Q: np.ndarray | None, V: np.ndarray, droptol: float = 1e-10):
     """Orthonormalize the columns of V against Q and each other.
 
@@ -104,9 +128,84 @@ def extend_orthonormal(Q: np.ndarray | None, V: np.ndarray, droptol: float = 1e-
     return accepted[:, :na].copy()
 
 
-def orthonormalize_columns(V: np.ndarray, droptol: float = 1e-10) -> np.ndarray:
-    """Euclidean orthonormalization with near-dependent columns dropped."""
-    return extend_orthonormal(None, V, droptol=droptol)
+def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Overwrite the C-ordered X with X R^{-1} for upper triangular R."""
+    # X^T is Fortran-ordered, so LAPACK solves R^T (X R^{-1})^T = X^T in place
+    return blas.dtrsm(1.0, R, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
+
+
+def _gram_upper(X: np.ndarray) -> np.ndarray:
+    """Upper triangle of X^T X for a C-ordered X, without a transposed copy."""
+    return blas.dsyrk(1.0, X.T)
+
+
+def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor from the upper triangle, overwriting ``gram``."""
+    try:
+        return sla.cholesky(gram, lower=False, overwrite_a=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise SolverFailureError(f"Gram matrix not positive definite: {exc}") from exc
+
+
+def orthonormalize_columns(V, droptol: float = 1e-10) -> np.ndarray:
+    """Euclidean orthonormal basis of the column span of a sparse or dense V.
+
+    Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
+    Yanagisawa, SIAM J. Sci. Comput. 2020), driven by the sparse Gram V^T V:
+
+    1. scale the columns to unit norm and drop zero columns;
+    2. Cholesky-factor the Gram plus the shift that makes the factorization
+       succeed for any condition number up to 1/u, and form
+       Theta_1 = V C^{-1} with one sparse-dense product;
+    3. drop dependent columns with a pivoted Cholesky of Theta_1^T Theta_1;
+    4. finish with two CholeskyQR passes over the kept columns.
+
+    A column is dropped when its residual against the other columns is at
+    most ``droptol`` times its norm, or lies below the rounding floor of
+    Theta_1^T Theta_1.  Kept columns keep their input order, so without
+    drops the result is the Q factor of V with a positive R diagonal, the
+    same matrix Gram-Schmidt produces.  The result is a C-ordered ndarray.
+    """
+    V = sp.csc_matrix(V, dtype=float)
+    num_rows, K = V.shape
+    G = (V.T @ V).toarray()
+    sq_norms = G.diagonal().copy()
+    nonzero = np.flatnonzero(sq_norms > 0.0)
+    if nonzero.size == 0:
+        return np.zeros((num_rows, 0))
+    if nonzero.size < K:
+        V = V[:, nonzero]
+        G = G[np.ix_(nonzero, nonzero)]
+        K = nonzero.size
+    scale = 1.0 / np.sqrt(sq_norms[nonzero])
+    G *= scale[:, None]
+    G *= scale[None, :]
+
+    u = np.finfo(float).eps / 2.0  # unit roundoff
+    # ||G||_1 bounds ||V||_2^2 of the scaled V; the shift follows the 2020 paper
+    shift = 11.0 * (num_rows * K + K * (K + 1)) * u * np.abs(G).sum(axis=0).max()
+    G[np.diag_indices(K)] += shift
+    C = _cholesky_upper(G)
+    del G
+    C_inv, _ = lapack.dtrtri(C, lower=0, overwrite_c=1)
+    C_inv *= scale[:, None]
+    theta = np.ascontiguousarray(V @ C_inv)
+    del C, C_inv
+
+    # a column with relative residual r against the others keeps a residual
+    # of about r^2 / (r^2 + shift) in the Gram of Theta_1
+    gram = _gram_upper(theta)
+    tol = max(droptol**2 / (droptol**2 + shift), K * u)
+    _, piv, rank, _ = lapack.dpstrf(gram, tol=tol, lower=0)
+    kept = np.sort(piv[:rank] - 1)
+    if rank < K:
+        theta = theta[:, kept]
+        gram = gram[np.ix_(kept, kept)]
+    # two CholeskyQR passes; the first reuses the Gram the pivoting saw
+    theta = _solve_right_upper(theta, _cholesky_upper(gram))
+    del gram
+    theta = _solve_right_upper(theta, _cholesky_upper(_gram_upper(theta)))
+    return theta
 
 
 def _factor_psd(B_uu, label: str):

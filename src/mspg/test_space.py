@@ -18,6 +18,7 @@ from .assembly import SparseOperator
 from .errors import SingularMetricError
 from .grid import CoarseEdge, CoarseTopology, hat_values
 from .numerics import (
+    column_sparse,
     local_dirichlet_solve,
     min_energy_extension,
     orthonormalize_columns,
@@ -53,9 +54,7 @@ def build_W1(
     """
     if source not in ("l2", "mass"):
         raise ValueError(f"unknown bubble source {source!r}")
-    num_dofs = op.A.shape[0]
-    data, indices, indptr = [], [], [0]
-    block_ids, source_columns = [], []
+    blocks, block_ids, source_columns = [], [], []
     for block in topology.blocks:
         I = block.interior
         Xi_I = Xi[I, :]
@@ -68,20 +67,10 @@ def build_W1(
             rhs = op.M[I, :] @ Xi[:, overlapping]
         At_ii = op.A[I][:, I].T.tocsc()
         X = local_dirichlet_solve(At_ii, rhs, label=f"block {block.index} bubbles")
-        for k, col in enumerate(overlapping):
-            data.append(X[:, k])
-            indices.append(I)
-            indptr.append(indptr[-1] + I.size)
-            block_ids.append(block.index)
-            source_columns.append(col)
-    columns = sp.csc_matrix(
-        (
-            np.concatenate(data) if data else np.array([]),
-            np.concatenate(indices) if indices else np.array([], int),
-            np.array(indptr),
-        ),
-        shape=(num_dofs, len(block_ids)),
-    )
+        blocks.append((I, X))
+        block_ids.extend([block.index] * overlapping.size)
+        source_columns.extend(overlapping)
+    columns = column_sparse(op.A.shape[0], blocks)
     return BubbleSet(
         columns=columns,
         block_ids=np.array(block_ids, dtype=np.int64),
@@ -106,8 +95,7 @@ def build_W2(topology: CoarseTopology, op: SparseOperator) -> VertexTraceSet:
     mesh = topology.mesh
     num_dofs = op.A.shape[0]
     scratch = np.zeros(num_dofs)
-    data, indices, indptr = [], [], [0]
-    node_ids = []
+    blocks, node_ids = [], []
     for node in topology.interior_coarse_nodes:
         nbhd = topology.neighborhoods[int(node)]
         touched = []
@@ -127,19 +115,10 @@ def build_W2(topology: CoarseTopology, op: SparseOperator) -> VertexTraceSet:
         nz = np.unique(np.concatenate(touched))
         vals = scratch[nz]
         keep = vals != 0.0
-        data.append(vals[keep])
-        indices.append(nz[keep])
-        indptr.append(indptr[-1] + int(keep.sum()))
+        blocks.append((nz[keep], vals[keep, None]))
         scratch[nz] = 0.0
         node_ids.append(int(node))
-    columns = sp.csc_matrix(
-        (
-            np.concatenate(data) if data else np.array([]),
-            np.concatenate(indices) if indices else np.array([], int),
-            np.array(indptr),
-        ),
-        shape=(num_dofs, len(node_ids)),
-    )
+    columns = column_sparse(num_dofs, blocks)
     return VertexTraceSet(columns=columns, node_ids=np.array(node_ids, dtype=np.int64))
 
 
@@ -304,20 +283,21 @@ def assemble_test_matrix(
     w3_results: list[EdgeSpectralResult],
     droptol: float = 1e-10,
 ):
-    """Concatenate all components and orthonormalize.
+    """Concatenate all components sparsely and orthonormalize.
 
     Returns the orthonormal test matrix together with a report of retained
     counts and the per-edge excluded eigenvalues.
     """
     num_dofs = w1.columns.shape[0]
     n_w3 = sum(r.L for r in w3_results)
-    raw = np.zeros((num_dofs, w1.count + w2.count + n_w3))
-    raw[:, : w1.count] = w1.columns.toarray()
-    raw[:, w1.count : w1.count + w2.count] = w2.columns.toarray()
-    col = w1.count + w2.count
-    for res in w3_results:
-        raw[res.edge.region, col : col + res.L] = res.selected
-        col += res.L
+    raw = sp.hstack(
+        [
+            w1.columns,
+            w2.columns,
+            column_sparse(num_dofs, [(r.edge.region, r.selected) for r in w3_results]),
+        ],
+        format="csc",
+    )
     theta = orthonormalize_columns(raw, droptol=droptol)
     problems = {r.problem for r in w3_results}
     report = SpectralReport(

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .assembly import SparseOperator
 from .errors import SingularMetricError
 from .grid import CoarseTopology, hat_values
-from .numerics import generalized_sym_eig, local_dirichlet_solve
+from .numerics import column_sparse, generalized_sym_eig, local_dirichlet_solve
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def partition_of_unity(
     else:
         raise ValueError(f"unknown partition-of-unity mode {mode!r}")
 
-    data, indices, indptr = [], [], [0]
+    blocks = []
     scratch = np.zeros(num_nodes)
     for l in range(topology.num_coarse_nodes):
         idx_parts, val_parts = cols[l]
@@ -176,18 +176,9 @@ def partition_of_unity(
         )
         for idx, val in zip(idx_parts, val_parts):
             scratch[idx] = val  # duplicates agree: shared nodes carry hat traces
-        data.append(scratch[touched].copy())
-        indices.append(touched)
-        indptr.append(indptr[-1] + touched.size)
+        blocks.append((touched, scratch[touched, None]))
         scratch[touched] = 0.0
-    return sp.csc_matrix(
-        (
-            np.concatenate(data) if data else np.array([]),
-            np.concatenate(indices) if indices else np.array([], int),
-            np.array(indptr),
-        ),
-        shape=(num_nodes, topology.num_coarse_nodes),
-    )
+    return column_sparse(num_nodes, blocks)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,31 @@ def test_criterion_1_full_snapshot_exactness(ws_ex1):
     )
 
 
+def test_high_contrast_full_test_space_exactness():
+    """Example 5 (Darcy flow, contrast 500): the raw test matrix has a scaled
+    Gram condition number near 1e15, yet the full test space must keep every
+    column, stay orthonormal and reproduce the projection."""
+    ws = _build(5, None)
+    r = ws.topology.r
+    worst_gap = worst_orth = 0.0
+    columns = set()
+    for problem in (1, 2):
+        theta, spectra = ws.theta(3, r - 1, problem)
+        columns.add((spectra.n_w1 + spectra.n_w2 + spectra.n_w3, theta.shape[1]))
+        worst_orth = max(
+            worst_orth, float(np.abs(theta.T @ theta - np.eye(theta.shape[1])).max())
+        )
+        rep = error_report(solve_coupled(ws.op, theta, ws.trial(3).Xi), ws.u_ref)
+        worst_gap = max(worst_gap, rep.err_ms_pct - rep.err_proj_pct)
+    ok = worst_gap <= 1e-10 and worst_orth <= 1e-12 and columns == {(1601, 1601)}
+    report(
+        ok,
+        "high-contrast exactness (example 5, m=3, L=7)",
+        f"gap {worst_gap:.2e} pct, |Theta^T Theta - I| {worst_orth:.2e}, "
+        f"(raw, kept) columns {sorted(columns)}",
+    )
+
+
 def test_criterion_2_fine_system_degeneracy():
     t0 = time.monotonic()
     from mspg.fields import example_1

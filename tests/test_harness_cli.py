@@ -222,6 +222,39 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     assert row.split(",")[5] == "3"
 
 
+def test_cli_config_file_flags(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("example=1\ncoarse=4\nfine=16\ninfsup=1\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    _, row = capsys.readouterr().out.strip().split("\n")
+    assert row.split(",")[-1] != ""  # infsup_est is reported
+
+    from mspg.cli import _build_config, build_parser
+
+    cfg.write_text("example=5\nflip_darcy_sign=true\nfull_res=yes\ninfsup=0\n")
+    args = build_parser().parse_args(["run", "--config", str(cfg)])
+    config, _, _, _, _, _ = _build_config(args, sweep=False)
+    assert config.darcy_sign == -1.0
+    assert (config.nc, config.n) == full_resolution(5, config.alpha)
+    assert config.infsup is False
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("tset=2", "unknown config key(s) tset"),
+        ("infsup=maybe", "expected a boolean"),
+        ("coarse 4", "expected key=value"),
+        ("coarse=four", "config key coarse"),
+    ],
+)
+def test_cli_config_file_rejects_bad_keys(tmp_path, capsys, line, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"example=1\ncoarse=4\nfine=16\n{line}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_bad_config_exit_code(capsys):
     code = main(
         ["run", "--example", "1", "--coarse", "5", "--fine", "16"]
@@ -262,6 +295,28 @@ def test_cli_dump_outputs(tmp_path):
     assert eigs.read_text().startswith("edge,index,eigenvalue,selected")
     loaded = np.load(basis)
     assert loaded.shape[0] == 15 * 15  # (n-1)^2 dofs
+
+
+def test_cli_dump_eigs_orthonormalizes_once(tmp_path, monkeypatch):
+    from mspg import test_space
+    from mspg.harness import Workspace
+
+    calls = []
+    kernel = test_space.orthonormalize_columns
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(test_space, "orthonormalize_columns", counting_kernel)
+    eigs = tmp_path / "eigs.csv"
+    argv = ["run", "--example", "1", "--coarse", "4", "--fine", "16", "--test", "2"]
+    assert main(argv + ["--out", str(tmp_path / "r.csv"), "--dump-eigs", str(eigs)]) == 0
+    assert len(calls) == 1
+    # same table as the one written from the cell's spectral report
+    expected = tmp_path / "expected.csv"
+    dump_edge_spectra(Workspace(small_config(L=2, eigenproblem=1)).theta(1, 2, 1)[1], expected)
+    assert eigs.read_bytes() == expected.read_bytes()
 
 
 def test_cli_full_res_flag_sets_grids():

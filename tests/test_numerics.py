@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from mspg.errors import LocalSolverError, SingularMetricError
 from mspg.numerics import (
+    column_sparse,
     generalized_sym_eig,
     local_dirichlet_solve,
     min_energy_extension,
@@ -128,6 +129,81 @@ def test_orthonormalize_orthogonality_tolerance():
     V = rng.standard_normal((60, 25))
     out = orthonormalize_columns(V)
     assert abs(out.T @ out - np.eye(out.shape[1])).max() < 1e-10
+
+
+def test_orthonormalize_sparse_matches_dense():
+    rng = np.random.default_rng(6)
+    S = sp.random(200, 30, density=0.08, format="csc", random_state=rng)
+    S = sp.hstack([S, S[:, [3]] - 2.0 * S[:, [7]]], format="csc")  # one dependent
+    from_sparse = orthonormalize_columns(S)
+    from_dense = orthonormalize_columns(S.toarray())
+    assert from_sparse.shape == from_dense.shape == (200, np.linalg.matrix_rank(S.toarray()))
+    # same span: equal orthogonal projectors
+    assert np.allclose(from_sparse @ from_sparse.T, from_dense @ from_dense.T, atol=1e-12)
+
+
+def _with_residual_column(rel_residual, seed):
+    """Random 150x8 block plus a unit column whose residual against it is known."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((150, 8))
+    Q = np.linalg.qr(B)[0]
+    inside = B @ rng.standard_normal(8)
+    inside /= np.linalg.norm(inside)
+    outside = rng.standard_normal(150)
+    outside -= Q @ (Q.T @ outside)
+    outside /= np.linalg.norm(outside)
+    col = inside + rel_residual * outside
+    return np.column_stack([B, col / np.linalg.norm(col)]), outside
+
+
+def test_orthonormalize_keeps_small_residual_column():
+    V, outside = _with_residual_column(1e-7, seed=7)
+    out = orthonormalize_columns(V, droptol=1e-10)
+    assert out.shape[1] == 9
+    # the kept column carries the residual direction, not rounding noise
+    assert np.linalg.norm(out.T @ outside) > 1.0 - 1e-6
+    # a coarser droptol drops the same column
+    assert orthonormalize_columns(V, droptol=1e-6).shape[1] == 8
+
+
+def test_orthonormalize_drops_rounding_level_residual_column():
+    V, _ = _with_residual_column(1e-13, seed=8)
+    out = orthonormalize_columns(V, droptol=1e-10)
+    assert out.shape[1] == 8
+    resid = V - out @ (out.T @ V)
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(V)
+
+
+def test_orthonormalize_drops_zero_columns():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 12))
+    out = orthonormalize_columns(np.column_stack([a, np.zeros(12), b]))
+    assert out.shape == (12, 2)
+    assert orthonormalize_columns(sp.csc_matrix((12, 3))).shape == (12, 0)
+
+
+def test_orthonormalize_ill_conditioned_input_stays_orthonormal():
+    rng = np.random.default_rng(10)
+    U = np.linalg.qr(rng.standard_normal((300, 40)))[0]
+    W = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    V = U @ np.diag(np.logspace(0.0, -8.0, 40)) @ W.T
+    scaled = V / np.linalg.norm(V, axis=0)
+    assert np.linalg.cond(scaled) >= 1e7
+    out = orthonormalize_columns(V)
+    assert out.shape == (300, 40)
+    assert np.abs(out.T @ out - np.eye(40)).max() <= 1e-12
+    assert np.linalg.norm(U - out @ (out.T @ U)) <= 1e-6
+
+
+def test_column_sparse_places_blocks_in_order():
+    X = np.arange(6.0).reshape(3, 2)
+    M = column_sparse(5, [(np.array([4, 0, 2]), X), (np.array([1]), [[7.0]])])
+    expected = np.zeros((5, 3))
+    expected[[4, 0, 2], :2] = X
+    expected[1, 2] = 7.0
+    assert M.format == "csc"
+    assert np.array_equal(M.toarray(), expected)
+    assert column_sparse(5, []).shape == (5, 0)
 
 
 def test_min_energy_zero_trace():
