@@ -5,9 +5,11 @@ Subcommands:
   sweep     Cartesian sweep over trial/test counts and eigenproblems
   validate  run the built-in invariant suite
 
-Flags mirror a flat key=value config file (``--config``); values given on
-the command line win over the file.  Exit codes: 0 success, 2 bad
-configuration or usage, 3 numerical failure, 4 I/O failure.
+Every ``run``/``sweep`` option can also come from a flat key=value config
+file (``--config``), whose key is the long flag with ``-`` replaced by
+``_``.  Values given on the command line win over the file; an option that
+neither sets keeps the ``ExperimentConfig`` default.  Exit codes: 0 success,
+2 bad configuration or usage, 3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, MspgError
-from .fields import DELTA_DEFAULT
 from .harness import (
+    CHOICES,
     ExperimentConfig,
     Workspace,
     dump_basis,
@@ -39,39 +41,43 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, sweep: bool):
+def _add_common(parser: argparse.ArgumentParser, sweep: bool) -> list[argparse.Action]:
+    """Add the run/sweep options to ``parser`` and return them.
+
+    An option's ``dest`` is the ``ExperimentConfig`` field it sets, apart
+    from the switches ``flip_darcy_sign`` and ``full_res`` and the
+    ``emit_report`` arguments ``path`` and ``format``.  Every default is
+    None, which means "not set".
+    """
     parser.add_argument("--config", help="flat key=value file with these options")
-    parser.add_argument("--example", type=int, help="built-in example id (1..5)")
-    parser.add_argument("--alpha", type=float, help="field strength / diffusion of the example")
-    parser.add_argument("--coarse", type=int, help="coarse subdivisions per side (default 8)")
-    parser.add_argument("--fine", type=int, help="fine subdivisions per side (default 64)")
-    if sweep:
-        parser.add_argument("--trial", type=_int_list, help="comma list of trial counts per node")
-        parser.add_argument("--test", type=_int_list, help="comma list of test counts per edge")
-        parser.add_argument("--eig", type=_int_list, help="comma list of eigenproblems (1,2)")
-    else:
-        parser.add_argument("--trial", type=int, help="trial functions per coarse node")
-        parser.add_argument("--test", type=int, help="test functions per coarse edge")
-        parser.add_argument("--eig", type=int, choices=(1, 2), help="edge eigenproblem")
-    parser.add_argument("--online", type=int, help="online enrichment iterations")
-    parser.add_argument("--pou", choices=("ms", "hat"), help="partition-of-unity mode")
-    parser.add_argument("--projection", choices=("l2", "mass"), help="projection/error norm")
-    parser.add_argument("--bubble-source", choices=("l2", "mass"), dest="bubble_source",
-                        help="load pairing of the bubble test functions")
-    parser.add_argument("--trial-restriction", choices=("submatrix", "patch"),
-                        dest="trial_restriction",
-                        help="neighborhood operator used by the trial eigenproblem")
-    parser.add_argument("--edge-energy", choices=("region", "global"), dest="edge_energy",
-                        help="row set of the squared-adjoint edge energy")
-    parser.add_argument("--delta", type=float, help="channel strength of example 2")
-    parser.add_argument("--raster", help="permeability raster file (example 5)")
-    parser.add_argument("--flip-darcy-sign", action="store_true",
-                        help="flip the sign of the example-5 velocity")
-    parser.add_argument("--infsup", action="store_true", help="also estimate the inf-sup constant")
-    parser.add_argument("--full-res", action="store_true",
-                        help="use the full-resolution grids of the experiment matrix")
-    parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    add = parser.add_argument
+    count = _int_list if sweep else int
+    per = "comma list of " if sweep else ""
+    return [
+        add("--example", type=int, help="built-in example id (1..5)"),
+        add("--alpha", type=float, help="field strength / diffusion of the example"),
+        add("--coarse", type=int, dest="nc", help="coarse subdivisions per side"),
+        add("--fine", type=int, dest="n", help="fine subdivisions per side"),
+        add("--trial", type=count, dest="m", help=per + "trial functions per coarse node"),
+        add("--test", type=count, dest="L", help=per + "test functions per coarse edge"),
+        add("--eig", type=count, dest="eigenproblem", choices=None if sweep else (1, 2),
+            help=per + "edge eigenproblem (1, 2)"),
+        add("--online", type=int, dest="online_iters", help="online enrichment iterations"),
+        add("--trial-restriction", choices=CHOICES["trial_restriction"],
+            help="neighborhood operator used by the trial eigenproblem"),
+        add("--edge-energy", choices=CHOICES["edge_energy"],
+            help="row set of the squared-adjoint edge energy"),
+        add("--delta", type=float, help="channel strength of example 2"),
+        add("--raster", dest="raster_path", help="permeability raster file (example 5)"),
+        add("--flip-darcy-sign", action="store_true", default=None,
+            help="flip the sign of the example-5 velocity"),
+        add("--infsup", action="store_true", default=None,
+            help="also estimate the inf-sup constant"),
+        add("--full-res", action="store_true", default=None,
+            help="use the full-resolution grids of the experiment matrix"),
+        add("--out", dest="path", help="output path ('-' or unset for stdout)"),
+        add("--format", choices=("csv", "json"), help="report format (csv if unset)"),
+    ]
 
 
 def _load_config_file(path: str) -> dict:
@@ -88,95 +94,81 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-# store_true options; a config file sets them with a boolean value
-FLAG_KEYS = ("flip_darcy_sign", "infsup", "full_res")
+# values a config file may give a store_true switch
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _merge_config(args: argparse.Namespace, sweep: bool):
-    """Fill argparse gaps from the config file, then apply defaults.
+def _file_value(action: argparse.Action, key: str, text: str):
+    """Cast and check one config-file value as the command line would."""
+    try:
+        if action.nargs == 0:  # store_true switch
+            if text.lower() not in _BOOLEANS:
+                raise ValueError(f"expected a boolean (1/0, true/false), got {text!r}")
+            return _BOOLEANS[text.lower()]
+        value = action.type(text) if action.type else text
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        allowed = ", ".join(map(str, action.choices))
+        raise ConfigError(f"config key {key}: {value!r} not in ({allowed})")
+    return value
 
-    Returns the ``ExperimentConfig`` values (with list-valued m, L and
-    eigenproblem), the three flags of ``FLAG_KEYS``, and the output path and
-    format.  A config file key that no option reads is a ``ConfigError``.
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Option values by ``dest``: the command line's, else the config file's.
+
+    An option that neither sets is left out, so its default applies.  Every
+    file value is checked, even one a flag overrides; a file key that names
+    no option is a ``ConfigError``.
     """
     file_values = _load_config_file(args.config) if args.config else {}
-    name_map = {"nc": "coarse", "n": "fine", "m": "trial", "L": "test",
-                "eigenproblem": "eig", "online_iters": "online",
-                "raster_path": "raster"}
-    read = set()
-
-    def pick(name, cast, default):
-        key = name_map.get(name, name)  # argparse dest == config file key
-        read.add(key)
-        cli = getattr(args, key, None)
-        if cli is not None and cli is not False:
-            return cli
-        if key in file_values:
-            try:
-                return cast(file_values[key])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
-        return default
-
-    def flag(text):
-        if text.lower() not in _BOOLEANS:
-            raise ValueError(f"expected a boolean (1/0, true/false), got {text!r}")
-        return _BOOLEANS[text.lower()]
-
-    list_cast = _int_list if sweep else int
-    values = dict(
-        example=pick("example", int, 1),
-        alpha=pick("alpha", float, None),
-        nc=pick("nc", int, 8),
-        n=pick("n", int, 64),
-        m=pick("m", list_cast, [1] if sweep else 1),
-        L=pick("L", list_cast, [1] if sweep else 1),
-        eigenproblem=pick("eigenproblem", list_cast, [1] if sweep else 1),
-        online_iters=pick("online_iters", int, 0),
-        pou=pick("pou", str, "ms"),
-        projection=pick("projection", str, "l2"),
-        bubble_source=pick("bubble_source", str, "l2"),
-        trial_restriction=pick("trial_restriction", str, "submatrix"),
-        edge_energy=pick("edge_energy", str, "region"),
-        delta=pick("delta", float, DELTA_DEFAULT),
-        raster_path=pick("raster_path", str, None),
-    )
-    flags = {key: pick(key, flag, False) for key in FLAG_KEYS}
-    out = args.out if args.out != "-" else file_values.get("out", "-")
-    fmt = args.format if args.format != "csv" else file_values.get("format", "csv")
-    unknown = sorted(set(file_values) - read - {"out", "format"})
+    by_key = {a.option_strings[-1].lstrip("-").replace("-", "_"): a for a in args.options}
+    unknown = sorted(set(file_values) - set(by_key))
     if unknown:
         raise ConfigError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-    return values, flags, out, fmt
+    values = {
+        by_key[key].dest: _file_value(by_key[key], key, text)
+        for key, text in file_values.items()
+    }
+    for action in args.options:
+        if getattr(args, action.dest) is not None:
+            values[action.dest] = getattr(args, action.dest)
+    return values
 
 
 def _build_config(args: argparse.Namespace, sweep: bool):
-    values, flags, out, fmt = _merge_config(args, sweep)
-    ms = values.pop("m")
-    Ls = values.pop("L")
-    eigs = values.pop("eigenproblem")
-    if flags["full_res"]:
-        from .fields import ALPHA_DEFAULTS
+    """The ``ExperimentConfig`` of a run or sweep, the sweep's trial, test and
+    eigenproblem lists (the cell's own counts for ``run``), and the
+    ``emit_report`` output arguments that were set."""
+    values = _merge_config(args)
+    output = {key: values.pop(key) for key in ("path", "format") if key in values}
+    if values.pop("flip_darcy_sign", False):
+        values["darcy_sign"] = -1.0
+    if values.pop("full_res", False):
+        # resolves the example's default alpha and rejects an unknown example
+        probe = ExperimentConfig(**{k: values[k] for k in ("example", "alpha") if k in values})
+        values["nc"], values["n"] = full_resolution(probe.example, probe.alpha)
+    if not sweep:
+        config = ExperimentConfig(**values)
+        return config, config.m, config.L, config.eigenproblem, output
+    # a sweep is configured with its largest cell; an unset list holds the default
+    names = ("m", "L", "eigenproblem")
+    lists = {name: values.pop(name) for name in names if name in values}
+    config = ExperimentConfig(**values, **{name: max(v) for name, v in lists.items()})
+    ms, Ls, eigs = (lists.get(name, [getattr(config, name)]) for name in names)
+    return config, ms, Ls, eigs, output
 
-        alpha = values["alpha"]
-        if alpha is None:
-            alpha = ALPHA_DEFAULTS[values["example"]]
-        values["nc"], values["n"] = full_resolution(values["example"], alpha)
-    config = ExperimentConfig(
-        m=max(ms) if sweep else ms,
-        L=max(Ls) if sweep else Ls,
-        eigenproblem=max(eigs) if sweep else eigs,
-        darcy_sign=-1.0 if flags["flip_darcy_sign"] else 1.0,
-        infsup=flags["infsup"],
-        **values,
-    )
-    return config, ms, Ls, eigs, out, fmt
+
+def _emit(rows, output: dict) -> int:
+    text = emit_report(rows, **output)
+    if output.get("path") in (None, "-"):
+        sys.stdout.write(text)
+    return 0
 
 
 def _cmd_run(args) -> int:
-    config, _, _, _, out, fmt = _build_config(args, sweep=False)
+    config, _, _, _, output = _build_config(args, sweep=False)
     if args.dump_eigs or args.dump_basis:
         ws = Workspace(config)
         rows = ws.run_cell(config.m, config.L, config.eigenproblem, config.online_iters)
@@ -188,19 +180,13 @@ def _cmd_run(args) -> int:
             dump_basis(ws.trial(config.m), args.dump_basis)
     else:
         rows = run_experiment(config)
-    text = emit_report(rows, format=fmt, path=out)
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    return 0
+    return _emit(rows, output)
 
 
 def _cmd_sweep(args) -> int:
-    config, ms, Ls, eigs, out, fmt = _build_config(args, sweep=True)
+    config, ms, Ls, eigs, output = _build_config(args, sweep=True)
     rows = sweep_experiment(config, ms, Ls, eigs, online_iters=config.online_iters)
-    text = emit_report(rows, format=fmt, path=out)
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    return 0
+    return _emit(rows, output)
 
 
 def _cmd_validate(args) -> int:
@@ -226,14 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="solve one configuration")
-    _add_common(p_run, sweep=False)
+    options = _add_common(p_run, sweep=False)
     p_run.add_argument("--dump-eigs", help="write the per-edge eigenvalue table (CSV)")
     p_run.add_argument("--dump-basis", help="write the trial matrix (npy or CSV)")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, options=options)
 
     p_sweep = sub.add_parser("sweep", help="sweep trial/test counts")
-    _add_common(p_sweep, sweep=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, options=_add_common(p_sweep, sweep=True))
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--fine", type=int, help="fine subdivisions (default 32)")

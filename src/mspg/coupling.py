@@ -20,6 +20,12 @@ from .errors import SolverFailureError
 from .grid import CoarseTopology, Neighborhood, coloring
 from .numerics import extend_orthonormal
 
+# an online column is dropped when its residual against the current test
+# space is at most ONLINE_DROPTOL of its norm; a local residual below
+# RESIDUAL_FLOOR times the load norm gets no column at all
+ONLINE_DROPTOL = 1e-10
+RESIDUAL_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SaddleState:
@@ -103,40 +109,19 @@ class ErrorReport:
 def error_report(
     state: SaddleState,
     u_ref: np.ndarray,
-    projection: str = "l2",
     min_lambda_excluded: float | None = None,
     infsup_est: float | None = None,
     online_iter: int = 0,
 ) -> ErrorReport:
-    """Multiscale and best-approximation errors of the trial span.
-
-    ``projection='l2'`` measures plain coefficient-vector norms;
-    ``projection='mass'`` switches both the projector and the norms to the
-    mass inner product.
-    """
-    if projection == "l2":
-        def nrm(v):
-            return float(np.linalg.norm(v))
-
-        Q, _ = np.linalg.qr(state.Xi)
-        proj = Q @ (Q.T @ u_ref)
-    elif projection == "mass":
-        M = state.op.M
-
-        def nrm(v):
-            return float(np.sqrt(max(v @ (M @ v), 0.0)))
-
-        MXi = M @ state.Xi
-        coeff = sla.solve(state.Xi.T @ MXi, MXi.T @ u_ref, assume_a="pos")
-        proj = state.Xi @ coeff
-    else:
-        raise ValueError(f"unknown projection mode {projection!r}")
-
-    ref = nrm(u_ref)
+    """Multiscale and best-approximation errors of the trial span, in the
+    Euclidean norm of the fine coefficient vectors."""
+    Q, _ = np.linalg.qr(state.Xi)
+    proj = Q @ (Q.T @ u_ref)
+    ref = float(np.linalg.norm(u_ref))
     scale = ref if ref > 0.0 else 1.0
     return ErrorReport(
-        err_ms_pct=100.0 * nrm(u_ref - state.u_fine) / scale,
-        err_proj_pct=100.0 * nrm(u_ref - proj) / scale,
+        err_ms_pct=100.0 * float(np.linalg.norm(u_ref - state.u_fine)) / scale,
+        err_proj_pct=100.0 * float(np.linalg.norm(u_ref - proj)) / scale,
         w_norm=float(np.linalg.norm(state.w_fine)),
         min_lambda_excluded=min_lambda_excluded,
         infsup_est=infsup_est,
@@ -208,43 +193,24 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
     return np.stack(cols, axis=1) if cols else np.zeros((op.A.shape[0], 0))
 
 
-def online_enrich(
-    state: SaddleState,
-    topology: CoarseTopology,
-    iterations: int = 1,
-    droptol: float = 1e-10,
-    refresh_between_classes: bool = True,
-    residual_floor: float = 1e-12,
-):
+def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int = 1):
     """Grow the test space from local residuals and re-solve.
 
     One iteration sweeps the four parity classes of coarse nodes; within a
     class the neighborhood interiors are disjoint, so the local solves are
-    independent.  By default the coupled system is re-solved after every
-    class so later classes see the updated residual.
+    independent.  The coupled system is re-solved after every class so later
+    classes see the updated residual.
     """
     op = state.op
     classes = coloring(topology)
-    floor = residual_floor * max(np.linalg.norm(op.f), 1.0)
+    floor = RESIDUAL_FLOOR * max(np.linalg.norm(op.f), 1.0)
     reports = []
     for it in range(1, iterations + 1):
         added = 0
-        if refresh_between_classes:
-            for nodes in classes:
-                r = residual_full(state)
-                new = _online_columns(state, topology, nodes, r, floor)
-                accepted = extend_orthonormal(state.Theta, new, droptol=droptol)
-                if accepted.shape[1]:
-                    added += accepted.shape[1]
-                    state = solve_coupled(
-                        op, np.hstack([state.Theta, accepted]), state.Xi
-                    )
-        else:
+        for nodes in classes:
             r = residual_full(state)
-            new = np.hstack(
-                [_online_columns(state, topology, nodes, r, floor) for nodes in classes]
-            )
-            accepted = extend_orthonormal(state.Theta, new, droptol=droptol)
+            new = _online_columns(state, topology, nodes, r, floor)
+            accepted = extend_orthonormal(state.Theta, new, droptol=ONLINE_DROPTOL)
             if accepted.shape[1]:
                 added += accepted.shape[1]
                 state = solve_coupled(op, np.hstack([state.Theta, accepted]), state.Xi)

@@ -23,6 +23,13 @@ from .grid import FineMesh, build_coarse_topology, build_fine_mesh
 
 PECLET_WARN = 2.0
 
+# allowed values of the string-valued options; the command line takes its
+# ``choices`` from here too
+CHOICES = {
+    "trial_restriction": ("submatrix", "patch"),
+    "edge_energy": ("region", "global"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -40,9 +47,6 @@ class ExperimentConfig:
     L: int = 1
     eigenproblem: int = 1
     online_iters: int = 0
-    pou: str = "ms"
-    projection: str = "l2"
-    bubble_source: str = "l2"
     trial_restriction: str = "submatrix"
     edge_energy: str = "region"
     delta: float = DELTA_DEFAULT
@@ -70,20 +74,12 @@ class ExperimentConfig:
             raise ConfigError(f"eigenproblem must be 1 or 2, got {self.eigenproblem}")
         if self.online_iters < 0:
             raise ConfigError("online_iters must be >= 0")
-        if self.pou not in ("ms", "hat"):
-            raise ConfigError(f"partition-of-unity mode {self.pou!r} not in (ms, hat)")
-        if self.projection not in ("l2", "mass"):
-            raise ConfigError(f"projection mode {self.projection!r} not in (l2, mass)")
-        if self.bubble_source not in ("l2", "mass"):
-            raise ConfigError(f"bubble source {self.bubble_source!r} not in (l2, mass)")
-        if self.trial_restriction not in ("submatrix", "patch"):
-            raise ConfigError(
-                f"trial restriction {self.trial_restriction!r} not in (submatrix, patch)"
-            )
-        if self.edge_energy not in ("region", "global"):
-            raise ConfigError(
-                f"edge energy {self.edge_energy!r} not in (region, global)"
-            )
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(
+                    f"{name.replace('_', ' ')} {value!r} not in ({', '.join(allowed)})"
+                )
 
     @property
     def r(self) -> int:
@@ -145,7 +141,7 @@ class Workspace:
             )
         self.op: SparseOperator = assemble(self.mesh, self.field)
         self.u_ref = solve_fine_reference(self.op)
-        self.chi = trial_space.partition_of_unity(self.topology, self.op, mode=config.pou)
+        self.chi = trial_space.partition_of_unity(self.topology, self.op)
         self._snapshots: dict[int, trial_space.TrialSnapshotSet] = {}
         self._trial: dict[int, trial_space.TrialBasis] = {}
         self._w1: dict[int, test_space.BubbleSet] = {}
@@ -186,10 +182,7 @@ class Workspace:
 
     def w1(self, m: int) -> test_space.BubbleSet:
         if m not in self._w1:
-            self._w1[m] = test_space.build_W1(
-                self.topology, self.op, self.trial(m).Xi,
-                source=self.config.bubble_source,
-            )
+            self._w1[m] = test_space.build_W1(self.topology, self.op, self.trial(m).Xi)
         return self._w1[m]
 
     def w2(self) -> test_space.VertexTraceSet:
@@ -247,51 +240,26 @@ class Workspace:
     def run_cell(
         self, m: int, L: int, problem: int, online_iters: int = 0
     ) -> list[ReportRow]:
-        cfg = self.config
+        """One report row for the offline solve, then one per online sweep."""
         Theta, report = self.theta(m, L, problem)
         state = coupling.solve_coupled(self.op, Theta, self.trial(m).Xi)
-        infsup = (
-            coupling.infsup_estimate(self.op, state.Theta, state.Xi)
-            if cfg.infsup
-            else None
-        )
-        rows = [
-            self._row(
-                m,
-                L,
-                problem,
-                coupling.error_report(
-                    state,
-                    self.u_ref,
-                    projection=cfg.projection,
-                    min_lambda_excluded=report.min_lambda_excluded,
-                    infsup_est=infsup,
-                    online_iter=0,
-                ),
-            )
-        ]
-        for it in range(1, online_iters + 1):
-            state, _ = coupling.online_enrich(state, self.topology, iterations=1)
+        rows = []
+        for it in range(online_iters + 1):
+            if it:
+                state, _ = coupling.online_enrich(state, self.topology, iterations=1)
             infsup = (
                 coupling.infsup_estimate(self.op, state.Theta, state.Xi)
-                if cfg.infsup
+                if self.config.infsup
                 else None
             )
-            rows.append(
-                self._row(
-                    m,
-                    L,
-                    problem,
-                    coupling.error_report(
-                        state,
-                        self.u_ref,
-                        projection=cfg.projection,
-                        min_lambda_excluded=report.min_lambda_excluded,
-                        infsup_est=infsup,
-                        online_iter=it,
-                    ),
-                )
+            err = coupling.error_report(
+                state,
+                self.u_ref,
+                min_lambda_excluded=report.min_lambda_excluded,
+                infsup_est=infsup,
+                online_iter=it,
             )
+            rows.append(self._row(m, L, problem, err))
         return rows
 
     def _row(self, m, L, problem, err: coupling.ErrorReport) -> ReportRow:

@@ -43,17 +43,12 @@ class BubbleSet:
         return self.columns.shape[1]
 
 
-def build_W1(
-    topology: CoarseTopology, op: SparseOperator, Xi: np.ndarray, source: str = "l2"
-) -> BubbleSet:
+def build_W1(topology: CoarseTopology, op: SparseOperator, Xi: np.ndarray) -> BubbleSet:
     """Adjoint bubbles for every trial column overlapping a block.
 
-    ``source='l2'`` drives the local adjoint with the raw coefficient values
-    of the trial column (the pairing of the global constraint equation);
-    ``source='mass'`` uses the mass-weighted load instead.
+    The local adjoint is driven by the raw coefficient values of the trial
+    column, the pairing of the global constraint equation.
     """
-    if source not in ("l2", "mass"):
-        raise ValueError(f"unknown bubble source {source!r}")
     blocks, block_ids, source_columns = [], [], []
     for block in topology.blocks:
         I = block.interior
@@ -61,12 +56,10 @@ def build_W1(
         overlapping = np.flatnonzero(np.any(Xi_I != 0.0, axis=0))
         if overlapping.size == 0:
             continue
-        if source == "l2":
-            rhs = Xi_I[:, overlapping]
-        else:
-            rhs = op.M[I, :] @ Xi[:, overlapping]
         At_ii = op.A[I][:, I].T.tocsc()
-        X = local_dirichlet_solve(At_ii, rhs, label=f"block {block.index} bubbles")
+        X = local_dirichlet_solve(
+            At_ii, Xi_I[:, overlapping], label=f"block {block.index} bubbles"
+        )
         blocks.append((I, X))
         block_ids.extend([block.index] * overlapping.size)
         source_columns.extend(overlapping)

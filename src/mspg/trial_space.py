@@ -119,61 +119,38 @@ def trial_eigenbasis(
     )
 
 
-def partition_of_unity(
-    topology: CoarseTopology, op: SparseOperator, mode: str = "ms"
-) -> sp.csc_matrix:
+def partition_of_unity(topology: CoarseTopology, op: SparseOperator) -> sp.csc_matrix:
     """One column per coarse node, summing to 1 at every lattice node.
 
-    ``ms`` extends the coarse hat traces harmonically (w.r.t. the assembled
-    operator) into each block; ``hat`` just interpolates the bilinear hats.
-    Columns live on all lattice nodes: hats of boundary coarse nodes are
-    nonzero on the domain boundary, where the trial functions they multiply
-    vanish anyway.
+    The coarse hat traces on the block boundaries are extended harmonically
+    (w.r.t. the assembled operator) into each block.  Columns live on all
+    lattice nodes: hats of boundary coarse nodes are nonzero on the domain
+    boundary, where the trial functions they multiply vanish anyway.
     """
     mesh = topology.mesh
     nc = topology.nc
     num_nodes = mesh.num_nodes
     cols = {l: ([], []) for l in range(topology.num_coarse_nodes)}
-
-    if mode == "hat":
-        all_nodes = np.arange(num_nodes)
-        x, y = mesh.node_coords(all_nodes)
-        for l in range(topology.num_coarse_nodes):
-            vals = hat_values(topology, l, x, y)
-            nz = np.flatnonzero(vals)
-            cols[l][0].append(nz)
-            cols[l][1].append(vals[nz])
-    elif mode == "ms":
-        A = op.A_nodes
-        for block in topology.blocks:
-            I, J = block.ij
-            corners = [
-                b * (nc + 1) + a for b in (J, J + 1) for a in (I, I + 1)
-            ]
-            bx, by = mesh.node_coords(block.boundary_nodes)
-            traces = np.stack(
-                [hat_values(topology, l, bx, by) for l in corners], axis=1
-            )
-            A_ii = A[block.interior_nodes][:, block.interior_nodes]
-            A_ib = A[block.interior_nodes][:, block.boundary_nodes]
-            X = local_dirichlet_solve(
-                A_ii, -(A_ib @ traces), label=f"block {block.index}"
-            )
-            for k, l in enumerate(corners):
-                cols[l][0].append(block.boundary_nodes)
-                cols[l][1].append(traces[:, k])
-                cols[l][0].append(block.interior_nodes)
-                cols[l][1].append(X[:, k])
-    else:
-        raise ValueError(f"unknown partition-of-unity mode {mode!r}")
+    A = op.A_nodes
+    for block in topology.blocks:
+        I, J = block.ij
+        corners = [b * (nc + 1) + a for b in (J, J + 1) for a in (I, I + 1)]
+        bx, by = mesh.node_coords(block.boundary_nodes)
+        traces = np.stack([hat_values(topology, l, bx, by) for l in corners], axis=1)
+        A_ii = A[block.interior_nodes][:, block.interior_nodes]
+        A_ib = A[block.interior_nodes][:, block.boundary_nodes]
+        X = local_dirichlet_solve(A_ii, -(A_ib @ traces), label=f"block {block.index}")
+        for k, l in enumerate(corners):
+            cols[l][0].append(block.boundary_nodes)
+            cols[l][1].append(traces[:, k])
+            cols[l][0].append(block.interior_nodes)
+            cols[l][1].append(X[:, k])
 
     blocks = []
     scratch = np.zeros(num_nodes)
     for l in range(topology.num_coarse_nodes):
         idx_parts, val_parts = cols[l]
-        touched = (
-            np.unique(np.concatenate(idx_parts)) if idx_parts else np.array([], int)
-        )
+        touched = np.unique(np.concatenate(idx_parts))  # every node has a block
         for idx, val in zip(idx_parts, val_parts):
             scratch[idx] = val  # duplicates agree: shared nodes carry hat traces
         blocks.append((touched, scratch[touched, None]))

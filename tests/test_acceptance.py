@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mspg.assembly import CoefficientField, assemble, solve_fine_reference
+from mspg.assembly import assemble, solve_fine_reference
 from mspg.coupling import (
     error_report,
     infsup_estimate,
@@ -23,6 +23,7 @@ from mspg.coupling import (
 from mspg.grid import build_fine_mesh
 from mspg.harness import ExperimentConfig, Workspace
 from mspg.cli import main
+from mspg.validation import edge_spectrum_range, full_space_gap, mms_rate
 
 
 def _build(example, alpha):
@@ -51,14 +52,10 @@ def report(ok: bool, label: str, detail: str):
 
 def test_criterion_1_full_snapshot_exactness(ws_ex1):
     t0 = time.monotonic()
-    r = ws_ex1.topology.r
     worst_gap = 0.0
     worst_constraint = 0.0
     for m in (1, 3):
-        theta, _ = ws_ex1.theta(m, r - 1, 1)
-        state = solve_coupled(ws_ex1.op, theta, ws_ex1.trial(m).Xi)
-        rep = error_report(state, ws_ex1.u_ref)
-        gap = abs(rep.err_ms_pct - rep.err_proj_pct) / max(rep.err_proj_pct, 1e-30)
+        gap, _, state = full_space_gap(ws_ex1, m, problem=1)
         worst_gap = max(worst_gap, gap)
         constraint = np.linalg.norm(
             state.Xi.T @ (ws_ex1.op.A.T @ state.w_fine)
@@ -124,10 +121,10 @@ def test_criterion_3_spectral_bound(ws_ex1, ws_ex4):
     lo, hi = np.inf, -np.inf
     monotone = True
     for ws in workspaces:
+        ws_lo, ws_hi = edge_spectrum_range(ws)
+        lo, hi = min(lo, ws_lo), max(hi, ws_hi)
         for k in range(len(ws.topology.edges)):
             vals = ws.edge_spectrum(k, 2).eigenvalues
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
             lams = [
                 float(vals[L]) if L < vals.size else np.inf
                 for L in range(1, vals.size + 1)
@@ -220,20 +217,7 @@ def test_criterion_6_online_enrichment(ws_ex1, ws_ex4):
 
 
 def test_criterion_7_manufactured_solution_order():
-    errs = []
-    for n in (32, 64):
-        mesh = build_fine_mesh(n)
-        fld = CoefficientField(
-            kappa=lambda x, y: np.ones(np.shape(x)),
-            b=lambda x, y: np.zeros((2,) + np.shape(x)),
-            f=lambda x, y: 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y),
-        )
-        op = assemble(mesh, fld)
-        u = solve_fine_reference(op)
-        x, y = mesh.dof_coords(np.arange(mesh.num_dofs))
-        e = u - np.sin(np.pi * x) * np.sin(np.pi * y)
-        errs.append(float(np.sqrt(e @ (op.M @ e))))
-    rate = float(np.log2(errs[0] / errs[1]))
+    rate = mms_rate(64)  # grids 32 and 64
     ok = abs(rate - 2.0) <= 0.1
     report(ok, "criterion 7 (manufactured-solution order)", f"rate {rate:.3f}")
 

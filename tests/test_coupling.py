@@ -77,13 +77,6 @@ def test_error_report_optimality(tiny):
     assert rep.err_ms_pct >= rep.err_proj_pct - 1e-8
 
 
-def test_error_report_mass_projection(tiny):
-    theta, _ = tiny.theta(1, 2, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    rep = error_report(state, tiny.u_ref, projection="mass")
-    assert rep.err_ms_pct >= rep.err_proj_pct - 1e-8
-
-
 def test_reduced_blocks_symmetric(tiny):
     theta, _ = tiny.theta(1, 2, 2)
     state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
@@ -184,15 +177,3 @@ def test_online_contraction_rate(ws_small):
     excess_before = before.err_ms_pct - before.err_proj_pct
     excess_after = after.err_ms_pct - after.err_proj_pct
     assert excess_after <= ((1.0 - lam) + 0.1) * excess_before + 1e-12
-
-
-def test_online_single_shot_mode(tiny):
-    theta, _ = tiny.theta(1, 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    state2, reps = online_enrich(
-        state, tiny.topology, iterations=1, refresh_between_classes=False
-    )
-    assert reps[0].added_columns > 0
-    assert error_report(state2, tiny.u_ref).err_ms_pct <= error_report(
-        state, tiny.u_ref
-    ).err_ms_pct + 1e-9

@@ -33,7 +33,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(nc=4, n=16, eigenproblem=3)
     with pytest.raises(ConfigError):
-        ExperimentConfig(nc=4, n=16, pou="fancy")
+        ExperimentConfig(nc=4, n=16, edge_energy="other")
     with pytest.raises(ConfigError):
         ExperimentConfig(nc=4, n=16, trial_restriction="other")
 
@@ -233,7 +233,7 @@ def test_cli_config_file_flags(tmp_path, capsys):
 
     cfg.write_text("example=5\nflip_darcy_sign=true\nfull_res=yes\ninfsup=0\n")
     args = build_parser().parse_args(["run", "--config", str(cfg)])
-    config, _, _, _, _, _ = _build_config(args, sweep=False)
+    config, _, _, _, _ = _build_config(args, sweep=False)
     assert config.darcy_sign == -1.0
     assert (config.nc, config.n) == full_resolution(5, config.alpha)
     assert config.infsup is False
@@ -324,10 +324,10 @@ def test_cli_full_res_flag_sets_grids():
 
     parser = build_parser()
     args = parser.parse_args(["run", "--example", "3", "--alpha", "0.0005", "--full-res"])
-    config, _, _, _, _, _ = _build_config(args, sweep=False)
+    config, _, _, _, _ = _build_config(args, sweep=False)
     assert (config.nc, config.n) == (10, 800)
     args = parser.parse_args(["run", "--example", "1", "--full-res"])
-    config, _, _, _, _, _ = _build_config(args, sweep=False)
+    config, _, _, _, _ = _build_config(args, sweep=False)
     assert (config.nc, config.n) == (10, 200)
 
 
@@ -342,17 +342,107 @@ def test_cli_knob_flags_reach_config():
             "--fine", "16",
             "--trial-restriction", "patch",
             "--edge-energy", "global",
-            "--pou", "hat",
-            "--bubble-source", "mass",
-            "--projection", "mass",
         ]
     )
-    config, _, _, _, _, _ = _build_config(args, sweep=False)
+    config, _, _, _, _ = _build_config(args, sweep=False)
     assert config.trial_restriction == "patch"
     assert config.edge_energy == "global"
-    assert config.pou == "hat"
-    assert config.bubble_source == "mass"
-    assert config.projection == "mass"
+
+
+@pytest.mark.parametrize("option", ["pou", "bubble_source", "projection"])
+def test_cli_removed_knobs_exit_2(tmp_path, capsys, option):
+    flag = "--" + option.replace("_", "-")
+    argv = ["run", "--example", "1", "--coarse", "4", "--fine", "16"]
+    assert main(argv + [flag, "hat"]) == 2
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{option}=hat\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert f"unknown config key(s) {option}" in capsys.readouterr().err
+
+
+def test_cli_format_flag_wins_over_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("example=1\ncoarse=4\nfine=16\nformat=json\n")
+    assert main(["run", "--config", str(cfg), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("example,alpha,H,h,")
+
+
+def test_cli_stdout_flag_wins_over_file(tmp_path, capsys):
+    path = tmp_path / "from_file.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"example=1\ncoarse=4\nfine=16\nout={path}\n")
+    assert main(["run", "--config", str(cfg), "--out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("example,alpha,H,h,")
+    assert not path.exists()
+
+
+def test_cli_bad_file_format_exits_before_solving(tmp_path, capsys, monkeypatch):
+    from mspg import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the configuration was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_solve)
+    monkeypatch.setattr(cli, "Workspace", no_solve)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("example=1\ncoarse=4\nfine=16\nformat=xml\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config key format" in capsys.readouterr().err
+
+
+# one non-default value per ExperimentConfig field, valid with coarse=4, fine=16;
+# darcy_sign is set by the --flip-darcy-sign switch instead
+FIELD_SAMPLES = {
+    "example": "2",
+    "alpha": "0.5",
+    "nc": "2",
+    "n": "8",
+    "m": "2",
+    "L": "3",
+    "eigenproblem": "2",
+    "online_iters": "1",
+    "trial_restriction": "patch",
+    "edge_energy": "global",
+    "delta": "0.25",
+    "raster_path": "raster.txt",
+    "infsup": "1",
+}
+
+
+def test_every_config_field_has_a_flag_and_a_config_key(tmp_path):
+    from dataclasses import fields
+
+    from mspg.cli import _build_config, build_parser
+
+    assert set(FIELD_SAMPLES) == {f.name for f in fields(ExperimentConfig)} - {"darcy_sign"}
+    parser = build_parser()
+    cfg = tmp_path / "exp.cfg"
+
+    def config(argv, lines):
+        cfg.write_text("".join(line + "\n" for line in lines))
+        args = parser.parse_args(["run", "--config", str(cfg)] + argv)
+        return _build_config(args, sweep=False)[0]
+
+    options = {a.dest: a for a in parser.parse_args(["run"]).options}
+    for field, text in FIELD_SAMPLES.items():
+        flag = options[field].option_strings[-1]
+        key = flag.lstrip("-").replace("-", "_")
+        # a small grid, less the grid option under test
+        grid = [line for line in ("coarse=4", "fine=16") if line.split("=")[0] != key]
+        value = [] if options[field].nargs == 0 else [text]
+        from_flag = config([flag] + value, grid)
+        from_file = config([], grid + [f"{key}={text}"])
+        default = getattr(ExperimentConfig(nc=4, n=16), field)
+        assert getattr(from_flag, field) == getattr(from_file, field) != default, field
+
+
+def test_cli_empty_config_file_gives_default_config(tmp_path):
+    from mspg.cli import _build_config, build_parser
+
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    args = build_parser().parse_args(["run", "--config", str(cfg)])
+    assert _build_config(args, sweep=False)[0] == ExperimentConfig()
 
 
 def test_cli_validate(capsys):

@@ -112,24 +112,25 @@ def test_partition_of_unity_matches_hat_on_skeleton(ws_small):
             assert np.allclose(col[block.boundary_nodes], hat, atol=1e-12)
 
 
+def bilinear_hats(topo):
+    """Dense nodes x coarse-nodes matrix of the bilinear coarse hats."""
+    x, y = topo.mesh.node_coords(np.arange(topo.mesh.num_nodes))
+    return np.stack(
+        [hat_values(topo, l, x, y) for l in range(topo.num_coarse_nodes)], axis=1
+    )
+
+
 def test_partition_of_unity_pure_diffusion_is_hat(laplace32):
     # constant kappa, no convection: the bilinear hats solve the local
-    # problems exactly, so both modes agree everywhere
+    # problems exactly, so the multiscale partition equals them everywhere
     topo, op = laplace32
-    chi_ms = partition_of_unity(topo, op, mode="ms")
-    chi_hat = partition_of_unity(topo, op, mode="hat")
-    assert abs(chi_ms - chi_hat).max() <= 1e-9
+    chi = partition_of_unity(topo, op)
+    assert np.abs(chi.toarray() - bilinear_hats(topo)).max() <= 1e-9
 
 
 def test_partition_of_unity_multiscale_differs_inside(ws_small):
-    chi_hat = partition_of_unity(ws_small.topology, ws_small.op, mode="hat")
-    assert abs(ws_small.chi - chi_hat).max() > 1e-3
-
-
-def test_partition_of_unity_unknown_mode(laplace32):
-    topo, op = laplace32
-    with pytest.raises(ValueError):
-        partition_of_unity(topo, op, mode="bogus")
+    hats = bilinear_hats(ws_small.topology)
+    assert np.abs(ws_small.chi.toarray() - hats).max() > 1e-3
 
 
 def test_trial_matrix_columns_supported_in_neighborhood(ws_small):
