@@ -6,7 +6,6 @@ from .assembly import (
     SparseOperator,
     assemble,
     constant_field,
-    local_submatrix,
     solve_fine_reference,
 )
 from .coupling import (
@@ -15,7 +14,6 @@ from .coupling import (
     error_report,
     infsup_estimate,
     online_enrich,
-    residual_local,
     solve_coupled,
 )
 from .grid import (

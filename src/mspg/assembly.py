@@ -155,17 +155,6 @@ def assemble(mesh: FineMesh, field: CoefficientField) -> SparseOperator:
     )
 
 
-def local_submatrix(op: SparseOperator, rows, cols) -> sp.csr_matrix:
-    """Entrywise extraction A[rows, cols] of the global stiffness matrix."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    nd = op.A.shape[0]
-    for name, idx in (("rows", rows), ("cols", cols)):
-        if idx.size and (idx.min() < 0 or idx.max() >= nd):
-            raise IndexError(f"{name} outside dof range 0..{nd - 1}")
-    return op.A[rows][:, cols].tocsr()
-
-
 def solve_fine_reference(op: SparseOperator, tol: float = 1e-10) -> np.ndarray:
     """Direct solve of A u = f with a checked relative residual."""
     f = op.f

@@ -17,8 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .assembly import SparseOperator
 from .errors import SolverFailureError
-from .grid import CoarseTopology, Neighborhood, coloring
-from .numerics import extend_orthonormal
+from .grid import CoarseTopology, coloring
+from .numerics import column_sparse, generalized_sym_eig, orthonormalize_columns
 
 # an online column is dropped when its residual against the current test
 # space is at most ONLINE_DROPTOL of its norm; a local residual below
@@ -129,29 +129,17 @@ def error_report(
     )
 
 
-def infsup_estimate(op: SparseOperator, Theta: np.ndarray, Xi: np.ndarray) -> float:
+def infsup_estimate(state: SaddleState) -> float:
     """Smallest squared-energy projection ratio of the lifted trial columns.
 
-    Each trial column is lifted through the transposed fine operator and
-    projected onto the span of the test matrix in the squared-operator
-    inner product; the estimate is the smallest ratio over the trial range
-    and equals 1 when the lifted columns are contained in that span.
+    A trial column xi lifted as z = A^{-T} xi has ||A^T z||^2 = ||xi||^2,
+    and the squared-operator inner product of z with a test column theta
+    is (A^T theta)^T xi, an entry of G_wu.  So the estimate is
+    sqrt(lambda_min(G_wu^T G_ww^{-1} G_wu, Xi^T Xi)), read from the solved
+    blocks; it equals 1 when the lifted columns lie in the test span.
     """
-    from .numerics import generalized_sym_eig
-
-    try:
-        lu = spla.splu(op.A.T.tocsc())
-    except RuntimeError as exc:
-        raise SolverFailureError(f"adjoint factorization failed: {exc}") from exc
-    Z = lu.solve(np.asarray(Xi, dtype=float))
-    W = op.A.T @ Z
-    Y = op.A.T @ np.asarray(Theta, dtype=float)
-    G1 = W.T @ W
-    C = W.T @ Y
-    G_ww = Y.T @ Y
-    del Y
-    G2 = C @ sla.solve(G_ww, C.T, assume_a="pos")
-    vals = generalized_sym_eig(G2, G1).values
+    G2 = state.G_wu.T @ sla.solve(state.G_ww, state.G_wu, assume_a="pos")
+    vals = generalized_sym_eig(G2, state.Xi.T @ state.Xi).values
     return float(np.sqrt(max(vals[0], 0.0)))
 
 
@@ -159,12 +147,6 @@ def residual_full(state: SaddleState) -> np.ndarray:
     """Strong residual of the first block equation on the fine grid."""
     op = state.op
     return op.A @ (op.A.T @ state.w_fine) + op.A @ state.u_fine - op.f
-
-
-def residual_local(state: SaddleState, region) -> np.ndarray:
-    """Restriction of the global residual to a neighborhood interior."""
-    idx = region.interior if isinstance(region, Neighborhood) else np.asarray(region)
-    return residual_full(state)[idx]
 
 
 @dataclass(frozen=True)
@@ -175,22 +157,34 @@ class OnlineSweepReport:
 
 
 def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor):
-    """Local squared-operator solves against the residual, one per node."""
+    """Local squared-operator solves against the residual, one CSC column
+    per node."""
     op = state.op
-    cols = []
+    blocks = []
     for node in nodes:
-        nbhd = topology.neighborhoods[int(node)]
-        I = nbhd.interior
+        I = topology.neighborhoods[int(node)].interior
         r_I = r[I]
         if np.linalg.norm(r_I) <= floor:
             continue
         A_I = op.A[I, :]
         B = (A_I @ A_I.T).tocsc()
-        phi_I = spla.splu(B).solve(r_I)
-        col = np.zeros(op.A.shape[0])
-        col[I] = phi_I
-        cols.append(col)
-    return np.stack(cols, axis=1) if cols else np.zeros((op.A.shape[0], 0))
+        blocks.append((I, spla.splu(B).solve(r_I)[:, None]))
+    return column_sparse(op.A.shape[0], blocks)
+
+
+def _extend_test_space(Theta: np.ndarray, new) -> np.ndarray:
+    """Orthonormal columns that extend the orthonormal Theta by ``new``.
+
+    The new block is projected against Theta twice; a column whose residual
+    is at most ONLINE_DROPTOL of its norm adds nothing and is dropped, and
+    the rest are orthonormalized among themselves by the offline kernel.
+    """
+    norms = spla.norm(new, axis=0)
+    W = new.toarray()
+    for _ in range(2):
+        W -= Theta @ (Theta.T @ W)
+    keep = np.linalg.norm(W, axis=0) > ONLINE_DROPTOL * norms
+    return orthonormalize_columns(W[:, keep], droptol=ONLINE_DROPTOL)
 
 
 def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int = 1):
@@ -210,7 +204,7 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int 
         for nodes in classes:
             r = residual_full(state)
             new = _online_columns(state, topology, nodes, r, floor)
-            accepted = extend_orthonormal(state.Theta, new, droptol=ONLINE_DROPTOL)
+            accepted = _extend_test_space(state.Theta, new)
             if accepted.shape[1]:
                 added += accepted.shape[1]
                 state = solve_coupled(op, np.hstack([state.Theta, accepted]), state.Xi)

@@ -9,6 +9,7 @@ runs of the same configuration are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, replace
@@ -213,18 +214,9 @@ class Workspace:
         out = []
         for k in range(len(self.topology.edges)):
             full = self.edge_spectrum(k, problem)
-            ns = full.eigenvalues.size
-            Lk = min(L, ns)
             out.append(
-                test_space.EdgeSpectralResult(
-                    edge=full.edge,
-                    problem=problem,
-                    eigenvalues=full.eigenvalues,
-                    selected=full.selected[:, :Lk],
-                    L=Lk,
-                    lambda_excluded=(
-                        float(full.eigenvalues[Lk]) if Lk < ns else np.inf
-                    ),
+                test_space.select_prefix(
+                    full.edge, problem, full.eigenvalues, full.selected, L
                 )
             )
         return out
@@ -247,11 +239,7 @@ class Workspace:
         for it in range(online_iters + 1):
             if it:
                 state, _ = coupling.online_enrich(state, self.topology, iterations=1)
-            infsup = (
-                coupling.infsup_estimate(self.op, state.Theta, state.Xi)
-                if self.config.infsup
-                else None
-            )
+            infsup = coupling.infsup_estimate(state) if self.config.infsup else None
             err = coupling.error_report(
                 state,
                 self.u_ref,
@@ -330,8 +318,9 @@ def sweep_experiment(
 ) -> list[ReportRow]:
     """Cartesian sweep sharing one workspace; rows in fixed (m, L, eig) order."""
     online = config.online_iters if online_iters is None else online_iters
-    base = replace(config, m=max(ms), L=max(Ls))  # validates the largest cell
-    ws = Workspace(base)
+    for m, L, problem in itertools.product(ms, Ls, eigenproblems):
+        replace(config, m=m, L=L, eigenproblem=problem)  # rejects a bad cell
+    ws = Workspace(replace(config, m=max(ms), L=max(Ls)))
     rows = []
     for m in sorted(ms):
         for L in sorted(Ls):
@@ -381,11 +370,9 @@ def emit_report(rows: list[ReportRow], format: str = "csv", path=None) -> str:
 def dump_edge_spectra(spectra, path) -> None:
     """Per-edge eigenvalue table: edge id, index, eigenvalue, selected flag.
 
-    ``spectra`` is a ``SpectralReport`` or the per-edge results themselves,
-    as ``Workspace.w3_selection`` returns them.
+    ``spectra`` holds the per-edge results, as ``Workspace.w3_selection``
+    returns them.
     """
-    if isinstance(spectra, test_space.SpectralReport):
-        spectra = spectra.edge_results
     with open(path, "w") as fh:
         fh.write("edge,index,eigenvalue,selected\n")
         for res in spectra:

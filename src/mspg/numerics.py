@@ -92,42 +92,6 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
     )
 
 
-def extend_orthonormal(Q: np.ndarray | None, V: np.ndarray, droptol: float = 1e-10):
-    """Orthonormalize the columns of V against Q and each other.
-
-    Returns the accepted new columns only.  A column is dropped when its
-    residual after projection is at most droptol times its original norm,
-    so the combined span is preserved up to droptol.
-    """
-    V = np.array(V, dtype=float, copy=True)
-    if V.ndim != 2 or V.shape[1] == 0:
-        return np.zeros((V.shape[0] if V.ndim == 2 else 0, 0))
-    norms0 = np.linalg.norm(V, axis=0)
-
-    nq = 0 if Q is None else Q.shape[1]
-    accepted = np.zeros((V.shape[0], V.shape[1]))
-    na = 0
-    block = 128
-    for lo in range(0, V.shape[1], block):
-        W = V[:, lo : lo + block]
-        # two projection passes keep orthogonality near machine precision
-        for _ in range(2):
-            if nq:
-                W -= Q[:, :nq] @ (Q[:, :nq].T @ W)
-            if na:
-                W -= accepted[:, :na] @ (accepted[:, :na].T @ W)
-        for j in range(W.shape[1]):
-            w = W[:, j]
-            if na:
-                w = w - accepted[:, :na] @ (accepted[:, :na].T @ w)
-            nrm = np.linalg.norm(w)
-            if nrm <= droptol * max(norms0[lo + j], np.finfo(float).tiny):
-                continue
-            accepted[:, na] = w / nrm
-            na += 1
-    return accepted[:, :na].copy()
-
-
 def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Overwrite the C-ordered X with X R^{-1} for upper triangular R."""
     # X^T is Fortran-ordered, so LAPACK solves R^T (X R^{-1})^T = X^T in place

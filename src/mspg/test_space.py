@@ -189,7 +189,8 @@ def _edge_energy(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> 
     raise ValueError(f"unknown edge energy mode {mode!r}")
 
 
-def _select(edge, problem, values, snapshot_combos, L):
+def select_prefix(edge, problem, values, snapshot_combos, L):
+    """The first L modes of an edge's ascending spectrum."""
     ns = values.size
     if L < 1 or L > ns:
         raise ValueError(f"L={L} outside 1..{ns} on edge {edge.index}")
@@ -227,7 +228,7 @@ def eigenproblem_1(
         pairs = generalized_sym_eig(S, M_edge)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return _select(edge, 1, pairs.values, psi @ pairs.vectors, L)
+    return select_prefix(edge, 1, pairs.values, psi @ pairs.vectors, L)
 
 
 def eigenproblem_2(
@@ -254,7 +255,7 @@ def eigenproblem_2(
         pairs = generalized_sym_eig(S_min, S)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return _select(edge, 2, pairs.values, psi @ pairs.vectors, L)
+    return select_prefix(edge, 2, pairs.values, psi @ pairs.vectors, L)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@ import warnings
 
 import pytest
 
-from mspg.assembly import assemble, constant_field
-from mspg.grid import build_coarse_topology, build_fine_mesh
 from mspg.harness import ExperimentConfig, Workspace
 
 
@@ -13,21 +11,6 @@ def _quiet_peclet():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="cell Peclet")
         yield
-
-
-@pytest.fixture(scope="session")
-def mesh16():
-    return build_fine_mesh(16)
-
-
-@pytest.fixture(scope="session")
-def topo16():
-    return build_coarse_topology(build_fine_mesh(16), 4)
-
-
-@pytest.fixture(scope="session")
-def laplace16(topo16):
-    return assemble(topo16.mesh, constant_field(kappa=1.0, b=(0.0, 0.0), f=1.0))
 
 
 @pytest.fixture(scope="session")

@@ -228,7 +228,7 @@ def test_criterion_8_infsup_monotone(ws_ex1):
     vals = []
     for L in (1, 3, 5, r - 1):
         theta, _ = ws_ex1.theta(1, L, 1)
-        vals.append(infsup_estimate(ws_ex1.op, theta, Xi))
+        vals.append(infsup_estimate(solve_coupled(ws_ex1.op, theta, Xi)))
     monotone = all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
     ok = monotone and vals[-1] >= 0.99
     report(

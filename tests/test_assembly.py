@@ -5,12 +5,11 @@ from mspg.assembly import (
     CoefficientField,
     assemble,
     constant_field,
-    local_submatrix,
     solve_fine_reference,
 )
 from mspg.errors import InvalidCoefficientError, SolverFailureError
 from mspg.fields import example_1
-from mspg.grid import build_coarse_topology, build_fine_mesh
+from mspg.grid import build_fine_mesh
 
 
 def test_q1_laplacian_stencil():
@@ -64,41 +63,6 @@ def test_mass_spd():
     M = op.M.toarray()
     assert np.allclose(M, M.T)
     assert np.linalg.eigvalsh(M).min() > 0.0
-
-
-def test_local_submatrix_full_and_single(laplace16):
-    n_dofs = laplace16.A.shape[0]
-    every = np.arange(n_dofs)
-    assert abs(local_submatrix(laplace16, every, every) - laplace16.A).max() == 0.0
-    one = local_submatrix(laplace16, [3], [3])
-    assert one.shape == (1, 1)
-    assert one[0, 0] == laplace16.A[3, 3]
-
-
-def test_local_submatrix_block_dimensions():
-    mesh = build_fine_mesh(4)
-    topo = build_coarse_topology(mesh, 2)
-    op = assemble(mesh, constant_field())
-    block = topo.blocks[0]
-    sub = local_submatrix(op, block.interior, block.closure)
-    # r=2: one interior node; the 3x3 node window keeps 4 dofs
-    assert sub.shape == (1, 4)
-
-
-def test_local_submatrix_out_of_range(laplace16):
-    with pytest.raises(IndexError):
-        local_submatrix(laplace16, [0, laplace16.A.shape[0]], [0])
-
-
-def test_local_submatrix_matches_global_action(laplace16, topo16):
-    rng = np.random.default_rng(7)
-    block = topo16.blocks[5]
-    S = block.closure
-    v = np.zeros(laplace16.A.shape[0])
-    v[block.interior] = rng.standard_normal(block.interior.size)
-    lhs = local_submatrix(laplace16, S, S) @ v[S]
-    rhs = (laplace16.A @ v)[S]
-    assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_manufactured_solution_second_order():

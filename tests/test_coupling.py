@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mspg.assembly import assemble, constant_field
 from mspg.coupling import (
+    _extend_test_space,
     error_report,
     infsup_estimate,
     online_enrich,
     residual_full,
-    residual_local,
     solve_coupled,
 )
 from mspg.errors import SolverFailureError
 from mspg.grid import build_fine_mesh
 from mspg.harness import ExperimentConfig, Workspace
+from mspg.numerics import generalized_sym_eig
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +100,7 @@ def test_infsup_full_test_space_is_one():
     op = assemble(mesh, constant_field(kappa=1.0, b=(0.5, 0.2)))
     nd = mesh.num_dofs
     Xi = np.linalg.qr(np.random.default_rng(0).standard_normal((nd, 5)))[0]
-    est = infsup_estimate(op, np.eye(nd), Xi)
+    est = infsup_estimate(solve_coupled(op, np.eye(nd), Xi))
     assert est == pytest.approx(1.0, abs=1e-8)
 
 
@@ -105,12 +109,10 @@ def test_infsup_orthogonal_test_space_is_zero():
     op = assemble(mesh, constant_field(kappa=1.0))
     nd = mesh.num_dofs
     Xi = np.eye(nd)[:, :1]
-    import scipy.sparse.linalg as spla
-
     z = spla.splu(op.A.T.tocsc()).solve(Xi[:, 0])
     g = op.A @ (op.A.T @ z)
     basis = np.linalg.qr(np.eye(nd) - np.outer(g, g) / (g @ g))[0][:, : nd - 1]
-    est = infsup_estimate(op, basis[:, :3], Xi)
+    est = infsup_estimate(solve_coupled(op, basis[:, :3], Xi))
     assert est <= 1e-8
 
 
@@ -119,10 +121,40 @@ def test_infsup_monotone_in_L(tiny):
     vals = []
     for L in (1, 2, 3):
         theta, _ = tiny.theta(1, L, 1)
-        vals.append(infsup_estimate(tiny.op, theta, Xi))
+        vals.append(infsup_estimate(solve_coupled(tiny.op, theta, Xi)))
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
     assert vals[2] == pytest.approx(1.0, abs=1e-6)  # full edge selection
+
+
+def _lifted_infsup(op, Theta, Xi):
+    """The estimate by its definition: lift each trial column through the
+    transposed operator and project it onto the test span."""
+    Z = spla.splu(op.A.T.tocsc()).solve(Xi)
+    W = op.A.T @ Z
+    Y = op.A.T @ Theta
+    C = W.T @ Y
+    G2 = C @ sla.solve(Y.T @ Y, C.T, assume_a="pos")
+    vals = generalized_sym_eig(G2, W.T @ W).values
+    return float(np.sqrt(max(vals[0], 0.0)))
+
+
+@pytest.mark.parametrize("L, problem", [(1, 1), (2, 2), (3, 1)])
+def test_infsup_matches_the_lift(tiny, L, problem):
+    theta, _ = tiny.theta(1, L, problem)
+    Xi = tiny.trial(1).Xi
+    est = infsup_estimate(solve_coupled(tiny.op, theta, Xi))
+    assert est == pytest.approx(_lifted_infsup(tiny.op, theta, Xi), rel=1e-10)
+
+
+def test_infsup_matches_the_lift_high_contrast():
+    # example 5 (contrast 500) with every edge mode kept: cond(G_ww) ~ 1e9
+    ws = Workspace(ExperimentConfig(example=5, nc=8, n=64, m=3, L=7, eigenproblem=2))
+    Xi = ws.trial(3).Xi
+    for L in (3, 7):
+        theta, _ = ws.theta(3, L, 2)
+        est = infsup_estimate(solve_coupled(ws.op, theta, Xi))
+        assert est == pytest.approx(_lifted_infsup(ws.op, theta, Xi), rel=1e-10)
 
 
 def test_residual_vanishes_for_exact_test_space(tiny):
@@ -131,8 +163,6 @@ def test_residual_vanishes_for_exact_test_space(tiny):
     state = solve_coupled(tiny.op, np.eye(tiny.mesh.num_dofs), tiny.trial(1).Xi)
     res = residual_full(state)
     assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(tiny.op.f)
-    nb = tiny.topology.neighborhoods[int(tiny.topology.interior_coarse_nodes[0])]
-    assert np.linalg.norm(residual_local(state, nb)) <= 1e-8 * np.linalg.norm(tiny.op.f)
 
 
 def test_residual_zero_load():
@@ -177,3 +207,27 @@ def test_online_contraction_rate(ws_small):
     excess_before = before.err_ms_pct - before.err_proj_pct
     excess_after = after.err_ms_pct - after.err_proj_pct
     assert excess_after <= ((1.0 - lam) + 0.1) * excess_before + 1e-12
+
+
+def test_online_test_space_stays_orthonormal(tiny):
+    theta, _ = tiny.theta(1, 1, 1)
+    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    enriched, reps = online_enrich(state, tiny.topology, iterations=2)
+    added = sum(rep.added_columns for rep in reps)
+    T = enriched.Theta
+    assert added > 0 and T.shape[1] == theta.shape[1] + added
+    assert abs(T.T @ T - np.eye(T.shape[1])).max() <= 1e-12
+
+
+def test_online_extension_skips_columns_in_the_test_span(tiny):
+    theta, _ = tiny.theta(1, 1, 1)
+    rng = np.random.default_rng(3)
+    inside = theta[:, :3] @ rng.standard_normal(3)
+    outside = rng.standard_normal(theta.shape[0])
+    ext = _extend_test_space(theta, sp.csc_matrix(np.column_stack([inside, outside])))
+    assert ext.shape[1] == 1
+    basis = np.hstack([theta, ext])
+    assert abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+    # the kept column spans the part of the independent one outside Theta
+    resid = outside - theta @ (theta.T @ outside)
+    assert np.linalg.norm(resid - ext @ (ext.T @ resid)) <= 1e-12 * np.linalg.norm(resid)

@@ -117,6 +117,30 @@ def test_sweep_row_order():
     assert cells == [(1, 1), (1, 3), (2, 1), (2, 3)]
 
 
+@pytest.mark.parametrize(
+    "option, values, message",
+    [
+        ("--eig", "0,1", "eigenproblem must be 1 or 2, got 0"),
+        ("--test", "0,1", "test count L=0 outside 1..3"),
+        ("--trial", "0,1", "trial count m=0 must be >= 1"),
+    ],
+    ids=["eig", "test", "trial"],
+)
+def test_cli_sweep_checks_every_cell(capsys, monkeypatch, option, values, message):
+    # the largest value of each list is valid; the smallest is not
+    from mspg import harness
+
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("built a workspace before every cell was checked")
+
+    monkeypatch.setattr(harness, "Workspace", no_workspace)
+    argv = ["sweep", "--example", "1", "--coarse", "4", "--fine", "16", option, values]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_golden_small_run():
     # frozen output of the first validated run of this configuration;
     # guards the whole pipeline against silent numerical drift
@@ -133,7 +157,7 @@ def test_dump_edge_spectra(tmp_path):
     ws = Workspace(small_config())
     _, report = ws.theta(1, 1, 2)
     path = tmp_path / "eigs.csv"
-    dump_edge_spectra(report, path)
+    dump_edge_spectra(report.edge_results, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "edge,index,eigenvalue,selected"
     # one line per (edge, mode): 2*nc*(nc-1) edges, r-1 modes each
@@ -315,7 +339,8 @@ def test_cli_dump_eigs_orthonormalizes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     # same table as the one written from the cell's spectral report
     expected = tmp_path / "expected.csv"
-    dump_edge_spectra(Workspace(small_config(L=2, eigenproblem=1)).theta(1, 2, 1)[1], expected)
+    _, report = Workspace(small_config(L=2, eigenproblem=1)).theta(1, 2, 1)
+    dump_edge_spectra(report.edge_results, expected)
     assert eigs.read_bytes() == expected.read_bytes()
 
 
