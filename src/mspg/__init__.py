@@ -43,6 +43,7 @@ from .fields import (
 from .numerics import (
     EigenPairs,
     generalized_sym_eig,
+    harmonic_extension,
     local_dirichlet_solve,
     min_energy_extension,
     orthonormalize_columns,

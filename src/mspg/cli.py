@@ -192,7 +192,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from .validation import validate_suite
 
-    results = validate_suite(n=args.fine or 32, nc=args.coarse or 4)
+    results = validate_suite(n=args.fine, nc=args.coarse)
     failed = False
     for name, ok, detail in results:
         status = "ok" if ok else "FAIL"
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep, options=_add_common(p_sweep, sweep=True))
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
-    p_val.add_argument("--fine", type=int, help="fine subdivisions (default 32)")
-    p_val.add_argument("--coarse", type=int, help="coarse subdivisions (default 4)")
+    p_val.add_argument("--fine", type=int, default=32, help="fine subdivisions (default 32)")
+    p_val.add_argument("--coarse", type=int, default=4, help="coarse subdivisions (default 4)")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -18,7 +18,12 @@ import scipy.sparse.linalg as spla
 from .assembly import SparseOperator
 from .errors import SolverFailureError
 from .grid import CoarseTopology, coloring
-from .numerics import column_sparse, generalized_sym_eig, orthonormalize_columns
+from .numerics import (
+    column_sparse,
+    generalized_sym_eig,
+    local_dirichlet_solve,
+    orthonormalize_columns,
+)
 
 # an online column is dropped when its residual against the current test
 # space is at most ONLINE_DROPTOL of its norm; a local residual below
@@ -167,8 +172,8 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
         if np.linalg.norm(r_I) <= floor:
             continue
         A_I = op.A[I, :]
-        B = (A_I @ A_I.T).tocsc()
-        blocks.append((I, spla.splu(B).solve(r_I)[:, None]))
+        x = local_dirichlet_solve((A_I @ A_I.T).tocsc(), r_I, label=f"node {node} online")
+        blocks.append((I, x[:, None]))
     return column_sparse(op.A.shape[0], blocks)
 
 

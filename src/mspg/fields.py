@@ -13,17 +13,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import CoefficientField, assemble_nodes
 from .errors import (
     ConfigError,
     InvalidCoefficientError,
     RasterParseError,
-    SolverFailureError,
     UnknownExampleError,
 )
 from .grid import FineMesh
+from .numerics import harmonic_extension
 
 DELTA_DEFAULT = math.sqrt(2.0) / 4.0
 
@@ -124,11 +123,12 @@ def load_permeability_raster(path) -> PermeabilityRaster:
     for lineno, line in enumerate(lines[1:], start=2):
         for token in line.split():
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
-                raise RasterParseError(
-                    f"bad scalar {token!r}", line=lineno
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise RasterParseError(f"bad scalar {token!r}", line=lineno)
+            values.append(value)
         if len(values) > width * height:
             raise RasterParseError("more values than width*height", line=lineno)
     if len(values) != width * height:
@@ -213,8 +213,8 @@ def darcy_velocity(
         raise ConfigError(
             f"raster {raster.width}x{raster.height} does not match the {n}x{n} fine cell grid"
         )
-    if np.any(raster.values <= 0.0):
-        raise InvalidCoefficientError("raster holds non-positive permeability values")
+    if not np.all(raster.values > 0.0):
+        raise InvalidCoefficientError("raster holds non-positive or NaN permeability values")
     values = raster.values
 
     def kappa_xy(x, y):
@@ -236,20 +236,9 @@ def darcy_velocity(
     bx, by = mesh.node_coords(bnd)
     g = np.asarray(boundary(bx, by), dtype=float)
 
-    A_ii = A_nodes[interior][:, interior].tocsc()
-    rhs = -(A_nodes[interior][:, bnd] @ g)
-    try:
-        p_int = spla.splu(A_ii).solve(rhs)
-    except RuntimeError as exc:
-        raise SolverFailureError(f"pressure solve failed: {exc}") from exc
-    resid = np.linalg.norm(A_ii @ p_int - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if resid > 1e-10:
-        raise SolverFailureError(
-            f"pressure solve residual {resid:.3e} exceeds 1e-10", residual=resid
-        )
     p_nodes = np.zeros(mesh.num_nodes)
     p_nodes[bnd] = g
-    p_nodes[interior] = p_int
+    p_nodes[interior] = harmonic_extension(A_nodes, interior, bnd, g, label="pressure")
     return DarcyVelocity(mesh=mesh, kappa_cells=values, p_nodes=p_nodes, sign=sign)
 
 

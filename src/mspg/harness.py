@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -60,6 +61,9 @@ class ExperimentConfig:
             raise UnknownExampleError(f"example id {self.example} outside 1..5")
         if self.alpha is None:
             self.alpha = ALPHA_DEFAULTS[self.example]
+        for name in ("alpha", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.nc < 2:
             raise ConfigError(f"coarse subdivisions nc={self.nc} must be >= 2")
         if self.n % self.nc != 0:
@@ -142,7 +146,7 @@ class Workspace:
             )
         self.op: SparseOperator = assemble(self.mesh, self.field)
         self.u_ref = solve_fine_reference(self.op)
-        self.chi = trial_space.partition_of_unity(self.topology, self.op)
+        self.chi = trial_space.partition_of_unity(self.topology, self.op.A_nodes)
         self._snapshots: dict[int, trial_space.TrialSnapshotSet] = {}
         self._trial: dict[int, trial_space.TrialBasis] = {}
         self._w1: dict[int, test_space.BubbleSet] = {}

@@ -69,6 +69,24 @@ def local_dirichlet_solve(A_local, rhs, tol: float = 1e-10, label: str = ""):
     return x
 
 
+def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
+    """Interior values of the K-harmonic extension of boundary traces.
+
+    Solves K_II x = -K_IB g through ``local_dirichlet_solve``; with
+    ``traces=None`` g is the identity, one column per boundary delta.  Every
+    local snapshot is formed here: pass the transpose of an operator for
+    its adjoint extension.  A CSC ``K`` (such as the transpose of a CSR
+    operator) is sliced by columns first, so no call scans all of ``K``.
+    """
+    if K.format == "csc":
+        K_ii, K_ib = K[:, interior][interior], K[:, boundary][interior]
+    else:
+        K_I = K[interior]
+        K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
+    rhs = -(K_ib.toarray() if traces is None else K_ib @ traces)
+    return local_dirichlet_solve(K_ii, rhs, label=label)
+
+
 def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
     """CSC matrix assembled from ``(rows, values)`` blocks, in order.
 

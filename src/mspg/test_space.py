@@ -16,13 +16,15 @@ import scipy.sparse as sp
 
 from .assembly import SparseOperator
 from .errors import SingularMetricError
-from .grid import CoarseEdge, CoarseTopology, hat_values
+from .grid import CoarseEdge, CoarseTopology
 from .numerics import (
     column_sparse,
+    harmonic_extension,
     local_dirichlet_solve,
     min_energy_extension,
     orthonormalize_columns,
 )
+from .trial_space import partition_of_unity
 
 
 @dataclass(frozen=True)
@@ -85,34 +87,13 @@ class VertexTraceSet:
 
 
 def build_W2(topology: CoarseTopology, op: SparseOperator) -> VertexTraceSet:
-    mesh = topology.mesh
-    num_dofs = op.A.shape[0]
-    scratch = np.zeros(num_dofs)
-    blocks, node_ids = [], []
-    for node in topology.interior_coarse_nodes:
-        nbhd = topology.neighborhoods[int(node)]
-        touched = []
-        for kb in nbhd.blocks:
-            block = topology.blocks[kb]
-            I, T = block.interior, block.boundary
-            tx, ty = mesh.dof_coords(T)
-            g = hat_values(topology, int(node), tx, ty)
-            At_ii = op.A[I][:, I].T.tocsc()
-            At_it = op.A[T][:, I].T
-            x = local_dirichlet_solve(
-                At_ii, -(At_it @ g), label=f"node {node} block {kb}"
-            )
-            scratch[T] = g  # shared coarse-edge traces agree between blocks
-            scratch[I] = x
-            touched.extend([T, I])
-        nz = np.unique(np.concatenate(touched))
-        vals = scratch[nz]
-        keep = vals != 0.0
-        blocks.append((nz[keep], vals[keep, None]))
-        scratch[nz] = 0.0
-        node_ids.append(int(node))
-    columns = column_sparse(num_dofs, blocks)
-    return VertexTraceSet(columns=columns, node_ids=np.array(node_ids, dtype=np.int64))
+    """The adjoint multiscale partition of unity on the dofs, restricted to
+    the interior coarse nodes, whose hats vanish on the domain boundary."""
+    chi = partition_of_unity(topology, op.A_nodes.T)
+    nodes = topology.interior_coarse_nodes
+    columns = chi[:, nodes][topology.mesh.node_of_dof]
+    columns.eliminate_zeros()
+    return VertexTraceSet(columns=columns, node_ids=nodes)
 
 
 @dataclass(frozen=True)
@@ -136,21 +117,17 @@ def build_W3_snapshots(
     topology: CoarseTopology, op: SparseOperator, k: int
 ) -> TestSnapshotW3:
     edge = topology.edges[k]
-    E = edge.interior
-    ns = E.size
-    psi = np.zeros((edge.region.size, ns))
-    offset = 0
-    for kb in edge.blocks:
-        block = topology.blocks[kb]
-        I = block.interior
-        At_ii = op.A[I][:, I].T.tocsc()
-        At_ie = op.A[E][:, I].T
-        X = local_dirichlet_solve(
-            At_ii, -At_ie.toarray(), label=f"edge {k} block {kb}"
-        )
-        psi[offset : offset + I.size, :] = X
-        offset += I.size
-    psi[edge.edge_local, :] = np.eye(ns)
+    ns = edge.interior.size
+    At = op.A.T
+    psi = np.vstack(
+        [
+            harmonic_extension(
+                At, topology.blocks[kb].interior, edge.interior, label=f"edge {k} block {kb}"
+            )
+            for kb in edge.blocks
+        ]
+        + [np.eye(ns)]
+    )
     return TestSnapshotW3(edge=edge, columns=psi)
 
 

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .assembly import SparseOperator
 from .errors import SingularMetricError
 from .grid import CoarseTopology, hat_values
-from .numerics import column_sparse, generalized_sym_eig, local_dirichlet_solve
+from .numerics import column_sparse, generalized_sym_eig, harmonic_extension
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,12 @@ class TrialSnapshotSet:
 def trial_snapshots(topology: CoarseTopology, op: SparseOperator, l: int) -> TrialSnapshotSet:
     """Solve the boundary-delta problems of neighborhood ``l`` in one sweep."""
     nb = topology.neighborhoods[l]
-    interior, boundary = nb.interior, nb.boundary
-    A_ii = op.A[interior][:, interior]
-    A_ib = op.A[interior][:, boundary]
-    X = local_dirichlet_solve(A_ii, -A_ib.toarray(), label=f"neighborhood {l}")
-    columns = np.vstack([X, np.eye(boundary.size)])
+    X = harmonic_extension(op.A, nb.interior, nb.boundary, label=f"neighborhood {l}")
+    columns = np.vstack([X, np.eye(nb.boundary.size)])
     return TrialSnapshotSet(
         node=l,
-        interior_dofs=interior,
-        boundary_dofs=boundary,
+        interior_dofs=nb.interior,
+        boundary_dofs=nb.boundary,
         closure_dofs=nb.closure,
         columns=columns,
         cell_box=nb.cell_box,
@@ -119,27 +116,27 @@ def trial_eigenbasis(
     )
 
 
-def partition_of_unity(topology: CoarseTopology, op: SparseOperator) -> sp.csc_matrix:
+def partition_of_unity(topology: CoarseTopology, K: sp.spmatrix) -> sp.csc_matrix:
     """One column per coarse node, summing to 1 at every lattice node.
 
     The coarse hat traces on the block boundaries are extended harmonically
-    (w.r.t. the assembled operator) into each block.  Columns live on all
-    lattice nodes: hats of boundary coarse nodes are nonzero on the domain
-    boundary, where the trial functions they multiply vanish anyway.
+    w.r.t. the node operator ``K`` (``op.A_nodes``; its transpose gives the
+    adjoint-harmonic hats of the test space) into each block.  Columns live
+    on all lattice nodes: hats of boundary coarse nodes are nonzero on the
+    domain boundary, where the trial functions they multiply vanish anyway.
     """
     mesh = topology.mesh
     nc = topology.nc
     num_nodes = mesh.num_nodes
     cols = {l: ([], []) for l in range(topology.num_coarse_nodes)}
-    A = op.A_nodes
     for block in topology.blocks:
         I, J = block.ij
         corners = [b * (nc + 1) + a for b in (J, J + 1) for a in (I, I + 1)]
         bx, by = mesh.node_coords(block.boundary_nodes)
         traces = np.stack([hat_values(topology, l, bx, by) for l in corners], axis=1)
-        A_ii = A[block.interior_nodes][:, block.interior_nodes]
-        A_ib = A[block.interior_nodes][:, block.boundary_nodes]
-        X = local_dirichlet_solve(A_ii, -(A_ib @ traces), label=f"block {block.index}")
+        X = harmonic_extension(
+            K, block.interior_nodes, block.boundary_nodes, traces, label=f"block {block.index}"
+        )
         for k, l in enumerate(corners):
             cols[l][0].append(block.boundary_nodes)
             cols[l][1].append(traces[:, k])

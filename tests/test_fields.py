@@ -4,6 +4,7 @@ import pytest
 from mspg.errors import (
     ConfigError,
     InvalidCoefficientError,
+    LocalSolverError,
     RasterParseError,
     UnknownExampleError,
 )
@@ -156,6 +157,21 @@ def test_darcy_rejects_nonpositive_raster():
         darcy_velocity(PermeabilityRaster(4, 4, values), mesh)
 
 
+def test_darcy_rejects_nan_raster():
+    mesh = build_fine_mesh(4)
+    values = np.ones((4, 4))
+    values[1, 3] = np.nan
+    with pytest.raises(InvalidCoefficientError):
+        darcy_velocity(PermeabilityRaster(4, 4, values), mesh)
+
+
+def test_darcy_pressure_solve_failure_is_typed():
+    mesh = build_fine_mesh(4)
+    raster = PermeabilityRaster(4, 4, np.ones((4, 4)))
+    with pytest.raises(LocalSolverError, match="pressure"):
+        darcy_velocity(raster, mesh, boundary=lambda x, y: np.full(np.shape(x), np.nan))
+
+
 def test_darcy_rejects_mismatched_raster():
     mesh = build_fine_mesh(8)
     with pytest.raises(ConfigError):
@@ -182,6 +198,9 @@ def test_raster_loader_missing_file(tmp_path):
         ("2 2\n1 oops\n3 4\n", 2),
         ("2 2\n1 2\n", 2),
         ("2 2\n1 2 3 4 5\n", 2),
+        ("2 2\n1 2\n3 nan\n", 3),
+        ("2 2\n1 inf\n3 4\n", 2),
+        ("2 2\n1 2\n-inf 4\n", 3),
     ],
 )
 def test_raster_loader_parse_errors(tmp_path, content, line):

@@ -279,6 +279,29 @@ def test_cli_config_file_rejects_bad_keys(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("alpha", "nan"), ("alpha", "inf"), ("delta", "nan"), ("delta", "-inf")],
+)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys, monkeypatch, option, value, source):
+    from mspg import harness
+
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("built a workspace from a non-finite parameter")
+
+    monkeypatch.setattr(harness, "Workspace", no_workspace)
+    argv = ["run", "--example", "2", "--coarse", "4", "--fine", "16"]
+    if source == "flag":
+        argv.append(f"--{option}={value}")
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{option}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert f"{option} must be finite" in capsys.readouterr().err
+
+
 def test_cli_bad_config_exit_code(capsys):
     code = main(
         ["run", "--example", "1", "--coarse", "5", "--fine", "16"]
@@ -468,6 +491,12 @@ def test_cli_empty_config_file_gives_default_config(tmp_path):
     cfg.write_text("")
     args = build_parser().parse_args(["run", "--config", str(cfg)])
     assert _build_config(args, sweep=False)[0] == ExperimentConfig()
+
+
+@pytest.mark.parametrize("grids", [["--fine", "0", "--coarse", "0"], ["--coarse", "0"]])
+def test_cli_validate_rejects_zero_grids(capsys, grids):
+    assert main(["validate"] + grids) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_validate(capsys):

@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mspg.assembly import assemble, constant_field
 from mspg.errors import LocalSolverError, SingularMetricError
+from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.numerics import (
     column_sparse,
     generalized_sym_eig,
+    harmonic_extension,
     local_dirichlet_solve,
     min_energy_extension,
     orthonormalize_columns,
@@ -97,6 +102,74 @@ def test_local_solve_zero_rhs():
 def test_local_solve_singular():
     with pytest.raises(LocalSolverError):
         local_dirichlet_solve(np.zeros((3, 3)), np.ones(3))
+
+
+def _laplace_block():
+    mesh = build_fine_mesh(16)
+    block = build_coarse_topology(mesh, 2).blocks[3]
+    op = assemble(mesh, constant_field(kappa=1.0))
+    return mesh, block, op.A_nodes
+
+
+def test_harmonic_extension_reproduces_linear_trace():
+    # the Q1 Laplacian stencil annihilates linear functions
+    mesh, block, K = _laplace_block()
+    bx, _ = mesh.node_coords(block.boundary_nodes)
+    ix, _ = mesh.node_coords(block.interior_nodes)
+    x = harmonic_extension(K, block.interior_nodes, block.boundary_nodes, bx)
+    assert np.allclose(x, ix, atol=1e-13)
+
+
+def test_harmonic_extension_default_traces_are_deltas():
+    mesh, block, K = _laplace_block()
+    I, B = block.interior_nodes, block.boundary_nodes
+    deltas = harmonic_extension(K, I, B)
+    assert deltas.shape == (I.size, B.size)
+    assert np.array_equal(deltas, harmonic_extension(K, I, B, np.eye(B.size)))
+
+
+def test_harmonic_extension_csc_equals_csr():
+    # the adjoint extension slices a CSC transpose by columns first
+    op = assemble(build_fine_mesh(16), constant_field(kappa=0.1, b=(1.0, -0.5)))
+    block = build_coarse_topology(op.mesh, 2).blocks[0]
+    At = op.A.T
+    assert At.format == "csc"
+    args = (block.interior, block.boundary)
+    assert np.array_equal(harmonic_extension(At, *args), harmonic_extension(At.tocsr(), *args))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_harmonic_extension_singular_interior_block():
+    K = sp.csr_matrix(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(LocalSolverError, match="coarse block"):
+        harmonic_extension(K, np.array([0, 1]), np.array([2]), label="coarse block")
+
+
+def test_vertex_traces_are_adjoint_harmonic_hats(ws_small):
+    # on the convective operator every W2 column solves the adjoint equation
+    # inside each block and carries the coarse hat on the block boundaries
+    topo, A = ws_small.topology, ws_small.op.A
+    w2 = ws_small.w2()
+    for j, node in enumerate(w2.node_ids):
+        col = w2.columns[:, j].toarray().ravel()
+        residual = A.T @ col
+        for block in topo.blocks:
+            assert np.abs(residual[block.interior]).max() <= 1e-12 * np.abs(col).max()
+            tx, ty = topo.mesh.dof_coords(block.boundary)
+            hat = hat_values(topo, int(node), tx, ty)
+            assert np.allclose(col[block.boundary], hat, rtol=0.0, atol=1e-15)
+
+
+def test_local_solves_go_through_the_checked_kernel():
+    # a hand-rolled factorization would skip the residual check and the
+    # typed error of local_dirichlet_solve
+    src = Path(__file__).resolve().parents[1] / "src" / "mspg"
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("numerics.py", "assembly.py") and "splu(" in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_orthonormalize_drops_duplicates():

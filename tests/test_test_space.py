@@ -85,7 +85,7 @@ def test_vertex_traces_equal_partition_for_pure_diffusion():
     topo = build_coarse_topology(mesh, 4)
     op = assemble(mesh, constant_field(kappa=1.0))
     w2 = build_W2(topo, op)
-    chi = partition_of_unity(topo, op)
+    chi = partition_of_unity(topo, op.A_nodes)
     chi_dofs = chi.toarray()[mesh.node_of_dof, :]
     cols = w2.columns.toarray()
     for j, node in enumerate(w2.node_ids):

@@ -124,7 +124,7 @@ def test_partition_of_unity_pure_diffusion_is_hat(laplace32):
     # constant kappa, no convection: the bilinear hats solve the local
     # problems exactly, so the multiscale partition equals them everywhere
     topo, op = laplace32
-    chi = partition_of_unity(topo, op)
+    chi = partition_of_unity(topo, op.A_nodes)
     assert np.abs(chi.toarray() - bilinear_hats(topo)).max() <= 1e-9
 
 
