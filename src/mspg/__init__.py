@@ -11,9 +11,11 @@ from .assembly import (
 from .coupling import (
     ErrorReport,
     SaddleState,
+    append_test_columns,
     error_report,
     infsup_estimate,
     online_enrich,
+    projection_error,
     solve_coupled,
 )
 from .grid import (

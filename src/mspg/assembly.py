@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import InvalidCoefficientError, SolverFailureError
+from .errors import InvalidCoefficientError
 from .grid import FineMesh
+from .numerics import local_dirichlet_solve
 
 # reference square [-1,1]^2, counterclockwise corners
 _XI = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -156,20 +156,6 @@ def assemble(mesh: FineMesh, field: CoefficientField) -> SparseOperator:
 
 
 def solve_fine_reference(op: SparseOperator, tol: float = 1e-10) -> np.ndarray:
-    """Direct solve of A u = f with a checked relative residual."""
-    f = op.f
-    fnorm = np.linalg.norm(f)
-    if fnorm == 0.0:
-        return np.zeros_like(f)
-    try:
-        lu = spla.splu(op.A.tocsc())
-        u = lu.solve(f)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverFailureError(f"fine solve failed: {exc}") from exc
-    residual = np.linalg.norm(op.A @ u - f) / fnorm
-    if not np.isfinite(residual) or residual > tol:
-        raise SolverFailureError(
-            f"fine solve residual {residual:.3e} exceeds tol {tol:.3e}",
-            residual=residual,
-        )
-    return u
+    """Direct solve of A u = f through the checked kernel; a missed residual
+    raises ``LocalSolverError``, a ``SolverFailureError`` with ``residual``."""
+    return local_dirichlet_solve(op.A, op.f, tol=tol, label="fine reference")

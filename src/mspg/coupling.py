@@ -34,7 +34,11 @@ RESIDUAL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SaddleState:
-    """Solved reduced system with its fine-grid expansions."""
+    """Solved reduced system with its fine-grid expansions.
+
+    ``R`` is the upper Cholesky factor of the test block, G_ww = R^T R; the
+    online loop borders it when it appends test columns.
+    """
 
     op: SparseOperator
     Theta: np.ndarray
@@ -42,49 +46,38 @@ class SaddleState:
     G_ww: np.ndarray
     G_wu: np.ndarray
     rhs_w: np.ndarray
+    R: np.ndarray
     w: np.ndarray
     u: np.ndarray
     w_fine: np.ndarray
     u_fine: np.ndarray
 
 
-def _solve_saddle(G_ww, G_wu, rhs_w):
-    """Dense solve of [[G_ww, G_wu], [G_wu^T, 0]] [w; u] = [rhs_w; 0].
-
-    The test block is SPD by construction, so the system is reduced by a
-    Cholesky block elimination and the Schur complement is solved with
-    partial pivoting; a singular complement means rank-deficient blocks.
-    """
+def _singular(G_ww, G_wu, exc) -> SolverFailureError:
     N, M = G_wu.shape
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sla.LinAlgWarning)
-        factor = sla.cho_factor(G_ww, lower=True)
-        X = sla.cho_solve(factor, G_wu)  # G_ww^{-1} G_wu
-        schur = G_wu.T @ X
-        u = sla.solve(schur, X.T @ rhs_w, overwrite_a=True, overwrite_b=True)
-        w = sla.cho_solve(factor, rhs_w - G_wu @ u)
-    return w, u
+    ranks = (np.linalg.matrix_rank(G_ww), np.linalg.matrix_rank(G_wu))
+    return SolverFailureError(
+        f"singular reduced system (blocks N={N}, M={M}, "
+        f"rank G_ww {ranks[0]}, rank G_wu {ranks[1]}): {exc}"
+    )
 
 
-def solve_coupled(op: SparseOperator, Theta: np.ndarray, Xi: np.ndarray) -> SaddleState:
-    """Assemble and solve the dense reduced saddle system."""
-    Theta = np.asarray(Theta, dtype=float)
-    Xi = np.asarray(Xi, dtype=float)
-    N, M = Theta.shape[1], Xi.shape[1]
-    Y = op.A.T @ Theta
-    G_ww = Y.T @ Y
-    G_wu = Y.T @ Xi
-    del Y
-    rhs_w = Theta.T @ op.f
+def _solved_state(op, Theta, Xi, G_ww, G_wu, rhs_w, R) -> SaddleState:
+    """Solve [[G_ww, G_wu], [G_wu^T, 0]] [w; u] = [rhs_w; 0] from G_ww = R^T R.
 
+    With Z = R^{-T} G_wu and g = R^{-T} rhs_w, the trial unknowns solve the
+    M x M system Z^T Z u = Z^T g with partial pivoting (a singular one means
+    rank-deficient blocks), and w = R^{-1} (g - Z u).
+    """
     try:
-        w, u = _solve_saddle(G_ww, G_wu, rhs_w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            Z = sla.solve_triangular(R, G_wu, trans="T")
+            g = sla.solve_triangular(R, rhs_w, trans="T")
+            u = sla.solve(Z.T @ Z, Z.T @ g, overwrite_a=True, overwrite_b=True)
+            w = sla.solve_triangular(R, g - Z @ u)
     except (sla.LinAlgError, sla.LinAlgWarning) as exc:
-        ranks = (np.linalg.matrix_rank(G_ww), np.linalg.matrix_rank(G_wu))
-        raise SolverFailureError(
-            f"singular reduced system (blocks N={N}, M={M}, "
-            f"rank G_ww {ranks[0]}, rank G_wu {ranks[1]}): {exc}"
-        ) from exc
+        raise _singular(G_ww, G_wu, exc) from exc
     return SaddleState(
         op=op,
         Theta=Theta,
@@ -92,11 +85,54 @@ def solve_coupled(op: SparseOperator, Theta: np.ndarray, Xi: np.ndarray) -> Sadd
         G_ww=G_ww,
         G_wu=G_wu,
         rhs_w=rhs_w,
+        R=R,
         w=w,
         u=u,
         w_fine=Theta @ w,
         u_fine=Xi @ u,
     )
+
+
+def solve_coupled(op: SparseOperator, Theta: np.ndarray, Xi: np.ndarray) -> SaddleState:
+    """Assemble and solve the dense reduced saddle system."""
+    Theta = np.asarray(Theta, dtype=float)
+    Xi = np.asarray(Xi, dtype=float)
+    Y = op.A.T @ Theta
+    G_ww = Y.T @ Y
+    G_wu = Y.T @ Xi
+    del Y
+    try:
+        R = sla.cholesky(G_ww, lower=False)
+    except sla.LinAlgError as exc:
+        raise _singular(G_ww, G_wu, exc) from exc
+    return _solved_state(op, Theta, Xi, G_ww, G_wu, Theta.T @ op.f, R)
+
+
+def append_test_columns(state: SaddleState, Theta_new: np.ndarray) -> SaddleState:
+    """Re-solve after appending test columns, by bordering the factor.
+
+    With Y = A^T Theta and Y_n = A^T Theta_n, the test block grows by
+    B = Y^T Y_n = Theta^T (A Y_n), so Y is never formed, and D = Y_n^T Y_n;
+    its factor grows to [[R, C], [0, chol(D - C^T C)]] with C = R^{-T} B.
+    For k new columns that costs O(N K k + K^2 k) instead of the O(N K^2)
+    of ``solve_coupled``.  A bordered block that is not SPD (a new column
+    in the test span) is a singular system.
+    """
+    op, R = state.op, state.R
+    Y_new = op.A.T @ Theta_new
+    B = state.Theta.T @ (op.A @ Y_new)
+    D = Y_new.T @ Y_new
+    G_ww = np.block([[state.G_ww, B], [B.T, D]])
+    G_wu = np.vstack([state.G_wu, Y_new.T @ state.Xi])
+    C = sla.solve_triangular(R, B, trans="T")
+    try:
+        R_new = sla.cholesky(D - C.T @ C, lower=False)
+    except sla.LinAlgError as exc:
+        raise _singular(G_ww, G_wu, exc) from exc
+    R = np.block([[R, C], [np.zeros((R_new.shape[0], R.shape[1])), R_new]])
+    rhs_w = np.concatenate([state.rhs_w, Theta_new.T @ op.f])
+    Theta = np.hstack([state.Theta, Theta_new])
+    return _solved_state(op, Theta, state.Xi, G_ww, G_wu, rhs_w, R)
 
 
 @dataclass(frozen=True)
@@ -111,22 +147,31 @@ class ErrorReport:
     online_iter: int = 0
 
 
+def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
+    ref = float(np.linalg.norm(u_ref))
+    return 100.0 * float(np.linalg.norm(diff)) / (ref if ref > 0.0 else 1.0)
+
+
+def projection_error(Xi: np.ndarray, u_ref: np.ndarray) -> float:
+    """Best-approximation error of the trial span in percent, in the
+    Euclidean norm of the fine coefficient vectors."""
+    Q, _ = np.linalg.qr(Xi)
+    return _percent_of(u_ref, u_ref - Q @ (Q.T @ u_ref))
+
+
 def error_report(
     state: SaddleState,
     u_ref: np.ndarray,
+    err_proj_pct: float,
     min_lambda_excluded: float | None = None,
     infsup_est: float | None = None,
     online_iter: int = 0,
 ) -> ErrorReport:
-    """Multiscale and best-approximation errors of the trial span, in the
-    Euclidean norm of the fine coefficient vectors."""
-    Q, _ = np.linalg.qr(state.Xi)
-    proj = Q @ (Q.T @ u_ref)
-    ref = float(np.linalg.norm(u_ref))
-    scale = ref if ref > 0.0 else 1.0
+    """Multiscale error of a solve in percent, next to the trial span's
+    ``projection_error`` (which depends on the trial space alone)."""
     return ErrorReport(
-        err_ms_pct=100.0 * float(np.linalg.norm(u_ref - state.u_fine)) / scale,
-        err_proj_pct=100.0 * float(np.linalg.norm(u_ref - proj)) / scale,
+        err_ms_pct=_percent_of(u_ref, u_ref - state.u_fine),
+        err_proj_pct=err_proj_pct,
         w_norm=float(np.linalg.norm(state.w_fine)),
         min_lambda_excluded=min_lambda_excluded,
         infsup_est=infsup_est,
@@ -141,9 +186,10 @@ def infsup_estimate(state: SaddleState) -> float:
     and the squared-operator inner product of z with a test column theta
     is (A^T theta)^T xi, an entry of G_wu.  So the estimate is
     sqrt(lambda_min(G_wu^T G_ww^{-1} G_wu, Xi^T Xi)), read from the solved
-    blocks; it equals 1 when the lifted columns lie in the test span.
+    blocks and the stored factor of G_ww; it equals 1 when the lifted
+    columns lie in the test span.
     """
-    G2 = state.G_wu.T @ sla.solve(state.G_ww, state.G_wu, assume_a="pos")
+    G2 = state.G_wu.T @ sla.cho_solve((state.R, False), state.G_wu)
     vals = generalized_sym_eig(G2, state.Xi.T @ state.Xi).values
     return float(np.sqrt(max(vals[0], 0.0)))
 
@@ -197,8 +243,8 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int 
 
     One iteration sweeps the four parity classes of coarse nodes; within a
     class the neighborhood interiors are disjoint, so the local solves are
-    independent.  The coupled system is re-solved after every class so later
-    classes see the updated residual.
+    independent.  The coupled system is re-solved after every class, by
+    ``append_test_columns``, so later classes see the updated residual.
     """
     op = state.op
     classes = coloring(topology)
@@ -212,7 +258,7 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int 
             accepted = _extend_test_space(state.Theta, new)
             if accepted.shape[1]:
                 added += accepted.shape[1]
-                state = solve_coupled(op, np.hstack([state.Theta, accepted]), state.Xi)
+                state = append_test_columns(state, accepted)
         reports.append(
             OnlineSweepReport(
                 iteration=it,

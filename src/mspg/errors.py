@@ -55,10 +55,9 @@ class SolverFailureError(MspgError):
         self.residual = residual
 
 
-class LocalSolverError(MspgError):
-    """A local (snapshot / bubble / extension) solve failed."""
-
-    exit_code = 3
+class LocalSolverError(SolverFailureError):
+    """A solve through the checked direct-solve kernel failed (a local
+    snapshot, bubble or extension solve, or the fine reference solve)."""
 
 
 class SingularMetricError(MspgError):

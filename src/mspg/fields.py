@@ -27,6 +27,8 @@ from .numerics import harmonic_extension
 DELTA_DEFAULT = math.sqrt(2.0) / 4.0
 
 ALPHA_DEFAULTS = {1: 2.0, 2: 2.0, 3: 1e-3, 4: 200.0, 5: 1.0 / 250.0}
+# examples whose alpha is the (constant) diffusion coefficient
+DIFFUSION_ALPHA = (3, 5)
 
 
 def _const(value: float) -> Callable:

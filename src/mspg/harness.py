@@ -20,7 +20,7 @@ import numpy as np
 from . import coupling, test_space, trial_space
 from .assembly import CoefficientField, SparseOperator, assemble, solve_fine_reference
 from .errors import ConfigError, UnknownExampleError
-from .fields import ALPHA_DEFAULTS, DELTA_DEFAULT, field_for_example
+from .fields import ALPHA_DEFAULTS, DELTA_DEFAULT, DIFFUSION_ALPHA, field_for_example
 from .grid import FineMesh, build_coarse_topology, build_fine_mesh
 
 PECLET_WARN = 2.0
@@ -32,13 +32,18 @@ CHOICES = {
     "edge_energy": ("region", "global"),
 }
 
+# (field, the one example that reads it, its unset value)
+EXAMPLE_ONLY = (("delta", 2, None), ("raster_path", 5, None), ("darcy_sign", 5, 1.0))
+
 
 @dataclass
 class ExperimentConfig:
     """One experiment cell (plus output options).
 
     ``m`` is the trial count per coarse node, ``L`` the test count per
-    coarse edge; both are capped by the local snapshot counts.
+    coarse edge; both are capped by the local snapshot counts.  An unset
+    ``alpha`` (and ``delta`` for example 2) takes the example's default;
+    ``delta``, ``raster_path`` and ``darcy_sign`` apply to one example only.
     """
 
     example: int = 1
@@ -51,7 +56,7 @@ class ExperimentConfig:
     online_iters: int = 0
     trial_restriction: str = "submatrix"
     edge_energy: str = "region"
-    delta: float = DELTA_DEFAULT
+    delta: float | None = None
     raster_path: str | None = None
     darcy_sign: float = 1.0
     infsup: bool = False
@@ -61,9 +66,23 @@ class ExperimentConfig:
             raise UnknownExampleError(f"example id {self.example} outside 1..5")
         if self.alpha is None:
             self.alpha = ALPHA_DEFAULTS[self.example]
+        if self.delta is None and self.example == 2:
+            self.delta = DELTA_DEFAULT
         for name in ("alpha", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.example in DIFFUSION_ALPHA and self.alpha <= 0.0:
+            raise ConfigError(
+                f"alpha is the diffusion of example {self.example} and must be > 0, "
+                f"got {self.alpha}"
+            )
+        for name, only, unset in EXAMPLE_ONLY:
+            if self.example != only and getattr(self, name) != unset:
+                raise ConfigError(
+                    f"{name.replace('_', ' ')} applies to example {only} only, "
+                    f"not example {self.example}"
+                )
         if self.nc < 2:
             raise ConfigError(f"coarse subdivisions nc={self.nc} must be >= 2")
         if self.n % self.nc != 0:
@@ -149,6 +168,7 @@ class Workspace:
         self.chi = trial_space.partition_of_unity(self.topology, self.op.A_nodes)
         self._snapshots: dict[int, trial_space.TrialSnapshotSet] = {}
         self._trial: dict[int, trial_space.TrialBasis] = {}
+        self._projection_error: dict[int, float] = {}
         self._w1: dict[int, test_space.BubbleSet] = {}
         self._w2: test_space.VertexTraceSet | None = None
         self._w3: dict[int, test_space.TestSnapshotW3] = {}
@@ -182,6 +202,14 @@ class Workspace:
                 self.topology, bases, self.chi
             )
         return self._trial[m]
+
+    def projection_error(self, m: int) -> float:
+        """Percent error of the fine reference's projection onto the trial span."""
+        if m not in self._projection_error:
+            self._projection_error[m] = coupling.projection_error(
+                self.trial(m).Xi, self.u_ref
+            )
+        return self._projection_error[m]
 
     # ---- test side --------------------------------------------------
 
@@ -247,6 +275,7 @@ class Workspace:
             err = coupling.error_report(
                 state,
                 self.u_ref,
+                self.projection_error(m),
                 min_lambda_excluded=report.min_lambda_excluded,
                 infsup_est=infsup,
                 online_iter=it,

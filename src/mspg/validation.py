@@ -99,7 +99,7 @@ def full_space_gap(ws: Workspace, m: int = 1, problem: int = 2):
     """
     Theta, _ = ws.theta(m, ws.topology.r - 1, problem)
     state = coupling.solve_coupled(ws.op, Theta, ws.trial(m).Xi)
-    rep = coupling.error_report(state, ws.u_ref)
+    rep = coupling.error_report(state, ws.u_ref, ws.projection_error(m))
     gap = abs(rep.err_ms_pct - rep.err_proj_pct) / max(rep.err_proj_pct, 1e-12)
     return gap, rep, state
 

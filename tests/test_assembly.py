@@ -112,3 +112,16 @@ def test_solver_failure_reports_residual():
         solve_fine_reference(op, tol=1e-18)
     assert err.value.residual is not None
     assert err.value.residual > 1e-18
+
+
+@pytest.mark.filterwarnings("ignore:cell Peclet")
+def test_fine_reference_refines_a_near_miss():
+    # example 5 at alpha = 1/2000, n = 128: one LU pass leaves a relative
+    # residual of about 1.07e-10, just over the bound; one refinement step
+    # brings it under
+    from mspg.harness import ExperimentConfig, Workspace
+
+    ws = Workspace(ExperimentConfig(example=5, alpha=1.0 / 2000.0, nc=8, n=128))
+    op = ws.op
+    residual = np.linalg.norm(op.A @ ws.u_ref - op.f) / np.linalg.norm(op.f)
+    assert residual <= 1e-10

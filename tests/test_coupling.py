@@ -4,17 +4,20 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mspg import coupling
 from mspg.assembly import assemble, constant_field
 from mspg.coupling import (
     _extend_test_space,
+    append_test_columns,
     error_report,
     infsup_estimate,
     online_enrich,
+    projection_error,
     residual_full,
     solve_coupled,
 )
 from mspg.errors import SolverFailureError
-from mspg.grid import build_fine_mesh
+from mspg.grid import build_fine_mesh, coloring
 from mspg.harness import ExperimentConfig, Workspace
 from mspg.numerics import generalized_sym_eig
 
@@ -61,7 +64,10 @@ def test_error_report_projection_consistency(tiny):
     r = tiny.topology.r
     theta, report = tiny.theta(1, r - 1, 1)
     state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    rep = error_report(state, tiny.u_ref, min_lambda_excluded=report.min_lambda_excluded)
+    rep = error_report(
+        state, tiny.u_ref, tiny.projection_error(1),
+        min_lambda_excluded=report.min_lambda_excluded,
+    )
     assert rep.err_ms_pct == pytest.approx(rep.err_proj_pct, abs=1e-6)
     assert rep.min_lambda_excluded == np.inf
 
@@ -69,7 +75,7 @@ def test_error_report_projection_consistency(tiny):
 def test_error_report_full_trial_space(tiny):
     nd = tiny.mesh.num_dofs
     state = solve_coupled(tiny.op, np.eye(nd), np.eye(nd))
-    rep = error_report(state, tiny.u_ref)
+    rep = error_report(state, tiny.u_ref, projection_error(np.eye(nd), tiny.u_ref))
     assert rep.err_ms_pct <= 1e-8
     assert rep.err_proj_pct <= 1e-10
 
@@ -77,7 +83,7 @@ def test_error_report_full_trial_space(tiny):
 def test_error_report_optimality(tiny):
     theta, _ = tiny.theta(1, 1, 1)
     state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    rep = error_report(state, tiny.u_ref)
+    rep = error_report(state, tiny.u_ref, tiny.projection_error(1))
     assert rep.err_ms_pct >= rep.err_proj_pct - 1e-8
 
 
@@ -177,12 +183,12 @@ def test_online_enrichment_converges(tiny):
     theta, _ = tiny.theta(1, 1, 1)
     state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
     history = [np.linalg.norm(residual_full(state))]
-    errs = [error_report(state, tiny.u_ref).err_ms_pct]
+    proj = tiny.projection_error(1)
+    errs = [error_report(state, tiny.u_ref, proj).err_ms_pct]
     for _ in range(2):
         state, reps = online_enrich(state, tiny.topology, iterations=1)
         history.append(reps[-1].residual_norm)
-        errs.append(error_report(state, tiny.u_ref).err_ms_pct)
-    proj = error_report(state, tiny.u_ref).err_proj_pct
+        errs.append(error_report(state, tiny.u_ref, proj).err_ms_pct)
     assert errs[-1] <= 1.05 * proj
     assert all(history[i + 1] <= history[i] * (1 + 1e-9) for i in range(2))
 
@@ -201,9 +207,10 @@ def test_online_contraction_rate(ws_small):
     theta, report = ws_small.theta(1, 1, 2)
     lam = report.min_lambda_excluded
     state = solve_coupled(ws_small.op, theta, ws_small.trial(1).Xi)
-    before = error_report(state, ws_small.u_ref)
+    proj = ws_small.projection_error(1)
+    before = error_report(state, ws_small.u_ref, proj)
     state, _ = online_enrich(state, ws_small.topology, iterations=1)
-    after = error_report(state, ws_small.u_ref)
+    after = error_report(state, ws_small.u_ref, proj)
     excess_before = before.err_ms_pct - before.err_proj_pct
     excess_after = after.err_ms_pct - after.err_proj_pct
     assert excess_after <= ((1.0 - lam) + 0.1) * excess_before + 1e-12
@@ -231,3 +238,60 @@ def test_online_extension_skips_columns_in_the_test_span(tiny):
     # the kept column spans the part of the independent one outside Theta
     resid = outside - theta @ (theta.T @ outside)
     assert np.linalg.norm(resid - ext @ (ext.T @ resid)) <= 1e-12 * np.linalg.norm(resid)
+
+
+def _online_block(ws, state):
+    """The first parity class's accepted online columns, as the loop forms them."""
+    nodes = coloring(ws.topology)[0]
+    new = coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0)
+    return _extend_test_space(state.Theta, new)
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def ws_contrast():
+    return Workspace(ExperimentConfig(example=5, nc=8, n=64, m=3, L=3, eigenproblem=2))
+
+
+@pytest.mark.parametrize("name", ["tiny", "ws_contrast"])
+def test_bordered_update_matches_a_full_solve(request, name):
+    ws = request.getfixturevalue(name)
+    m = ws.config.m
+    theta, _ = ws.theta(m, ws.config.L, ws.config.eigenproblem)
+    state = solve_coupled(ws.op, theta, ws.trial(m).Xi)
+    new = _online_block(ws, state)
+    assert new.shape[1] > 0
+    bordered = append_test_columns(state, new)
+    full = solve_coupled(ws.op, np.hstack([theta, new]), ws.trial(m).Xi)
+    assert np.array_equal(bordered.Theta, full.Theta)
+    for field in ("w_fine", "u_fine", "G_ww", "G_wu", "rhs_w"):
+        assert _relative(getattr(bordered, field), getattr(full, field)) <= 1e-10, field
+    # the bordered factor is a Cholesky factor of the bordered test block
+    R = bordered.R
+    assert np.array_equal(R, np.triu(R))
+    assert _relative(R.T @ R, full.G_ww) <= 1e-12
+
+
+def test_online_enrich_makes_no_full_solve(tiny, monkeypatch):
+    theta, _ = tiny.theta(1, 1, 1)
+    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_coupled(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "solve_coupled", counting)
+    enriched, reps = online_enrich(state, tiny.topology, iterations=2)
+    assert sum(rep.added_columns for rep in reps) > 0
+    assert calls == []
+
+
+def test_appending_a_zero_column_is_a_singular_system(tiny):
+    theta, _ = tiny.theta(1, 1, 1)
+    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    with pytest.raises(SolverFailureError, match="singular reduced system"):
+        append_test_columns(state, np.zeros((theta.shape[0], 1)))

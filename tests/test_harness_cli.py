@@ -302,6 +302,59 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, monkeypatch, option
     assert f"{option} must be finite" in capsys.readouterr().err
 
 
+def _run_rejected(tmp_path, monkeypatch, base, option, value, source):
+    """Exit code of ``run`` with one option given by flag or by config file;
+    building a Workspace fails the test."""
+    from mspg import harness
+
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("built a workspace from a rejected configuration")
+
+    monkeypatch.setattr(harness, "Workspace", no_workspace)
+    argv = ["run"] + base + ["--coarse", "4", "--fine", "16"]
+    if source == "flag":
+        argv.append(f"--{option}" if value is None else f"--{option}={value}")
+    else:
+        key = option.replace("-", "_")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}={'1' if value is None else value}\n")
+        argv += ["--config", str(cfg)]
+    return main(argv)
+
+
+@pytest.mark.parametrize(
+    "example, alpha", [(3, "0"), (3, "-1e-3"), (5, "-1"), (5, "0.0")]
+)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_rejects_non_positive_diffusion(tmp_path, capsys, monkeypatch, example, alpha, source):
+    base = ["--example", str(example)]
+    assert _run_rejected(tmp_path, monkeypatch, base, "alpha", alpha, source) == 2
+    assert "must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, only",
+    [("raster", "/nonexistent", 5), ("delta", "0.3", 2), ("flip-darcy-sign", None, 5)],
+)
+@pytest.mark.parametrize("example", [1, 3])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_rejects_options_of_another_example(
+    tmp_path, capsys, monkeypatch, option, value, only, example, source
+):
+    base = ["--example", str(example)]
+    assert _run_rejected(tmp_path, monkeypatch, base, option, value, source) == 2
+    assert f"applies to example {only} only" in capsys.readouterr().err
+
+
+def test_example_only_options_keep_their_examples():
+    assert ExperimentConfig(example=2).delta == pytest.approx(2**0.5 / 4)
+    assert ExperimentConfig(example=1).delta is None
+    ExperimentConfig(example=2, delta=0.3)
+    ExperimentConfig(example=5, raster_path="raster.txt", darcy_sign=-1.0)
+    ExperimentConfig(example=3, alpha=1e-3)
+    ExperimentConfig(example=1, alpha=0.0)  # a velocity strength, not a diffusion
+
+
 def test_cli_bad_config_exit_code(capsys):
     code = main(
         ["run", "--example", "1", "--coarse", "5", "--fine", "16"]
@@ -455,6 +508,7 @@ FIELD_SAMPLES = {
     "raster_path": "raster.txt",
     "infsup": "1",
 }
+EXAMPLE_OF = {"delta": ["example=2"], "raster_path": ["example=5"]}
 
 
 def test_every_config_field_has_a_flag_and_a_config_key(tmp_path):
@@ -475,8 +529,10 @@ def test_every_config_field_has_a_flag_and_a_config_key(tmp_path):
     for field, text in FIELD_SAMPLES.items():
         flag = options[field].option_strings[-1]
         key = flag.lstrip("-").replace("-", "_")
-        # a small grid, less the grid option under test
+        # a small grid, less the grid option under test, and the one example
+        # that reads an example-only option
         grid = [line for line in ("coarse=4", "fine=16") if line.split("=")[0] != key]
+        grid += EXAMPLE_OF.get(field, [])
         value = [] if options[field].nargs == 0 else [text]
         from_flag = config([flag] + value, grid)
         from_file = config([], grid + [f"{key}={text}"])

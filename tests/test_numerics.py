@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mspg.assembly import assemble, constant_field
 from mspg.errors import LocalSolverError, SingularMetricError
@@ -161,13 +162,13 @@ def test_vertex_traces_are_adjoint_harmonic_hats(ws_small):
 
 
 def test_local_solves_go_through_the_checked_kernel():
-    # a hand-rolled factorization would skip the residual check and the
-    # typed error of local_dirichlet_solve
+    # a hand-rolled factorization would skip the residual check, the
+    # refinement step and the typed error of local_dirichlet_solve
     src = Path(__file__).resolve().parents[1] / "src" / "mspg"
     offenders = [
         path.name
         for path in sorted(src.glob("*.py"))
-        if path.name not in ("numerics.py", "assembly.py") and "splu(" in path.read_text()
+        if path.name != "numerics.py" and "splu(" in path.read_text()
     ]
     assert offenders == []
 
@@ -329,3 +330,21 @@ def test_min_energy_multi_trace_columns():
     out = min_energy_extension(B, [0, 1], T)
     assert out.shape == (8, 2)
     assert np.allclose(out[[0, 1], :], T)
+
+
+def test_local_solve_refines_once_when_the_residual_misses():
+    # a badly scaled sparse system whose first LU residual one refinement
+    # step with the same factors cuts by more than half
+    rng = np.random.default_rng(0)
+    A = sp.random(200, 200, density=0.05, random_state=0, format="csc")
+    A = (A + sp.diags(10.0 ** rng.uniform(-6, 6, 200))).tocsc()
+    b = rng.standard_normal(200)
+    x0 = spla.splu(A).solve(b)
+    first = np.linalg.norm(A @ x0 - b) / np.linalg.norm(b)
+    x = local_dirichlet_solve(A, b, tol=0.5 * first)
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 0.5 * first
+    # a solve that meets the bound at once is not refined
+    assert np.array_equal(local_dirichlet_solve(A, b, tol=first), x0)
+    with pytest.raises(LocalSolverError) as err:
+        local_dirichlet_solve(A, b, tol=1e-30)
+    assert err.value.residual > 1e-30
