@@ -47,7 +47,6 @@ from .numerics import (
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
-    min_energy_extension,
     orthonormalize_columns,
 )
 from .test_space import (

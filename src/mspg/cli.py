@@ -15,6 +15,7 @@ neither sets keeps the ``ExperimentConfig`` default.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import ConfigError, MspgError
@@ -29,6 +30,12 @@ from .harness import (
     run_experiment,
     sweep_experiment,
 )
+
+
+# argparse reads a token as a value, not an option, when it looks like a
+# negative number; its own pattern has no exponent, so "-1e-3" would be taken
+# for an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _int_list(text: str) -> list[int]:
@@ -49,6 +56,7 @@ def _add_common(parser: argparse.ArgumentParser, sweep: bool) -> list[argparse.A
     ``emit_report`` arguments ``path`` and ``format``.  Every default is
     None, which means "not set".
     """
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("--config", help="flat key=value file with these options")
     add = parser.add_argument
     count = _int_list if sweep else int

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseOperator
@@ -37,13 +38,12 @@ class SaddleState:
     """Solved reduced system with its fine-grid expansions.
 
     ``R`` is the upper Cholesky factor of the test block, G_ww = R^T R; the
-    online loop borders it when it appends test columns.
+    online loop borders it when it appends test columns.  ``Xi`` is CSC.
     """
 
     op: SparseOperator
     Theta: np.ndarray
-    Xi: np.ndarray
-    G_ww: np.ndarray
+    Xi: sp.csc_matrix
     G_wu: np.ndarray
     rhs_w: np.ndarray
     R: np.ndarray
@@ -53,16 +53,19 @@ class SaddleState:
     u_fine: np.ndarray
 
 
-def _singular(G_ww, G_wu, exc) -> SolverFailureError:
+def _singular(R, G_wu, exc) -> SolverFailureError:
+    """The typed failure of a singular system.  ``R`` is the factor of the
+    test block, or the block itself where it did not factor; both have its
+    rank."""
     N, M = G_wu.shape
-    ranks = (np.linalg.matrix_rank(G_ww), np.linalg.matrix_rank(G_wu))
+    ranks = (np.linalg.matrix_rank(R), np.linalg.matrix_rank(G_wu))
     return SolverFailureError(
         f"singular reduced system (blocks N={N}, M={M}, "
-        f"rank G_ww {ranks[0]}, rank G_wu {ranks[1]}): {exc}"
+        f"rank R {ranks[0]}, rank G_wu {ranks[1]}): {exc}"
     )
 
 
-def _solved_state(op, Theta, Xi, G_ww, G_wu, rhs_w, R) -> SaddleState:
+def _solved_state(op, Theta, Xi, G_wu, rhs_w, R) -> SaddleState:
     """Solve [[G_ww, G_wu], [G_wu^T, 0]] [w; u] = [rhs_w; 0] from G_ww = R^T R.
 
     With Z = R^{-T} G_wu and g = R^{-T} rhs_w, the trial unknowns solve the
@@ -77,12 +80,11 @@ def _solved_state(op, Theta, Xi, G_ww, G_wu, rhs_w, R) -> SaddleState:
             u = sla.solve(Z.T @ Z, Z.T @ g, overwrite_a=True, overwrite_b=True)
             w = sla.solve_triangular(R, g - Z @ u)
     except (sla.LinAlgError, sla.LinAlgWarning) as exc:
-        raise _singular(G_ww, G_wu, exc) from exc
+        raise _singular(R, G_wu, exc) from exc
     return SaddleState(
         op=op,
         Theta=Theta,
         Xi=Xi,
-        G_ww=G_ww,
         G_wu=G_wu,
         rhs_w=rhs_w,
         R=R,
@@ -93,19 +95,22 @@ def _solved_state(op, Theta, Xi, G_ww, G_wu, rhs_w, R) -> SaddleState:
     )
 
 
-def solve_coupled(op: SparseOperator, Theta: np.ndarray, Xi: np.ndarray) -> SaddleState:
-    """Assemble and solve the dense reduced saddle system."""
+def solve_coupled(op: SparseOperator, Theta: np.ndarray, Xi) -> SaddleState:
+    """Assemble and solve the dense reduced saddle system.
+
+    ``Xi`` may be sparse or dense; it is held as CSC.
+    """
     Theta = np.asarray(Theta, dtype=float)
-    Xi = np.asarray(Xi, dtype=float)
+    Xi = sp.csc_matrix(Xi, dtype=float)
     Y = op.A.T @ Theta
     G_ww = Y.T @ Y
-    G_wu = Y.T @ Xi
+    G_wu = (Xi.T @ Y).T
     del Y
     try:
         R = sla.cholesky(G_ww, lower=False)
     except sla.LinAlgError as exc:
         raise _singular(G_ww, G_wu, exc) from exc
-    return _solved_state(op, Theta, Xi, G_ww, G_wu, Theta.T @ op.f, R)
+    return _solved_state(op, Theta, Xi, G_wu, Theta.T @ op.f, R)
 
 
 def append_test_columns(state: SaddleState, Theta_new: np.ndarray) -> SaddleState:
@@ -122,17 +127,16 @@ def append_test_columns(state: SaddleState, Theta_new: np.ndarray) -> SaddleStat
     Y_new = op.A.T @ Theta_new
     B = state.Theta.T @ (op.A @ Y_new)
     D = Y_new.T @ Y_new
-    G_ww = np.block([[state.G_ww, B], [B.T, D]])
-    G_wu = np.vstack([state.G_wu, Y_new.T @ state.Xi])
+    G_wu = np.vstack([state.G_wu, (state.Xi.T @ Y_new).T])
     C = sla.solve_triangular(R, B, trans="T")
     try:
         R_new = sla.cholesky(D - C.T @ C, lower=False)
     except sla.LinAlgError as exc:
-        raise _singular(G_ww, G_wu, exc) from exc
+        raise _singular(R, G_wu, exc) from exc
     R = np.block([[R, C], [np.zeros((R_new.shape[0], R.shape[1])), R_new]])
     rhs_w = np.concatenate([state.rhs_w, Theta_new.T @ op.f])
     Theta = np.hstack([state.Theta, Theta_new])
-    return _solved_state(op, Theta, state.Xi, G_ww, G_wu, rhs_w, R)
+    return _solved_state(op, Theta, state.Xi, G_wu, rhs_w, R)
 
 
 @dataclass(frozen=True)
@@ -152,10 +156,10 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
     return 100.0 * float(np.linalg.norm(diff)) / (ref if ref > 0.0 else 1.0)
 
 
-def projection_error(Xi: np.ndarray, u_ref: np.ndarray) -> float:
+def projection_error(Xi, u_ref: np.ndarray) -> float:
     """Best-approximation error of the trial span in percent, in the
-    Euclidean norm of the fine coefficient vectors."""
-    Q, _ = np.linalg.qr(Xi)
+    Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense)."""
+    Q = orthonormalize_columns(Xi)
     return _percent_of(u_ref, u_ref - Q @ (Q.T @ u_ref))
 
 
@@ -190,7 +194,7 @@ def infsup_estimate(state: SaddleState) -> float:
     columns lie in the test span.
     """
     G2 = state.G_wu.T @ sla.cho_solve((state.R, False), state.G_wu)
-    vals = generalized_sym_eig(G2, state.Xi.T @ state.Xi).values
+    vals = generalized_sym_eig(G2, (state.Xi.T @ state.Xi).toarray()).values
     return float(np.sqrt(max(vals[0], 0.0)))
 
 

@@ -1,10 +1,10 @@
 """Experiment driver: configuration, cached offline pipeline, report rows.
 
 A ``Workspace`` builds everything that does not depend on the per-cell
-parameters (operator, reference solve, partition of unity, snapshot sets,
-edge spectra) exactly once, so sweeps over trial/test counts reuse the
-expensive local solves.  Rows are emitted in a fixed schema so repeated
-runs of the same configuration are byte-identical.
+parameters (operator, reference solve, partition of unity, trial
+eigen-combinations, edge spectra) exactly once, so sweeps over trial/test
+counts reuse the expensive local solves.  Rows are emitted in a fixed
+schema so repeated runs of the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ class Workspace:
         self.op: SparseOperator = assemble(self.mesh, self.field)
         self.u_ref = solve_fine_reference(self.op)
         self.chi = trial_space.partition_of_unity(self.topology, self.op.A_nodes)
-        self._snapshots: dict[int, trial_space.TrialSnapshotSet] = {}
+        self._eigenbases: list[trial_space.TrialEigenbasis] = []
+        self._eigen_m = 0
         self._trial: dict[int, trial_space.TrialBasis] = {}
         self._projection_error: dict[int, float] = {}
         self._w1: dict[int, test_space.BubbleSet] = {}
@@ -176,30 +177,31 @@ class Workspace:
 
     # ---- trial side -------------------------------------------------
 
-    def snapshots(self, node: int) -> trial_space.TrialSnapshotSet:
-        if node not in self._snapshots:
-            self._snapshots[node] = trial_space.trial_snapshots(
-                self.topology, self.op, node
-            )
-        return self._snapshots[node]
-
     def trial(self, m: int) -> trial_space.TrialBasis:
+        """Trial matrix with m functions per coarse node.
+
+        Only each neighborhood's eigen-combinations are kept, up to the
+        larger of ``config.m`` and the largest m asked for (a sweep sets
+        ``config.m`` to its largest count); the snapshot sets are dropped
+        once they are reduced.
+        """
         if m not in self._trial:
-            bases = []
-            for node in range(self.topology.num_coarse_nodes):
-                snap = self.snapshots(node)
-                if snap.count == 0:
-                    continue
-                bases.append(
-                    trial_space.trial_eigenbasis(
-                        snap,
-                        self.op,
-                        min(m, snap.count),
-                        restriction=self.config.trial_restriction,
-                    )
-                )
+            if m > self._eigen_m:
+                m_max, bases = max(m, self.config.m), []
+                for node in range(self.topology.num_coarse_nodes):
+                    snap = trial_space.trial_snapshots(self.topology, self.op, node)
+                    if snap.count:
+                        bases.append(
+                            trial_space.trial_eigenbasis(
+                                snap,
+                                self.op,
+                                min(m_max, snap.count),
+                                restriction=self.config.trial_restriction,
+                            )
+                        )
+                self._eigenbases, self._eigen_m = bases, m_max
             self._trial[m] = trial_space.assemble_trial_matrix(
-                self.topology, bases, self.chi
+                self.topology, self._eigenbases, self.chi, m
             )
         return self._trial[m]
 
@@ -236,9 +238,7 @@ class Workspace:
             solver = (
                 test_space.eigenproblem_1 if problem == 1 else test_space.eigenproblem_2
             )
-            self._spectrum[key] = solver(
-                snap, self.op, snap.count, energy=self.config.edge_energy
-            )
+            self._spectrum[key] = solver(snap, self.op, energy=self.config.edge_energy)
         return self._spectrum[key]
 
     def w3_selection(self, L: int, problem: int) -> list[test_space.EdgeSpectralResult]:
@@ -416,9 +416,10 @@ def dump_edge_spectra(spectra, path) -> None:
 
 
 def dump_basis(basis: trial_space.TrialBasis, path) -> None:
-    """Columnar dump of the trial matrix for visualization (npy or CSV)."""
+    """Dense columnar dump of the trial matrix for visualization (npy or CSV)."""
     path = str(path)
+    Xi = basis.Xi.toarray(order="C")
     if path.endswith(".npy"):
-        np.save(path, basis.Xi)
+        np.save(path, Xi)
     else:
-        np.savetxt(path, basis.Xi, delimiter=",")
+        np.savetxt(path, Xi, delimiter=",")

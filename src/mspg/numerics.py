@@ -6,7 +6,6 @@ so they can be called concurrently from independent per-region builders.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import LocalSolverError, SingularMetricError, SolverFailureError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,9 @@ def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
     Solves K_II x = -K_IB g through ``local_dirichlet_solve``; with
     ``traces=None`` g is the identity, one column per boundary delta.  Every
     local snapshot is formed here: pass the transpose of an operator for
-    its adjoint extension.  A CSC ``K`` (such as the transpose of a CSR
-    operator) is sliced by columns first, so no call scans all of ``K``.
+    its adjoint extension, or an SPD energy for the minimum-energy
+    extension.  A CSC ``K`` (such as the transpose of a CSR operator) is
+    sliced by columns first, so no call scans all of ``K``.
     """
     if K.format == "csc":
         K_ii, K_ib = K[:, interior][interior], K[:, boundary][interior]
@@ -198,57 +196,3 @@ def orthonormalize_columns(V, droptol: float = 1e-10) -> np.ndarray:
     del gram
     theta = _solve_right_upper(theta, _cholesky_upper(_gram_upper(theta)))
     return theta
-
-
-def _factor_psd(B_uu, label: str):
-    """Factor a PSD block, retrying once with a tiny ridge if singular."""
-    sparse = sp.issparse(B_uu)
-    dim = B_uu.shape[0]
-    trace = B_uu.diagonal().sum() if sparse else np.trace(B_uu)
-    for attempt in range(2):
-        try:
-            if sparse:
-                lu = spla.splu(B_uu.tocsc())
-                return lu.solve
-            c, low = sla.cho_factor(np.asarray(B_uu, dtype=float))
-            return lambda rhs: sla.cho_solve((c, low), rhs)
-        except (RuntimeError, sla.LinAlgError):
-            if attempt == 1:
-                break
-            ridge = 1e-12 * trace / max(dim, 1)
-            log.warning("singular energy block%s: adding ridge %.3e", label, ridge)
-            B_uu = B_uu + ridge * (sp.eye(dim, format="csc") if sparse else np.eye(dim))
-    raise LocalSolverError(f"energy block not factorizable{label}")
-
-
-def min_energy_extension(B_local, constrained_dofs, trace_values, label: str = ""):
-    """Minimum-B-energy extension of prescribed values on a region.
-
-    Given a symmetric PSD matrix over the region dofs, returns the vector
-    (or one column per trace column) that matches ``trace_values`` on
-    ``constrained_dofs``, vanishes implicitly outside the region, and
-    minimizes v^T B v.  The unconstrained block is solved against minus the
-    coupling block times the trace.
-    """
-    constrained = np.asarray(constrained_dofs, dtype=np.int64)
-    traces = np.asarray(trace_values, dtype=float)
-    dim = B_local.shape[0]
-    free = np.setdiff1d(np.arange(dim), constrained, assume_unique=False)
-    single = traces.ndim == 1
-    T = traces[:, None] if single else traces
-    if T.shape[0] != constrained.size:
-        raise ValueError("trace rows must match constrained dof count")
-
-    out = np.zeros((dim, T.shape[1]))
-    out[constrained] = T
-    if free.size:
-        if sp.issparse(B_local):
-            B_uu = B_local[free][:, free]
-            B_uc = B_local[free][:, constrained]
-            rhs = -(B_uc @ T)
-        else:
-            B_uu = B_local[np.ix_(free, free)]
-            rhs = -(B_local[np.ix_(free, constrained)] @ T)
-        where = f" ({label})" if label else ""
-        out[free] = _factor_psd(B_uu, where)(rhs)
-    return out[:, 0] if single else out

@@ -19,9 +19,9 @@ from .errors import SingularMetricError
 from .grid import CoarseEdge, CoarseTopology
 from .numerics import (
     column_sparse,
+    generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
-    min_energy_extension,
     orthonormalize_columns,
 )
 from .trial_space import partition_of_unity
@@ -45,22 +45,23 @@ class BubbleSet:
         return self.columns.shape[1]
 
 
-def build_W1(topology: CoarseTopology, op: SparseOperator, Xi: np.ndarray) -> BubbleSet:
+def build_W1(topology: CoarseTopology, op: SparseOperator, Xi: sp.csc_matrix) -> BubbleSet:
     """Adjoint bubbles for every trial column overlapping a block.
 
     The local adjoint is driven by the raw coefficient values of the trial
-    column, the pairing of the global constraint equation.
+    column, the pairing of the global constraint equation.  ``Xi`` stores
+    no zeros, so a column overlaps a block where it stores an entry.
     """
     blocks, block_ids, source_columns = [], [], []
     for block in topology.blocks:
         I = block.interior
         Xi_I = Xi[I, :]
-        overlapping = np.flatnonzero(np.any(Xi_I != 0.0, axis=0))
+        overlapping = np.flatnonzero(Xi_I.getnnz(axis=0))
         if overlapping.size == 0:
             continue
         At_ii = op.A[I][:, I].T.tocsc()
         X = local_dirichlet_solve(
-            At_ii, Xi_I[:, overlapping], label=f"block {block.index} bubbles"
+            At_ii, Xi_I[:, overlapping].toarray(), label=f"block {block.index} bubbles"
         )
         blocks.append((I, X))
         block_ids.extend([block.index] * overlapping.size)
@@ -183,15 +184,14 @@ def select_prefix(edge, problem, values, snapshot_combos, L):
 
 
 def eigenproblem_1(
-    snapshots: TestSnapshotW3, op: SparseOperator, L: int, energy: str = "region"
+    snapshots: TestSnapshotW3, op: SparseOperator, energy: str = "region"
 ) -> EdgeSpectralResult:
-    """Edge reduction against the one-dimensional trace mass matrix.
+    """Edge reduction against the one-dimensional trace mass matrix, with
+    every mode selected.
 
     The eigenvalues scale with the squared-adjoint energy per unit of edge
     mass and grow without bound under fine-mesh refinement.
     """
-    from .numerics import generalized_sym_eig
-
     edge = snapshots.edge
     psi = snapshots.columns
     B = _edge_energy(op, edge, mode=energy)
@@ -205,26 +205,28 @@ def eigenproblem_1(
         pairs = generalized_sym_eig(S, M_edge)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return select_prefix(edge, 1, pairs.values, psi @ pairs.vectors, L)
+    return select_prefix(edge, 1, pairs.values, psi @ pairs.vectors, ns)
 
 
 def eigenproblem_2(
-    snapshots: TestSnapshotW3, op: SparseOperator, L: int, energy: str = "region"
+    snapshots: TestSnapshotW3, op: SparseOperator, energy: str = "region"
 ) -> EdgeSpectralResult:
-    """Edge reduction against the snapshot energy itself.
+    """Edge reduction against the snapshot energy itself, with every mode
+    selected.
 
     The left-hand side uses the minimum-energy extensions of the snapshot
     traces over the edge region, so every eigenvalue lies in [0, 1]; values
-    close to 1 signal that the remaining snapshots add almost nothing.
+    close to 1 signal that the remaining snapshots add almost nothing.  The
+    energy B is SPD, so the minimum-energy extension of an edge delta is
+    its B-harmonic extension; the edge dofs are the last rows of ``region``.
     """
-    from .numerics import generalized_sym_eig
-
     edge = snapshots.edge
     psi = snapshots.columns
     ns = psi.shape[1]
     B = _edge_energy(op, edge, mode=energy)
-    ext = min_energy_extension(
-        B, edge.edge_local, np.eye(ns), label=f"edge {edge.index}"
+    free = np.arange(edge.region.size - ns)
+    ext = np.vstack(
+        [harmonic_extension(B, free, edge.edge_local, label=f"edge {edge.index}"), np.eye(ns)]
     )
     S_min = ext.T @ (B @ ext)
     S = psi.T @ (B @ psi)
@@ -232,7 +234,7 @@ def eigenproblem_2(
         pairs = generalized_sym_eig(S_min, S)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return select_prefix(edge, 2, pairs.values, psi @ pairs.vectors, L)
+    return select_prefix(edge, 2, pairs.values, psi @ pairs.vectors, ns)
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,6 @@ def assemble_test_matrix(
     w1: BubbleSet,
     w2: VertexTraceSet,
     w3_results: list[EdgeSpectralResult],
-    droptol: float = 1e-10,
 ):
     """Concatenate all components sparsely and orthonormalize.
 
@@ -269,7 +270,7 @@ def assemble_test_matrix(
         ],
         format="csc",
     )
-    theta = orthonormalize_columns(raw, droptol=droptol)
+    theta = orthonormalize_columns(raw)
     problems = {r.problem for r in w3_results}
     report = SpectralReport(
         eigenproblem=problems.pop() if len(problems) == 1 else 0,

@@ -157,12 +157,9 @@ def partition_of_unity(topology: CoarseTopology, K: sp.spmatrix) -> sp.csc_matri
 
 @dataclass(frozen=True)
 class TrialBasis:
-    """Assembled trial matrix with per-neighborhood spectral bookkeeping."""
+    """Assembled trial matrix: CSC with no stored zeros, node-major columns."""
 
-    Xi: np.ndarray
-    chi: sp.csc_matrix
-    column_nodes: np.ndarray
-    eigenvalues: dict
+    Xi: sp.csc_matrix
 
     @property
     def count(self) -> int:
@@ -170,22 +167,19 @@ class TrialBasis:
 
 
 def assemble_trial_matrix(
-    topology: CoarseTopology, bases: list[TrialEigenbasis], chi: sp.csc_matrix
+    topology: CoarseTopology, bases: list[TrialEigenbasis], chi: sp.csc_matrix, m: int
 ) -> TrialBasis:
-    """Nodal product of partition-of-unity and reduced vectors, node-major."""
-    mesh = topology.mesh
-    num_dofs = mesh.num_dofs
-    total = sum(b.vectors.shape[1] for b in bases)
-    Xi = np.zeros((num_dofs, total))
-    column_nodes = np.zeros(total, dtype=np.int64)
-    eigenvalues = {}
-    col = 0
+    """Nodal product of partition-of-unity and the first m reduced vectors
+    of every node, node-major.
+
+    The partition of unity vanishes on each neighborhood boundary, so the
+    products hold exact zeros there; they are not stored.
+    """
+    node_of_dof = topology.mesh.node_of_dof
+    blocks = []
     for basis in sorted(bases, key=lambda b: b.node):
-        chi_nodes = chi[:, basis.node].toarray().ravel()
-        weights = chi_nodes[mesh.node_of_dof[basis.closure_dofs]]
-        for j in range(basis.vectors.shape[1]):
-            Xi[basis.closure_dofs, col] = weights * basis.vectors[:, j]
-            column_nodes[col] = basis.node
-            col += 1
-        eigenvalues[basis.node] = basis.eigenvalues
-    return TrialBasis(Xi=Xi, chi=chi, column_nodes=column_nodes, eigenvalues=eigenvalues)
+        weights = chi[:, basis.node].toarray().ravel()[node_of_dof[basis.closure_dofs]]
+        blocks.append((basis.closure_dofs, weights[:, None] * basis.vectors[:, :m]))
+    Xi = column_sparse(topology.mesh.num_dofs, blocks)
+    Xi.eliminate_zeros()
+    return TrialBasis(Xi=Xi)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mspg.cli import main
+from mspg.cli import build_parser, main
 from mspg.errors import ConfigError
 from mspg.fields import example_4
 from mspg.grid import build_fine_mesh
@@ -303,7 +303,8 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, monkeypatch, option
 
 
 def _run_rejected(tmp_path, monkeypatch, base, option, value, source):
-    """Exit code of ``run`` with one option given by flag or by config file;
+    """Exit code of ``run`` with one option given by flag (``--option=value``),
+    by flag and a separate value token (``split``) or by config file;
     building a Workspace fails the test."""
     from mspg import harness
 
@@ -314,6 +315,8 @@ def _run_rejected(tmp_path, monkeypatch, base, option, value, source):
     argv = ["run"] + base + ["--coarse", "4", "--fine", "16"]
     if source == "flag":
         argv.append(f"--{option}" if value is None else f"--{option}={value}")
+    elif source == "split":
+        argv += [f"--{option}", value]
     else:
         key = option.replace("-", "_")
         cfg = tmp_path / "exp.cfg"
@@ -325,11 +328,23 @@ def _run_rejected(tmp_path, monkeypatch, base, option, value, source):
 @pytest.mark.parametrize(
     "example, alpha", [(3, "0"), (3, "-1e-3"), (5, "-1"), (5, "0.0")]
 )
-@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("source", ["flag", "file", "split"])
 def test_cli_rejects_non_positive_diffusion(tmp_path, capsys, monkeypatch, example, alpha, source):
     base = ["--example", str(example)]
     assert _run_rejected(tmp_path, monkeypatch, base, "alpha", alpha, source) == 2
-    assert "must be > 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"alpha is the diffusion of example {example} and must be > 0" in err
+
+
+def test_cli_takes_negative_values_with_an_exponent(tmp_path):
+    # argparse's own negative-number pattern has no exponent
+    out = tmp_path / "r.csv"
+    argv = ["run", "--example", "1", "--alpha", "-1e-3", "--coarse", "4", "--fine", "16"]
+    assert main(argv + ["--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["alpha"] == "-0.001"
+    args = build_parser().parse_args(["sweep", "--example", "2", "--delta", "-1e-3"])
+    assert args.delta == -1e-3
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from mspg.numerics import (
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
-    min_energy_extension,
     orthonormalize_columns,
 )
 
@@ -165,12 +165,10 @@ def test_local_solves_go_through_the_checked_kernel():
     # a hand-rolled factorization would skip the residual check, the
     # refinement step and the typed error of local_dirichlet_solve
     src = Path(__file__).resolve().parents[1] / "src" / "mspg"
-    offenders = [
-        path.name
-        for path in sorted(src.glob("*.py"))
-        if path.name != "numerics.py" and "splu(" in path.read_text()
-    ]
-    assert offenders == []
+    texts = [path.read_text() for path in sorted(src.glob("*.py"))]
+    assert sum(text.count("splu(") for text in texts) == 1
+    assert "splu(" in inspect.getsource(local_dirichlet_solve)
+    assert not any("cho_factor" in text for text in texts)
 
 
 def test_orthonormalize_drops_duplicates():
@@ -280,56 +278,71 @@ def test_column_sparse_places_blocks_in_order():
     assert column_sparse(5, []).shape == (5, 0)
 
 
+# the minimum-B-energy extension of traces on the constrained dofs of an
+# SPD B is the B-harmonic extension into the free dofs
+
+
+def spd(n, seed):
+    R = np.random.default_rng(seed).standard_normal((n, n))
+    return sp.csr_matrix(R @ R.T)
+
+
+def min_energy(B, constrained, traces):
+    """Full vector(s): the traces on ``constrained``, the harmonic extension
+    on the other dofs."""
+    constrained = np.asarray(constrained)
+    free = np.setdiff1d(np.arange(B.shape[0]), constrained)
+    traces = np.asarray(traces, dtype=float).reshape(constrained.size, -1)
+    out = np.zeros((B.shape[0], traces.shape[1]))
+    out[constrained] = traces
+    out[free] = harmonic_extension(B, free, constrained, traces)
+    return out
+
+
 def test_min_energy_zero_trace():
-    B = sp.eye(6, format="csr")
-    out = min_energy_extension(B, [0, 1], np.zeros(2))
-    assert np.array_equal(out, np.zeros(6))
+    out = min_energy(spd(6, 5), [0, 1], np.zeros(2))
+    assert np.array_equal(out, np.zeros((6, 1)))
 
 
 def test_min_energy_identity_matrix():
-    out = min_energy_extension(np.eye(5), [1, 3], np.array([2.0, -1.0]))
-    expected = np.zeros(5)
-    expected[[1, 3]] = [2.0, -1.0]
+    out = min_energy(sp.eye(5, format="csr"), [1, 3], [2.0, -1.0])
+    expected = np.zeros((5, 1))
+    expected[[1, 3], 0] = [2.0, -1.0]
     assert np.allclose(out, expected)
 
 
 def test_min_energy_optimality_monte_carlo():
     rng = np.random.default_rng(11)
     n = 12
-    R = rng.standard_normal((n, n))
-    B = R @ R.T
+    B = spd(n, 11)
     constrained = np.array([0, 4, 9])
-    trace = rng.standard_normal(3)
-    v = min_energy_extension(B, constrained, trace)
-    energy = v @ B @ v
+    v = min_energy(B, constrained, rng.standard_normal(3))[:, 0]
+    energy = v @ (B @ v)
     free = np.setdiff1d(np.arange(n), constrained)
     for _ in range(200):
         cand = v.copy()
         cand[free] += rng.standard_normal(free.size)
-        assert cand @ B @ cand >= energy - 1e-10
+        assert cand @ (B @ cand) >= energy - 1e-10
 
 
 def test_min_energy_linearity():
     rng = np.random.default_rng(13)
-    R = rng.standard_normal((10, 10))
-    B = R @ R.T
+    B = spd(10, 13)
     constrained = np.array([2, 5])
     t1 = rng.standard_normal(2)
     t2 = rng.standard_normal(2)
-    v1 = min_energy_extension(B, constrained, t1)
-    v2 = min_energy_extension(B, constrained, t2)
-    v12 = min_energy_extension(B, constrained, 2.0 * t1 - 3.0 * t2)
+    v1 = min_energy(B, constrained, t1)
+    v2 = min_energy(B, constrained, t2)
+    v12 = min_energy(B, constrained, 2.0 * t1 - 3.0 * t2)
     assert np.allclose(v12, 2.0 * v1 - 3.0 * v2, atol=1e-10)
 
 
 def test_min_energy_multi_trace_columns():
-    rng = np.random.default_rng(17)
-    R = rng.standard_normal((8, 8))
-    B = R @ R.T
-    T = np.eye(2)
-    out = min_energy_extension(B, [0, 1], T)
-    assert out.shape == (8, 2)
-    assert np.allclose(out[[0, 1], :], T)
+    B = spd(8, 17)
+    free = np.arange(2, 8)
+    out = harmonic_extension(B, free, [0, 1])  # one column per boundary delta
+    assert out.shape == (6, 2)
+    assert np.allclose(out, min_energy(B, [0, 1], np.eye(2))[free], rtol=0.0, atol=1e-12)
 
 
 def test_local_solve_refines_once_when_the_residual_misses():

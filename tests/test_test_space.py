@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from mspg import test_space
 from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh
+from mspg.numerics import local_dirichlet_solve
 from mspg.test_space import (
+    _edge_energy,
     assemble_test_matrix,
     build_W1,
     build_W2,
     build_W3_snapshots,
     eigenproblem_1,
     eigenproblem_2,
+    select_prefix,
 )
 from mspg.trial_space import partition_of_unity
 
@@ -25,9 +30,33 @@ def test_bubble_count_interior_block(ws_small):
         assert (w1.block_ids == kb).sum() == 4 * m
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_bubbles_from_the_sparse_trial_matrix_match_the_dense_loop(ws_small, m):
+    # the per-block loop over a dense trial matrix, as an oracle
+    topo, op = ws_small.topology, ws_small.op
+    Xi = ws_small.trial(m).Xi
+    dense = Xi.toarray()
+    blocks, block_ids, source_columns = [], [], []
+    for block in topo.blocks:
+        I = block.interior
+        overlapping = np.flatnonzero(np.any(dense[I, :] != 0.0, axis=0))
+        if overlapping.size:
+            X = local_dirichlet_solve(op.A[I][:, I].T.tocsc(), dense[I][:, overlapping])
+            for j, col in enumerate(overlapping):
+                full = np.zeros(op.A.shape[0])
+                full[I] = X[:, j]
+                blocks.append(full)
+                block_ids.append(block.index)
+                source_columns.append(col)
+    w1 = build_W1(topo, op, Xi)
+    assert np.array_equal(w1.block_ids, block_ids)
+    assert np.array_equal(w1.source_columns, source_columns)
+    assert np.array_equal(w1.columns.toarray(), np.column_stack(blocks))
+
+
 def test_bubble_zero_sources_skipped(ws_small):
     w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(1).Xi)
-    Xi = ws_small.trial(1).Xi
+    Xi = ws_small.trial(1).Xi.toarray()
     for k in range(w1.count):
         block = ws_small.topology.blocks[int(w1.block_ids[k])]
         assert np.any(Xi[block.interior, w1.source_columns[k]] != 0.0)
@@ -35,8 +64,8 @@ def test_bubble_zero_sources_skipped(ws_small):
 
 def test_bubble_adjoint_residual(ws_small):
     op = ws_small.op
-    Xi = ws_small.trial(1).Xi
-    w1 = build_W1(ws_small.topology, op, Xi)
+    w1 = build_W1(ws_small.topology, op, ws_small.trial(1).Xi)
+    Xi = ws_small.trial(1).Xi.toarray()
     cols = w1.columns.toarray()
     At = op.A.T
     for k in range(0, w1.count, 7):
@@ -121,7 +150,7 @@ def test_edge_snapshot_support_and_residual(ws_small):
 
 def test_eigenproblem_1_nonnegative_and_full_selection(ws_small):
     snap = ws_small.w3(1)
-    res = eigenproblem_1(snap, ws_small.op, snap.count)
+    res = eigenproblem_1(snap, ws_small.op)
     assert res.eigenvalues.min() >= -1e-9 * max(res.eigenvalues.max(), 1.0)
     assert res.selected.shape[1] == snap.count
     assert res.lambda_excluded == np.inf
@@ -136,7 +165,7 @@ def test_eigenproblem_1_grows_under_refinement():
         topo = build_coarse_topology(mesh, 4)
         op = assemble(mesh, constant_field(kappa=1.0, b=(1.0, 0.5)))
         snap = build_W3_snapshots(topo, op, 5)
-        res = eigenproblem_1(snap, op, 1)
+        res = eigenproblem_1(snap, op)
         tops.append(res.eigenvalues.max())
     assert tops[1] > tops[0]
 
@@ -148,27 +177,57 @@ def test_eigenproblem_2_unit_interval(ws_small):
         assert vals.max() <= 1.0 + 1e-10
 
 
+def _prefix(full, L):
+    return select_prefix(full.edge, full.problem, full.eigenvalues, full.selected, L)
+
+
 def test_eigenproblem_2_lambda_monotone_in_L(ws_small):
     snap = ws_small.w3(2)
-    lams = [
-        eigenproblem_2(snap, ws_small.op, L).lambda_excluded
-        for L in range(1, snap.count + 1)
-    ]
+    full = eigenproblem_2(snap, ws_small.op)
+    lams = [_prefix(full, L).lambda_excluded for L in range(1, snap.count + 1)]
     assert all(lams[i + 1] >= lams[i] for i in range(len(lams) - 2))
     assert lams[-1] == np.inf
 
 
 def test_selection_nesting(ws_small):
-    snap = ws_small.w3(4)
-    res1 = eigenproblem_2(snap, ws_small.op, 1)
-    res3 = eigenproblem_2(snap, ws_small.op, 3)
+    full = eigenproblem_2(ws_small.w3(4), ws_small.op)
+    res1, res3 = _prefix(full, 1), _prefix(full, 3)
     assert np.allclose(res3.selected[:, :1], res1.selected)
 
 
 def test_eigenproblem_L_out_of_range(ws_small):
     snap = ws_small.w3(0)
+    full = eigenproblem_1(snap, ws_small.op)
+    assert full.L == snap.count and full.lambda_excluded == np.inf
     with pytest.raises(ValueError):
-        eigenproblem_1(snap, ws_small.op, snap.count + 1)
+        _prefix(full, snap.count + 1)
+
+
+@pytest.mark.parametrize("energy", ["region", "global"])
+def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
+    ws_small, monkeypatch, energy
+):
+    # the extension eigenproblem 2 forms through the checked kernel is the
+    # minimum-energy formula: the edge rows carry the identity and the free
+    # rows solve B_ff x = -B_fe, factored by splu
+    extensions = []
+    kernel = test_space.harmonic_extension
+
+    def recording(*args, **kwargs):
+        extensions.append(kernel(*args, **kwargs))
+        return extensions[-1]
+
+    monkeypatch.setattr(test_space, "harmonic_extension", recording)
+    for edge in ws_small.topology.edges:
+        eigenproblem_2(ws_small.w3(edge.index), ws_small.op, energy=energy)
+        B = _edge_energy(ws_small.op, edge, mode=energy)
+        ns = edge.edge_local.size
+        free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
+        oracle = np.zeros((B.shape[0], ns))
+        oracle[edge.edge_local] = np.eye(ns)
+        B_ff = B[free][:, free]
+        oracle[free] = spla.splu(B_ff.tocsc()).solve(-(B[free][:, edge.edge_local] @ np.eye(ns)))
+        assert np.array_equal(np.vstack([extensions[-1], np.eye(ns)]), oracle)
 
 
 def test_assembled_test_matrix_orthonormal(ws_small):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mspg import harness, trial_space
 from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
+from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
 from mspg.trial_space import (
-    assemble_trial_matrix,
+    TrialSnapshotSet,
     partition_of_unity,
     trial_eigenbasis,
     trial_snapshots,
@@ -133,37 +135,102 @@ def test_partition_of_unity_multiscale_differs_inside(ws_small):
     assert np.abs(ws_small.chi.toarray() - hats).max() > 1e-3
 
 
+def column_nodes(topo, m):
+    """Coarse node of every trial column: node-major, min(m, snapshot
+    count) columns per node, where a node has one snapshot per boundary dof
+    of its neighborhood."""
+    counts = [min(m, nb.boundary.size) for nb in topo.neighborhoods]
+    return np.repeat(np.arange(topo.num_coarse_nodes), counts)
+
+
 def test_trial_matrix_columns_supported_in_neighborhood(ws_small):
     basis = ws_small.trial(1)
     topo = ws_small.topology
-    for col in range(basis.count):
-        nb = topo.neighborhoods[int(basis.column_nodes[col])]
+    Xi = basis.Xi.toarray()
+    for col, node in enumerate(column_nodes(topo, 1)):
+        nb = topo.neighborhoods[int(node)]
         outside = np.setdiff1d(
             np.arange(ws_small.mesh.num_dofs), nb.closure, assume_unique=False
         )
-        assert np.all(basis.Xi[outside, col] == 0.0)
+        assert np.all(Xi[outside, col] == 0.0)
 
 
 def test_trial_matrix_column_count(ws_small):
     m = 2
     basis = ws_small.trial(m)
-    expected = sum(
-        min(m, ws_small.snapshots(l).count)
-        for l in range(ws_small.topology.num_coarse_nodes)
-    )
-    assert basis.count == expected
+    assert basis.count == column_nodes(ws_small.topology, m).size
+
+
+def dense_trial_matrix(ws, m):
+    """The per-column dense assembly of the trial matrix, as an oracle."""
+    topo, op = ws.topology, ws.op
+    chi = ws.chi.toarray()
+    columns = []
+    for node in range(topo.num_coarse_nodes):
+        snap = trial_snapshots(topo, op, node)
+        if snap.count == 0:
+            continue
+        basis = trial_eigenbasis(snap, op, min(m, snap.count))
+        weights = chi[topo.mesh.node_of_dof[basis.closure_dofs], node]
+        for j in range(basis.vectors.shape[1]):
+            col = np.zeros(topo.mesh.num_dofs)
+            col[basis.closure_dofs] = weights * basis.vectors[:, j]
+            columns.append(col)
+    return np.column_stack(columns)
+
+
+def test_trial_matrix_is_csc_without_stored_zeros():
+    ws = Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=16, m=3))
+    for m in (3, 1):
+        Xi = ws.trial(m).Xi
+        assert Xi.format == "csc"
+        assert np.all(Xi.data != 0.0)
+        oracle = dense_trial_matrix(ws, m)
+        if m == 3:
+            # built at its own width: the same arithmetic as the oracle
+            assert np.array_equal(Xi.toarray(), oracle)
+        else:
+            # sliced from the m=3 combinations, one product of another width
+            assert np.abs(Xi.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_sweep_builds_each_trial_snapshot_set_once(monkeypatch):
+    calls, workspaces = [], []
+    build = trial_space.trial_snapshots
+
+    def counting(topology, op, node):
+        calls.append(node)
+        return build(topology, op, node)
+
+    class Recorded(Workspace):
+        def __init__(self, config):
+            super().__init__(config)
+            workspaces.append(self)
+
+    monkeypatch.setattr(trial_space, "trial_snapshots", counting)
+    monkeypatch.setattr(harness, "Workspace", Recorded)
+    config = ExperimentConfig(example=1, alpha=2.0, nc=4, n=16)
+    rows = sweep_experiment(config, [1, 3], [1], [1])
+    assert [row.m_trial for row in rows] == [1, 3]
+    (ws,) = workspaces
+    assert sorted(calls) == list(range(ws.topology.num_coarse_nodes))
+    for value in vars(ws).values():
+        items = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, list) else [value]
+        )
+        assert not any(isinstance(item, TrialSnapshotSet) for item in items)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_trial_matrix_full_rank(ws_small, m):
     Xi = ws_small.trial(m).Xi
-    s = np.linalg.svd(Xi.T @ Xi, compute_uv=False)
+    s = np.linalg.svd((Xi.T @ Xi).toarray(), compute_uv=False)
     assert s.min() > 1e-12 * s.max()
 
 
 def test_reduction_nesting(ws_small):
-    Xi1 = ws_small.trial(1).Xi
-    Xi3 = ws_small.trial(3).Xi
+    Xi1 = ws_small.trial(1).Xi.toarray()
+    Xi3 = ws_small.trial(3).Xi.toarray()
     Q = np.linalg.qr(Xi3)[0]
     resid = Xi1 - Q @ (Q.T @ Xi1)
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(Xi1)
