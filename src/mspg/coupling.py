@@ -1,9 +1,10 @@
 """Reduced saddle system, error reporting, inf-sup estimate and the online
 residual-driven test enrichment loop.
 
-The reduced blocks contract the fine operator with the test matrix Theta
-and trial matrix Xi.  The squared fine operator is never materialized:
-every product with it is evaluated as two sparse products.
+The reduced blocks contract the fine operator with the test basis and the
+trial matrix Xi.  The test basis is orthonormal in the natural norm of the
+auxiliary variable (``test_space.TestBasis``), so the test block is the
+identity and the squared fine operator is never materialized.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import SparseOperator
 from .errors import SolverFailureError
@@ -25,11 +25,10 @@ from .numerics import (
     local_dirichlet_solve,
     orthonormalize_columns,
 )
+from .test_space import TestBasis, extend_test_basis, test_basis
 
-# an online column is dropped when its residual against the current test
-# space is at most ONLINE_DROPTOL of its norm; a local residual below
-# RESIDUAL_FLOOR times the load norm gets no column at all
-ONLINE_DROPTOL = 1e-10
+# a local residual below RESIDUAL_FLOOR times the load norm gets no online
+# column at all
 RESIDUAL_FLOOR = 1e-12
 
 
@@ -37,106 +36,80 @@ RESIDUAL_FLOOR = 1e-12
 class SaddleState:
     """Solved reduced system with its fine-grid expansions.
 
-    ``R`` is the upper Cholesky factor of the test block, G_ww = R^T R; the
-    online loop borders it when it appends test columns.  ``Xi`` is CSC.
+    The test block is the identity in ``basis``, so no factor of it is
+    kept; the online loop grows ``basis``, ``G_wu`` and ``rhs_w``.  ``Xi``
+    is CSC.
     """
 
     op: SparseOperator
-    Theta: np.ndarray
+    basis: TestBasis
     Xi: sp.csc_matrix
     G_wu: np.ndarray
     rhs_w: np.ndarray
-    R: np.ndarray
     w: np.ndarray
     u: np.ndarray
     w_fine: np.ndarray
     u_fine: np.ndarray
 
 
-def _singular(R, G_wu, exc) -> SolverFailureError:
-    """The typed failure of a singular system.  ``R`` is the factor of the
-    test block, or the block itself where it did not factor; both have its
-    rank."""
-    N, M = G_wu.shape
-    ranks = (np.linalg.matrix_rank(R), np.linalg.matrix_rank(G_wu))
-    return SolverFailureError(
-        f"singular reduced system (blocks N={N}, M={M}, "
-        f"rank R {ranks[0]}, rank G_wu {ranks[1]}): {exc}"
-    )
+def _solved_state(op, basis, Xi, G_wu, rhs_w) -> SaddleState:
+    """Solve [[I, G_wu], [G_wu^T, 0]] [w; u] = [rhs_w; 0].
 
-
-def _solved_state(op, Theta, Xi, G_wu, rhs_w, R) -> SaddleState:
-    """Solve [[G_ww, G_wu], [G_wu^T, 0]] [w; u] = [rhs_w; 0] from G_ww = R^T R.
-
-    With Z = R^{-T} G_wu and g = R^{-T} rhs_w, the trial unknowns solve the
-    M x M system Z^T Z u = Z^T g with partial pivoting (a singular one means
-    rank-deficient blocks), and w = R^{-1} (g - Z u).
+    The trial unknowns solve the M x M system G_wu^T G_wu u = G_wu^T rhs_w
+    with partial pivoting (a singular one means a rank-deficient G_wu), and
+    w = rhs_w - G_wu u.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", sla.LinAlgWarning)
-            Z = sla.solve_triangular(R, G_wu, trans="T")
-            g = sla.solve_triangular(R, rhs_w, trans="T")
-            u = sla.solve(Z.T @ Z, Z.T @ g, overwrite_a=True, overwrite_b=True)
-            w = sla.solve_triangular(R, g - Z @ u)
+            u = sla.solve(G_wu.T @ G_wu, G_wu.T @ rhs_w, overwrite_a=True, overwrite_b=True)
     except (sla.LinAlgError, sla.LinAlgWarning) as exc:
-        raise _singular(R, G_wu, exc) from exc
+        N, M = G_wu.shape
+        raise SolverFailureError(
+            f"singular reduced system (blocks N={N}, M={M}, "
+            f"rank G_wu {np.linalg.matrix_rank(G_wu)}): {exc}"
+        ) from exc
+    w = rhs_w - G_wu @ u
     return SaddleState(
         op=op,
-        Theta=Theta,
+        basis=basis,
         Xi=Xi,
         G_wu=G_wu,
         rhs_w=rhs_w,
-        R=R,
         w=w,
         u=u,
-        w_fine=Theta @ w,
+        w_fine=basis.V @ (basis.T @ w),
         u_fine=Xi @ u,
     )
 
 
-def solve_coupled(op: SparseOperator, Theta: np.ndarray, Xi) -> SaddleState:
-    """Assemble and solve the dense reduced saddle system.
+def solve_coupled(op: SparseOperator, V, Xi) -> SaddleState:
+    """Assemble and solve the reduced saddle system.
 
-    ``Xi`` may be sparse or dense; it is held as CSC.
+    ``V`` is any matrix whose columns span the test space and ``Xi`` the
+    trial matrix; either may be sparse or dense, and ``Xi`` is held as CSC.
     """
-    Theta = np.asarray(Theta, dtype=float)
     Xi = sp.csc_matrix(Xi, dtype=float)
-    Y = op.A.T @ Theta
-    G_ww = Y.T @ Y
-    G_wu = (Xi.T @ Y).T
-    del Y
-    try:
-        R = sla.cholesky(G_ww, lower=False)
-    except sla.LinAlgError as exc:
-        raise _singular(G_ww, G_wu, exc) from exc
-    return _solved_state(op, Theta, Xi, G_wu, Theta.T @ op.f, R)
+    basis = test_basis(op, V)
+    rhs_w = basis.T.T @ (basis.V.T @ op.f)
+    return _solved_state(op, basis, Xi, (Xi.T @ basis.Q).T, rhs_w)
 
 
-def append_test_columns(state: SaddleState, Theta_new: np.ndarray) -> SaddleState:
-    """Re-solve after appending test columns, by bordering the factor.
+def append_test_columns(state: SaddleState, new) -> SaddleState:
+    """Re-solve after appending the raw test columns ``new``.
 
-    With Y = A^T Theta and Y_n = A^T Theta_n, the test block grows by
-    B = Y^T Y_n = Theta^T (A Y_n), so Y is never formed, and D = Y_n^T Y_n;
-    its factor grows to [[R, C], [0, chol(D - C^T C)]] with C = R^{-T} B.
-    For k new columns that costs O(N K k + K^2 k) instead of the O(N K^2)
-    of ``solve_coupled``.  A bordered block that is not SPD (a new column
-    in the test span) is a singular system.
+    The basis grows by the part of span(new) outside the test span
+    (``test_space.extend_test_basis``), and G_wu and rhs_w by its rows, so
+    for k new columns the update costs O(N K k).  Columns in the test span
+    add nothing and return ``state`` itself.
     """
-    op, R = state.op, state.R
-    Y_new = op.A.T @ Theta_new
-    B = state.Theta.T @ (op.A @ Y_new)
-    D = Y_new.T @ Y_new
-    G_wu = np.vstack([state.G_wu, (state.Xi.T @ Y_new).T])
-    C = sla.solve_triangular(R, B, trans="T")
-    try:
-        R_new = sla.cholesky(D - C.T @ C, lower=False)
-    except sla.LinAlgError as exc:
-        raise _singular(R, G_wu, exc) from exc
-    R = np.block([[R, C], [np.zeros((R_new.shape[0], R.shape[1])), R_new]])
-    rhs_w = np.concatenate([state.rhs_w, Theta_new.T @ op.f])
-    Theta = np.hstack([state.Theta, Theta_new])
-    return _solved_state(op, Theta, state.Xi, G_wu, rhs_w, R)
+    op, old = state.op, state.basis.count
+    basis = extend_test_basis(state.basis, op, new)
+    if basis is state.basis:
+        return state
+    G_wu = np.vstack([state.G_wu, (state.Xi.T @ basis.Q[:, old:]).T])
+    rhs_w = np.concatenate([state.rhs_w, basis.T[:, old:].T @ (basis.V.T @ op.f)])
+    return _solved_state(op, basis, state.Xi, G_wu, rhs_w)
 
 
 @dataclass(frozen=True)
@@ -159,7 +132,7 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
 def projection_error(Xi, u_ref: np.ndarray) -> float:
     """Best-approximation error of the trial span in percent, in the
     Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense)."""
-    Q = orthonormalize_columns(Xi)
+    Q, _ = orthonormalize_columns(Xi)
     return _percent_of(u_ref, u_ref - Q @ (Q.T @ u_ref))
 
 
@@ -187,21 +160,22 @@ def infsup_estimate(state: SaddleState) -> float:
     """Smallest squared-energy projection ratio of the lifted trial columns.
 
     A trial column xi lifted as z = A^{-T} xi has ||A^T z||^2 = ||xi||^2,
-    and the squared-operator inner product of z with a test column theta
-    is (A^T theta)^T xi, an entry of G_wu.  So the estimate is
-    sqrt(lambda_min(G_wu^T G_ww^{-1} G_wu, Xi^T Xi)), read from the solved
-    blocks and the stored factor of G_ww; it equals 1 when the lifted
-    columns lie in the test span.
+    and the squared-operator inner product of z with a test function theta
+    is (A^T theta)^T xi, an entry of G_wu.  The test block is the identity,
+    so the estimate is sqrt(lambda_min(G_wu^T G_wu, Xi^T Xi)), read from
+    the solved blocks; it equals 1 when the lifted columns lie in the test
+    span.
     """
-    G2 = state.G_wu.T @ sla.cho_solve((state.R, False), state.G_wu)
+    G2 = state.G_wu.T @ state.G_wu
     vals = generalized_sym_eig(G2, (state.Xi.T @ state.Xi).toarray()).values
     return float(np.sqrt(max(vals[0], 0.0)))
 
 
 def residual_full(state: SaddleState) -> np.ndarray:
-    """Strong residual of the first block equation on the fine grid."""
+    """Strong residual of the first block equation on the fine grid; A^T
+    w_fine is Q w."""
     op = state.op
-    return op.A @ (op.A.T @ state.w_fine) + op.A @ state.u_fine - op.f
+    return op.A @ (state.basis.Q @ state.w + state.u_fine) - op.f
 
 
 @dataclass(frozen=True)
@@ -227,21 +201,6 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
     return column_sparse(op.A.shape[0], blocks)
 
 
-def _extend_test_space(Theta: np.ndarray, new) -> np.ndarray:
-    """Orthonormal columns that extend the orthonormal Theta by ``new``.
-
-    The new block is projected against Theta twice; a column whose residual
-    is at most ONLINE_DROPTOL of its norm adds nothing and is dropped, and
-    the rest are orthonormalized among themselves by the offline kernel.
-    """
-    norms = spla.norm(new, axis=0)
-    W = new.toarray()
-    for _ in range(2):
-        W -= Theta @ (Theta.T @ W)
-    keep = np.linalg.norm(W, axis=0) > ONLINE_DROPTOL * norms
-    return orthonormalize_columns(W[:, keep], droptol=ONLINE_DROPTOL)
-
-
 def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int = 1):
     """Grow the test space from local residuals and re-solve.
 
@@ -257,12 +216,10 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int 
     for it in range(1, iterations + 1):
         added = 0
         for nodes in classes:
-            r = residual_full(state)
-            new = _online_columns(state, topology, nodes, r, floor)
-            accepted = _extend_test_space(state.Theta, new)
-            if accepted.shape[1]:
-                added += accepted.shape[1]
-                state = append_test_columns(state, accepted)
+            new = _online_columns(state, topology, nodes, residual_full(state), floor)
+            before = state.basis.count
+            state = append_test_columns(state, new)
+            added += state.basis.count - before
         reports.append(
             OnlineSweepReport(
                 iteration=it,

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -172,7 +172,6 @@ class Workspace:
         self._projection_error: dict[int, float] = {}
         self._w1: dict[int, test_space.BubbleSet] = {}
         self._w2: test_space.VertexTraceSet | None = None
-        self._w3: dict[int, test_space.TestSnapshotW3] = {}
         self._spectrum: dict[tuple[int, int], test_space.EdgeSpectralResult] = {}
 
     # ---- trial side -------------------------------------------------
@@ -225,16 +224,15 @@ class Workspace:
             self._w2 = test_space.build_W2(self.topology, self.op)
         return self._w2
 
-    def w3(self, k: int) -> test_space.TestSnapshotW3:
-        if k not in self._w3:
-            self._w3[k] = test_space.build_W3_snapshots(self.topology, self.op, k)
-        return self._w3[k]
-
     def edge_spectrum(self, k: int, problem: int) -> test_space.EdgeSpectralResult:
-        """Full spectral result (all modes selected) of one edge."""
+        """Full spectral result (all modes selected) of one edge.
+
+        The edge's snapshot set is built for the eigenproblem and dropped
+        once it is reduced.
+        """
         key = (k, problem)
         if key not in self._spectrum:
-            snap = self.w3(k)
+            snap = test_space.build_W3_snapshots(self.topology, self.op, k)
             solver = (
                 test_space.eigenproblem_1 if problem == 1 else test_space.eigenproblem_2
             )
@@ -253,11 +251,11 @@ class Workspace:
             )
         return out
 
-    def theta(self, m: int, L: int, problem: int):
-        Theta, report = test_space.assemble_test_matrix(
+    def test_matrix(self, m: int, L: int, problem: int):
+        """The raw CSC test matrix [W1 W2 W3] of a cell, with its report."""
+        return test_space.assemble_test_matrix(
             self.w1(m), self.w2(), self.w3_selection(L, problem)
         )
-        return Theta, report
 
     # ---- solve ------------------------------------------------------
 
@@ -265,8 +263,8 @@ class Workspace:
         self, m: int, L: int, problem: int, online_iters: int = 0
     ) -> list[ReportRow]:
         """One report row for the offline solve, then one per online sweep."""
-        Theta, report = self.theta(m, L, problem)
-        state = coupling.solve_coupled(self.op, Theta, self.trial(m).Xi)
+        V, report = self.test_matrix(m, L, problem)
+        state = coupling.solve_coupled(self.op, V, self.trial(m).Xi)
         rows = []
         for it in range(online_iters + 1):
             if it:
@@ -293,12 +291,7 @@ class Workspace:
             m_trial=m,
             L_test=L,
             eigenproblem=problem,
-            online_iter=err.online_iter,
-            err_ms_pct=err.err_ms_pct,
-            err_proj_pct=err.err_proj_pct,
-            w_norm=err.w_norm,
-            min_lambda_excluded=err.min_lambda_excluded,
-            infsup_est=err.infsup_est,
+            **vars(err),  # the error report's fields, by name
         )
 
 
@@ -319,21 +312,8 @@ class ReportRow:
     infsup_est: float | None
 
 
-REPORT_FIELDS = (
-    "example",
-    "alpha",
-    "H",
-    "h",
-    "m_trial",
-    "L_test",
-    "eigenproblem",
-    "online_iter",
-    "err_ms_pct",
-    "err_proj_pct",
-    "w_norm",
-    "min_lambda_excluded",
-    "infsup_est",
-)
+# the report's columns, in order
+REPORT_FIELDS = tuple(field.name for field in fields(ReportRow))
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:

@@ -118,8 +118,16 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
     )
 
 
+# a column is dropped when its residual against the others is at most
+# DROPTOL of its norm
+DROPTOL = 1e-10
+
+
 def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Overwrite the C-ordered X with X R^{-1} for upper triangular R."""
+    """Overwrite the C- or Fortran-ordered X with X R^{-1} for upper
+    triangular R."""
+    if X.flags.f_contiguous:
+        return blas.dtrsm(1.0, R, X, side=1, lower=0, overwrite_b=1)
     # X^T is Fortran-ordered, so LAPACK solves R^T (X R^{-1})^T = X^T in place
     return blas.dtrsm(1.0, R, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
@@ -137,8 +145,9 @@ def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
         raise SolverFailureError(f"Gram matrix not positive definite: {exc}") from exc
 
 
-def orthonormalize_columns(V, droptol: float = 1e-10) -> np.ndarray:
-    """Euclidean orthonormal basis of the column span of a sparse or dense V.
+def orthonormalize_columns(V, droptol: float = DROPTOL):
+    """Euclidean orthonormal basis Q = V T of the column span of a sparse or
+    dense V, with its coefficients T.
 
     Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
     Yanagisawa, SIAM J. Sci. Comput. 2020), driven by the sparse Gram V^T V:
@@ -153,20 +162,22 @@ def orthonormalize_columns(V, droptol: float = 1e-10) -> np.ndarray:
     A column is dropped when its residual against the other columns is at
     most ``droptol`` times its norm, or lies below the rounding floor of
     Theta_1^T Theta_1.  Kept columns keep their input order, so without
-    drops the result is the Q factor of V with a positive R diagonal, the
-    same matrix Gram-Schmidt produces.  The result is a C-ordered ndarray.
+    drops Q is the Q factor of V with a positive R diagonal, the same matrix
+    Gram-Schmidt produces.  Q is a C-ordered ndarray; T has one row per
+    column of V (zero for a zero column) and is the scaled C^{-1}, restricted
+    to the kept columns, times the inverses of the two CholeskyQR factors.
     """
     V = sp.csc_matrix(V, dtype=float)
-    num_rows, K = V.shape
+    num_rows, num_cols = V.shape
     G = (V.T @ V).toarray()
     sq_norms = G.diagonal().copy()
     nonzero = np.flatnonzero(sq_norms > 0.0)
     if nonzero.size == 0:
-        return np.zeros((num_rows, 0))
-    if nonzero.size < K:
+        return np.zeros((num_rows, 0)), np.zeros((num_cols, 0))
+    K = nonzero.size
+    if K < num_cols:
         V = V[:, nonzero]
         G = G[np.ix_(nonzero, nonzero)]
-        K = nonzero.size
     scale = 1.0 / np.sqrt(sq_norms[nonzero])
     G *= scale[:, None]
     G *= scale[None, :]
@@ -177,10 +188,10 @@ def orthonormalize_columns(V, droptol: float = 1e-10) -> np.ndarray:
     G[np.diag_indices(K)] += shift
     C = _cholesky_upper(G)
     del G
-    C_inv, _ = lapack.dtrtri(C, lower=0, overwrite_c=1)
-    C_inv *= scale[:, None]
-    theta = np.ascontiguousarray(V @ C_inv)
-    del C, C_inv
+    T, _ = lapack.dtrtri(C, lower=0, overwrite_c=1)  # Fortran-ordered
+    T *= scale[:, None]
+    theta = np.ascontiguousarray(V @ T)
+    del C
 
     # a column with relative residual r against the others keeps a residual
     # of about r^2 / (r^2 + shift) in the Gram of Theta_1
@@ -189,10 +200,17 @@ def orthonormalize_columns(V, droptol: float = 1e-10) -> np.ndarray:
     _, piv, rank, _ = lapack.dpstrf(gram, tol=tol, lower=0)
     kept = np.sort(piv[:rank] - 1)
     if rank < K:
-        theta = theta[:, kept]
+        theta = np.take(theta, kept, axis=1)  # C-ordered, unlike theta[:, kept]
+        T = T[:, kept]  # Fortran-ordered
         gram = gram[np.ix_(kept, kept)]
     # two CholeskyQR passes; the first reuses the Gram the pivoting saw
-    theta = _solve_right_upper(theta, _cholesky_upper(gram))
+    R = _cholesky_upper(gram)
     del gram
-    theta = _solve_right_upper(theta, _cholesky_upper(_gram_upper(theta)))
-    return theta
+    theta, T = _solve_right_upper(theta, R), _solve_right_upper(T, R)
+    R = _cholesky_upper(_gram_upper(theta))
+    theta, T = _solve_right_upper(theta, R), _solve_right_upper(T, R)
+    if K < num_cols:
+        T_full = np.zeros((num_cols, T.shape[1]), order="F")
+        T_full[nonzero] = T
+        T = T_full
+    return theta, T

@@ -18,6 +18,7 @@ from .assembly import SparseOperator
 from .errors import SingularMetricError
 from .grid import CoarseEdge, CoarseTopology
 from .numerics import (
+    DROPTOL,
     column_sparse,
     generalized_sym_eig,
     harmonic_extension,
@@ -241,11 +242,9 @@ def eigenproblem_2(
 class SpectralReport:
     """Composition of the assembled test matrix."""
 
-    eigenproblem: int
     n_w1: int
     n_w2: int
     n_w3: int
-    n_columns: int
     edge_results: tuple[EdgeSpectralResult, ...]
     min_lambda_excluded: float
 
@@ -255,32 +254,76 @@ def assemble_test_matrix(
     w2: VertexTraceSet,
     w3_results: list[EdgeSpectralResult],
 ):
-    """Concatenate all components sparsely and orthonormalize.
+    """Concatenate all components sparsely.
 
-    Returns the orthonormal test matrix together with a report of retained
-    counts and the per-edge excluded eigenvalues.
+    Returns the raw CSC test matrix V = [W1 W2 W3] together with a report of
+    retained counts and the per-edge excluded eigenvalues.
     """
-    num_dofs = w1.columns.shape[0]
-    n_w3 = sum(r.L for r in w3_results)
-    raw = sp.hstack(
-        [
-            w1.columns,
-            w2.columns,
-            column_sparse(num_dofs, [(r.edge.region, r.selected) for r in w3_results]),
-        ],
-        format="csc",
-    )
-    theta = orthonormalize_columns(raw)
-    problems = {r.problem for r in w3_results}
+    w3 = column_sparse(w1.columns.shape[0], [(r.edge.region, r.selected) for r in w3_results])
+    raw = sp.hstack([w1.columns, w2.columns, w3], format="csc")
     report = SpectralReport(
-        eigenproblem=problems.pop() if len(problems) == 1 else 0,
         n_w1=w1.count,
         n_w2=w2.count,
-        n_w3=n_w3,
-        n_columns=theta.shape[1],
+        n_w3=sum(r.L for r in w3_results),
         edge_results=tuple(w3_results),
         min_lambda_excluded=min(
             (r.lambda_excluded for r in w3_results), default=np.inf
         ),
     )
-    return theta, report
+    return raw, report
+
+
+@dataclass(frozen=True)
+class TestBasis:
+    """Test functions Theta = V T, orthonormal in the natural norm of the
+    auxiliary variable, ||A^T w||.
+
+    ``V`` holds the raw columns (CSC) and ``T`` their coefficients, one row
+    per column of V; ``Q = A^T V T`` has orthonormal columns, so the test
+    block of the saddle system is the identity.
+    """
+
+    V: sp.csc_matrix
+    T: np.ndarray
+    Q: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.Q.shape[1]
+
+
+def test_basis(op: SparseOperator, V) -> TestBasis:
+    """Basis of the span of the sparse or dense ``V``; a column that adds
+    nothing in the w-norm is dropped by ``orthonormalize_columns``."""
+    V = sp.csc_matrix(V, dtype=float)
+    Q, T = orthonormalize_columns(op.A.T @ V)
+    return TestBasis(V=V, T=T, Q=Q)
+
+
+def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
+    """The basis grown by the part of span(``new``) outside its span.
+
+    Y = A^T new is projected against Q twice, accumulating the coefficients
+    S; a column whose residual is at most DROPTOL of ||A^T x|| adds nothing
+    and is dropped, and the rest are orthonormalized among themselves,
+    Q_n = Y T_n.  Then Q_n = A^T (X - V T S) T_n for the kept columns X, so
+    V grows by X and T by the block column [-T S T_n; T_n].  A ``new`` that
+    adds nothing returns ``basis`` itself.
+    """
+    new = sp.csc_matrix(new, dtype=float)
+    Y = (op.A.T @ new).toarray()
+    norms = np.linalg.norm(Y, axis=0)
+    S = np.zeros((basis.count, Y.shape[1]))
+    for _ in range(2):
+        C = basis.Q.T @ Y
+        Y -= basis.Q @ C
+        S += C
+    keep = np.linalg.norm(Y, axis=0) > DROPTOL * norms
+    Q_n, T_n = orthonormalize_columns(Y[:, keep])
+    if not T_n.shape[1]:
+        return basis
+    T = np.block(
+        [[basis.T, -basis.T @ (S[:, keep] @ T_n)], [np.zeros((T_n.shape[0], basis.count)), T_n]]
+    )
+    V = sp.hstack([basis.V, new[:, keep]], format="csc")
+    return TestBasis(V=V, T=T, Q=np.hstack([basis.Q, Q_n]))

@@ -73,26 +73,25 @@ def test_criterion_1_full_snapshot_exactness(ws_ex1):
 def test_high_contrast_full_test_space_exactness():
     """Example 5 (Darcy flow, contrast 500): the raw test matrix has a scaled
     Gram condition number near 1e15, yet the full test space must keep every
-    column, stay orthonormal and reproduce the projection."""
+    column, stay orthonormal in the w-norm (Q = A^T Theta) and reproduce the
+    projection."""
     ws = _build(5, None)
     r = ws.topology.r
     worst_gap = worst_orth = 0.0
     columns = set()
     for problem in (1, 2):
-        theta, spectra = ws.theta(3, r - 1, problem)
-        columns.add((spectra.n_w1 + spectra.n_w2 + spectra.n_w3, theta.shape[1]))
-        worst_orth = max(
-            worst_orth, float(np.abs(theta.T @ theta - np.eye(theta.shape[1])).max())
-        )
-        rep = error_report(
-            solve_coupled(ws.op, theta, ws.trial(3).Xi), ws.u_ref, ws.projection_error(3)
-        )
+        V, spectra = ws.test_matrix(3, r - 1, problem)
+        state = solve_coupled(ws.op, V, ws.trial(3).Xi)
+        Q = state.basis.Q
+        columns.add((spectra.n_w1 + spectra.n_w2 + spectra.n_w3, Q.shape[1]))
+        worst_orth = max(worst_orth, float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()))
+        rep = error_report(state, ws.u_ref, ws.projection_error(3))
         worst_gap = max(worst_gap, rep.err_ms_pct - rep.err_proj_pct)
     ok = worst_gap <= 1e-10 and worst_orth <= 1e-12 and columns == {(1601, 1601)}
     report(
         ok,
         "high-contrast exactness (example 5, m=3, L=7)",
-        f"gap {worst_gap:.2e} pct, |Theta^T Theta - I| {worst_orth:.2e}, "
+        f"gap {worst_gap:.2e} pct, |Q^T Q - I| {worst_orth:.2e}, "
         f"(raw, kept) columns {sorted(columns)}",
     )
 
@@ -196,8 +195,8 @@ def test_criterion_6_online_enrichment(ws_ex1, ws_ex4):
     ok = True
     details = []
     for ws, problem in ((ws_ex1, 1), (ws_ex4, 2)):
-        theta, _ = ws.theta(1, 1, problem)
-        state = solve_coupled(ws.op, theta, ws.trial(1).Xi)
+        V, _ = ws.test_matrix(1, 1, problem)
+        state = solve_coupled(ws.op, V, ws.trial(1).Xi)
         residuals = [float(np.linalg.norm(residual_full(state)))]
         for _ in range(2):
             state, reps = online_enrich(state, ws.topology, iterations=1)
@@ -229,8 +228,8 @@ def test_criterion_8_infsup_monotone(ws_ex1):
     Xi = ws_ex1.trial(1).Xi
     vals = []
     for L in (1, 3, 5, r - 1):
-        theta, _ = ws_ex1.theta(1, L, 1)
-        vals.append(infsup_estimate(solve_coupled(ws_ex1.op, theta, Xi)))
+        V, _ = ws_ex1.test_matrix(1, L, 1)
+        vals.append(infsup_estimate(solve_coupled(ws_ex1.op, V, Xi)))
     monotone = all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
     ok = monotone and vals[-1] >= 0.99
     report(

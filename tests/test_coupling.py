@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mspg import coupling
+from mspg import coupling, test_space
 from mspg.assembly import assemble, constant_field
 from mspg.coupling import (
-    _extend_test_space,
     append_test_columns,
     error_report,
     infsup_estimate,
@@ -19,7 +17,7 @@ from mspg.coupling import (
 from mspg.errors import SolverFailureError
 from mspg.grid import build_fine_mesh, coloring
 from mspg.harness import ExperimentConfig, Workspace
-from mspg.numerics import generalized_sym_eig
+from mspg.numerics import generalized_sym_eig, orthonormalize_columns
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +50,9 @@ def test_full_test_space_gives_projection(tiny):
     # every edge mode kept: the constraint block enforces Euclidean
     # orthogonality of the trial residual
     r = tiny.topology.r
-    theta, _ = tiny.theta(1, r - 1, 1)
+    V, _ = tiny.test_matrix(1, r - 1, 1)
     Xi = tiny.trial(1).Xi
-    state = solve_coupled(tiny.op, theta, Xi)
+    state = solve_coupled(tiny.op, V, Xi)
     Q = np.linalg.qr(Xi.toarray())[0]
     proj = Q @ (Q.T @ tiny.u_ref)
     assert np.linalg.norm(state.u_fine - proj) <= 1e-8 * np.linalg.norm(tiny.u_ref)
@@ -62,8 +60,8 @@ def test_full_test_space_gives_projection(tiny):
 
 def test_error_report_projection_consistency(tiny):
     r = tiny.topology.r
-    theta, report = tiny.theta(1, r - 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    V, report = tiny.test_matrix(1, r - 1, 1)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     rep = error_report(
         state, tiny.u_ref, tiny.projection_error(1),
         min_lambda_excluded=report.min_lambda_excluded,
@@ -81,25 +79,28 @@ def test_error_report_full_trial_space(tiny):
 
 
 def test_error_report_optimality(tiny):
-    theta, _ = tiny.theta(1, 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    V, _ = tiny.test_matrix(1, 1, 1)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     rep = error_report(state, tiny.u_ref, tiny.projection_error(1))
     assert rep.err_ms_pct >= rep.err_proj_pct - 1e-8
 
 
 def test_reduced_blocks_symmetric(tiny):
-    theta, _ = tiny.theta(1, 2, 2)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    G_ww = state.R.T @ state.R
+    V, _ = tiny.test_matrix(1, 2, 2)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
+    # the test block by its definition, from the test functions V T
+    Y = tiny.op.A.T @ (state.basis.V @ state.basis.T)
+    G_ww = Y.T @ Y
     assert abs(G_ww - G_ww.T).max() <= 1e-10 * abs(G_ww).max()
+    assert abs(G_ww - np.eye(state.basis.count)).max() <= 1e-10
 
 
 def test_singular_reduced_system_reported(tiny):
     Xi = tiny.trial(1).Xi
     bad = sp.hstack([Xi, Xi[:, :1]])  # duplicated trial column
-    theta, _ = tiny.theta(1, 3, 1)
+    V, _ = tiny.test_matrix(1, 3, 1)
     with pytest.raises(SolverFailureError):
-        solve_coupled(tiny.op, theta, bad)
+        solve_coupled(tiny.op, V, bad)
 
 
 def test_infsup_full_test_space_is_one():
@@ -127,41 +128,44 @@ def test_infsup_monotone_in_L(tiny):
     Xi = tiny.trial(1).Xi
     vals = []
     for L in (1, 2, 3):
-        theta, _ = tiny.theta(1, L, 1)
-        vals.append(infsup_estimate(solve_coupled(tiny.op, theta, Xi)))
+        V, _ = tiny.test_matrix(1, L, 1)
+        vals.append(infsup_estimate(solve_coupled(tiny.op, V, Xi)))
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
     assert vals[2] == pytest.approx(1.0, abs=1e-6)  # full edge selection
 
 
-def _lifted_infsup(op, Theta, Xi):
+def _lifted_infsup(op, V, Xi):
     """The estimate by its definition: lift each trial column through the
-    transposed operator and project it onto the test span."""
+    transposed operator and project it onto the test span A^T Theta, taken
+    through a Householder QR of A^T Theta for a Euclidean orthonormal Theta
+    (no Gram of A^T Theta, whose condition would square)."""
+    Theta, _ = orthonormalize_columns(V)
     Z = spla.splu(op.A.T.tocsc()).solve(Xi.toarray())
     W = op.A.T @ Z
-    Y = op.A.T @ Theta
-    C = W.T @ Y
-    G2 = C @ sla.solve(Y.T @ Y, C.T, assume_a="pos")
+    C = W.T @ np.linalg.qr(op.A.T @ Theta)[0]
+    G2 = C @ C.T
     vals = generalized_sym_eig(G2, W.T @ W).values
     return float(np.sqrt(max(vals[0], 0.0)))
 
 
 @pytest.mark.parametrize("L, problem", [(1, 1), (2, 2), (3, 1)])
 def test_infsup_matches_the_lift(tiny, L, problem):
-    theta, _ = tiny.theta(1, L, problem)
+    V, _ = tiny.test_matrix(1, L, problem)
     Xi = tiny.trial(1).Xi
-    est = infsup_estimate(solve_coupled(tiny.op, theta, Xi))
-    assert est == pytest.approx(_lifted_infsup(tiny.op, theta, Xi), rel=1e-10)
+    est = infsup_estimate(solve_coupled(tiny.op, V, Xi))
+    assert est == pytest.approx(_lifted_infsup(tiny.op, V, Xi), rel=1e-10)
 
 
-def test_infsup_matches_the_lift_high_contrast():
-    # example 5 (contrast 500) with every edge mode kept: cond(G_ww) ~ 1e9
-    ws = Workspace(ExperimentConfig(example=5, nc=8, n=64, m=3, L=7, eigenproblem=2))
+def test_infsup_matches_the_lift_high_contrast(ws_contrast):
+    # example 5 (contrast 500) with every edge mode kept: the Euclidean test
+    # basis has cond(A^T Theta)^2 ~ 1e9
+    ws = ws_contrast
     Xi = ws.trial(3).Xi
     for L in (3, 7):
-        theta, _ = ws.theta(3, L, 2)
-        est = infsup_estimate(solve_coupled(ws.op, theta, Xi))
-        assert est == pytest.approx(_lifted_infsup(ws.op, theta, Xi), rel=1e-10)
+        V, _ = ws.test_matrix(3, L, 2)
+        est = infsup_estimate(solve_coupled(ws.op, V, Xi))
+        assert est == pytest.approx(_lifted_infsup(ws.op, V, Xi), rel=1e-10)
 
 
 def test_residual_vanishes_for_exact_test_space(tiny):
@@ -181,8 +185,8 @@ def test_residual_zero_load():
 
 
 def test_online_enrichment_converges(tiny):
-    theta, _ = tiny.theta(1, 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    V, _ = tiny.test_matrix(1, 1, 1)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     history = [np.linalg.norm(residual_full(state))]
     proj = tiny.projection_error(1)
     errs = [error_report(state, tiny.u_ref, proj).err_ms_pct]
@@ -198,16 +202,16 @@ def test_online_no_columns_when_exact(tiny):
     state = solve_coupled(tiny.op, np.eye(tiny.mesh.num_dofs), tiny.trial(1).Xi)
     enriched, reps = online_enrich(state, tiny.topology, iterations=1)
     assert reps[0].added_columns == 0
-    assert enriched.Theta.shape[1] == state.Theta.shape[1]
+    assert enriched.basis.count == state.basis.count
 
 
 def test_online_contraction_rate(ws_small):
     # soft regression: the excess over the projection error shrinks after
     # one sweep by at least the factor set by the smallest excluded
     # eigenvalue of the energy-ratio reduction (plus slack)
-    theta, report = ws_small.theta(1, 1, 2)
+    V, report = ws_small.test_matrix(1, 1, 2)
     lam = report.min_lambda_excluded
-    state = solve_coupled(ws_small.op, theta, ws_small.trial(1).Xi)
+    state = solve_coupled(ws_small.op, V, ws_small.trial(1).Xi)
     proj = ws_small.projection_error(1)
     before = error_report(state, ws_small.u_ref, proj)
     state, _ = online_enrich(state, ws_small.topology, iterations=1)
@@ -218,34 +222,39 @@ def test_online_contraction_rate(ws_small):
 
 
 def test_online_test_space_stays_orthonormal(tiny):
-    theta, _ = tiny.theta(1, 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
+    V, _ = tiny.test_matrix(1, 1, 1)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     enriched, reps = online_enrich(state, tiny.topology, iterations=2)
     added = sum(rep.added_columns for rep in reps)
-    T = enriched.Theta
-    assert added > 0 and T.shape[1] == theta.shape[1] + added
-    assert abs(T.T @ T - np.eye(T.shape[1])).max() <= 1e-12
+    basis = enriched.basis
+    Q = basis.Q
+    assert added > 0 and Q.shape[1] == state.basis.count + added
+    assert abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
+    assert _relative(tiny.op.A.T @ (basis.V @ basis.T), Q) <= 1e-10
 
 
 def test_online_extension_skips_columns_in_the_test_span(tiny):
-    theta, _ = tiny.theta(1, 1, 1)
+    V, _ = tiny.test_matrix(1, 1, 1)
+    basis = test_space.test_basis(tiny.op, V)
     rng = np.random.default_rng(3)
-    inside = theta[:, :3] @ rng.standard_normal(3)
-    outside = rng.standard_normal(theta.shape[0])
-    ext = _extend_test_space(theta, sp.csc_matrix(np.column_stack([inside, outside])))
-    assert ext.shape[1] == 1
-    basis = np.hstack([theta, ext])
-    assert abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
-    # the kept column spans the part of the independent one outside Theta
-    resid = outside - theta @ (theta.T @ outside)
-    assert np.linalg.norm(resid - ext @ (ext.T @ resid)) <= 1e-12 * np.linalg.norm(resid)
+    inside = V @ (basis.T[:, :3] @ rng.standard_normal(3))
+    outside = rng.standard_normal(V.shape[0])
+    ext = test_space.extend_test_basis(basis, tiny.op, np.column_stack([inside, outside]))
+    assert ext.count == basis.count + 1 and ext.V.shape[1] == V.shape[1] + 1
+    Q = ext.Q
+    assert abs(Q.T @ Q - np.eye(ext.count)).max() <= 1e-12
+    assert _relative(tiny.op.A.T @ (ext.V @ ext.T), Q) <= 1e-10
+    # the kept column spans the part of A^T outside that lies outside A^T Theta
+    y = tiny.op.A.T @ outside
+    resid = y - basis.Q @ (basis.Q.T @ y)
+    Q_n = Q[:, basis.count :]
+    assert np.linalg.norm(resid - Q_n @ (Q_n.T @ resid)) <= 1e-12 * np.linalg.norm(resid)
 
 
 def _online_block(ws, state):
-    """The first parity class's accepted online columns, as the loop forms them."""
+    """The first parity class's raw online columns, as the loop forms them."""
     nodes = coloring(ws.topology)[0]
-    new = coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0)
-    return _extend_test_space(state.Theta, new)
+    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0)
 
 
 def _relative(a, b):
@@ -261,38 +270,80 @@ def ws_contrast():
 def test_bordered_update_matches_a_full_solve(request, name):
     ws = request.getfixturevalue(name)
     m = ws.config.m
-    theta, _ = ws.theta(m, ws.config.L, ws.config.eigenproblem)
-    state = solve_coupled(ws.op, theta, ws.trial(m).Xi)
+    V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    state = solve_coupled(ws.op, V, ws.trial(m).Xi)
     new = _online_block(ws, state)
     assert new.shape[1] > 0
     bordered = append_test_columns(state, new)
-    full = solve_coupled(ws.op, np.hstack([theta, new]), ws.trial(m).Xi)
-    assert np.array_equal(bordered.Theta, full.Theta)
-    for field in ("w_fine", "u_fine", "R", "G_wu", "rhs_w"):
+    full = solve_coupled(ws.op, sp.hstack([V, new]), ws.trial(m).Xi)
+    assert bordered.basis.count == full.basis.count > state.basis.count
+    for field in ("w_fine", "u_fine", "G_wu", "rhs_w"):
         assert _relative(getattr(bordered, field), getattr(full, field)) <= 1e-10, field
-    # the bordered factor is a Cholesky factor of the bordered test block
-    R = bordered.R
-    assert np.array_equal(R, np.triu(R))
-    assert _relative(R.T @ R, full.R.T @ full.R) <= 1e-12
+    # the grown basis is the one the full solve orthonormalizes, to the
+    # kernel's own reproducibility of a Q factor: on example 5 the scaled
+    # A^T V has condition ~3e8, and a sparse and a dense copy of it give Q
+    # factors 5e-11 apart
+    bound = 1e-12 if name == "tiny" else 1e-10
+    assert _relative(bordered.basis.Q, full.basis.Q) <= bound
 
 
 def test_online_enrich_makes_no_full_solve(tiny, monkeypatch):
-    theta, _ = tiny.theta(1, 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    calls = []
+    V, _ = tiny.test_matrix(1, 1, 1)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
+    solves, blocks, widths = [], [], []
+    online_columns, kernel = coupling._online_columns, test_space.orthonormalize_columns
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        solves.append(args)
         return solve_coupled(*args, **kwargs)
 
+    def recording(*args):
+        new = online_columns(*args)
+        blocks.append(new.shape[1])
+        return new
+
+    def counting_kernel(X, *args, **kwargs):
+        widths.append(X.shape[1])
+        return kernel(X, *args, **kwargs)
+
     monkeypatch.setattr(coupling, "solve_coupled", counting)
+    monkeypatch.setattr(coupling, "_online_columns", recording)
+    monkeypatch.setattr(test_space, "orthonormalize_columns", counting_kernel)
     enriched, reps = online_enrich(state, tiny.topology, iterations=2)
     assert sum(rep.added_columns for rep in reps) > 0
-    assert calls == []
+    assert solves == []
+    # one orthonormalization per parity class, of at most its online block
+    assert len(widths) == len(blocks) == 2 * len(coloring(tiny.topology))
+    assert all(w <= b for w, b in zip(widths, blocks))
 
 
-def test_appending_a_zero_column_is_a_singular_system(tiny):
-    theta, _ = tiny.theta(1, 1, 1)
-    state = solve_coupled(tiny.op, theta, tiny.trial(1).Xi)
-    with pytest.raises(SolverFailureError, match="singular reduced system"):
-        append_test_columns(state, np.zeros((theta.shape[0], 1)))
+@pytest.mark.parametrize("kind", ["zero", "in_span"])
+def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
+    V, _ = tiny.test_matrix(1, 1, 1)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
+    coefficients = np.random.default_rng(4).standard_normal(state.basis.count)
+    column = V @ (state.basis.T @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
+    assert append_test_columns(state, column[:, None]) is state
+
+
+def test_solution_depends_on_the_test_span_only(tiny):
+    V, _ = tiny.test_matrix(1, 2, 2)
+    Xi = tiny.trial(1).Xi
+    M = np.random.default_rng(5).standard_normal((V.shape[1], V.shape[1]))
+    a, b = solve_coupled(tiny.op, V, Xi), solve_coupled(tiny.op, V @ M, Xi)
+    for field in ("u_fine", "w_fine"):
+        assert _relative(getattr(b, field), getattr(a, field)) <= 1e-10, field
+    proj = tiny.projection_error(1)
+    rep_a, rep_b = error_report(a, tiny.u_ref, proj), error_report(b, tiny.u_ref, proj)
+    for field in ("err_ms_pct", "w_norm"):
+        assert getattr(rep_b, field) == pytest.approx(getattr(rep_a, field), rel=1e-10)
+
+
+@pytest.mark.parametrize("name, m, L, problem", [("tiny", 1, 3, 1), ("ws_contrast", 3, 7, 2)])
+def test_w_fine_is_the_adjoint_lift_of_the_test_coefficients(request, name, m, L, problem):
+    # A^T Theta = Q, so the fine test function is w_fine = A^{-T} Q w
+    ws = request.getfixturevalue(name)
+    V, _ = ws.test_matrix(m, L, problem)
+    state = solve_coupled(ws.op, V, ws.trial(m).Xi)
+    lift = spla.splu(ws.op.A.T.tocsc()).solve(state.basis.Q @ state.w)
+    assert _relative(state.w_fine, lift) <= 1e-10

@@ -155,7 +155,7 @@ def test_dump_edge_spectra(tmp_path):
     from mspg.harness import Workspace
 
     ws = Workspace(small_config())
-    _, report = ws.theta(1, 1, 2)
+    _, report = ws.test_matrix(1, 1, 2)
     path = tmp_path / "eigs.csv"
     dump_edge_spectra(report.edge_results, path)
     lines = path.read_text().strip().split("\n")
@@ -430,7 +430,7 @@ def test_cli_dump_eigs_orthonormalizes_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     # same table as the one written from the cell's spectral report
     expected = tmp_path / "expected.csv"
-    _, report = Workspace(small_config(L=2, eigenproblem=1)).theta(1, 2, 1)
+    _, report = Workspace(small_config(L=2, eigenproblem=1)).test_matrix(1, 2, 1)
     dump_edge_spectra(report.edge_results, expected)
     assert eigs.read_bytes() == expected.read_bytes()
 

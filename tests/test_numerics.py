@@ -165,22 +165,27 @@ def test_local_solves_go_through_the_checked_kernel():
     # a hand-rolled factorization would skip the residual check, the
     # refinement step and the typed error of local_dirichlet_solve
     src = Path(__file__).resolve().parents[1] / "src" / "mspg"
-    texts = [path.read_text() for path in sorted(src.glob("*.py"))]
-    assert sum(text.count("splu(") for text in texts) == 1
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert sum(text.count("splu(") for text in texts.values()) == 1
     assert "splu(" in inspect.getsource(local_dirichlet_solve)
-    assert not any("cho_factor" in text for text in texts)
+    assert not any("cho_factor" in text for text in texts.values())
+    # dense factorizations live in the orthonormalization kernel only
+    for name, text in texts.items():
+        if name != "numerics.py":
+            for factor in ("cholesky", "cho_solve", "solve_triangular"):
+                assert factor not in text, (name, factor)
 
 
 def test_orthonormalize_drops_duplicates():
     v = np.random.default_rng(0).standard_normal(10)
-    out = orthonormalize_columns(np.stack([v, v], axis=1))
+    out, _ = orthonormalize_columns(np.stack([v, v], axis=1))
     assert out.shape == (10, 1)
 
 
 def test_orthonormalize_keeps_orthonormal_input():
     rng = np.random.default_rng(1)
     Q = np.linalg.qr(rng.standard_normal((12, 4)))[0]
-    out = orthonormalize_columns(Q)
+    out, _ = orthonormalize_columns(Q)
     assert np.allclose(out, Q, atol=1e-12)
 
 
@@ -188,7 +193,7 @@ def test_orthonormalize_rank_detection():
     rng = np.random.default_rng(2)
     base = rng.standard_normal((20, 3))
     V = base @ rng.standard_normal((3, 5))
-    out = orthonormalize_columns(V)
+    out, _ = orthonormalize_columns(V)
     assert out.shape[1] == np.linalg.matrix_rank(V)  # SVD oracle: 3
     assert np.allclose(out.T @ out, np.eye(3), atol=1e-10)
     # span preserved: projecting the input onto the output loses nothing
@@ -199,7 +204,7 @@ def test_orthonormalize_rank_detection():
 def test_orthonormalize_orthogonality_tolerance():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((60, 25))
-    out = orthonormalize_columns(V)
+    out, _ = orthonormalize_columns(V)
     assert abs(out.T @ out - np.eye(out.shape[1])).max() < 1e-10
 
 
@@ -207,8 +212,8 @@ def test_orthonormalize_sparse_matches_dense():
     rng = np.random.default_rng(6)
     S = sp.random(200, 30, density=0.08, format="csc", random_state=rng)
     S = sp.hstack([S, S[:, [3]] - 2.0 * S[:, [7]]], format="csc")  # one dependent
-    from_sparse = orthonormalize_columns(S)
-    from_dense = orthonormalize_columns(S.toarray())
+    from_sparse, _ = orthonormalize_columns(S)
+    from_dense, _ = orthonormalize_columns(S.toarray())
     assert from_sparse.shape == from_dense.shape == (200, np.linalg.matrix_rank(S.toarray()))
     # same span: equal orthogonal projectors
     assert np.allclose(from_sparse @ from_sparse.T, from_dense @ from_dense.T, atol=1e-12)
@@ -230,17 +235,17 @@ def _with_residual_column(rel_residual, seed):
 
 def test_orthonormalize_keeps_small_residual_column():
     V, outside = _with_residual_column(1e-7, seed=7)
-    out = orthonormalize_columns(V, droptol=1e-10)
+    out, _ = orthonormalize_columns(V, droptol=1e-10)
     assert out.shape[1] == 9
     # the kept column carries the residual direction, not rounding noise
     assert np.linalg.norm(out.T @ outside) > 1.0 - 1e-6
     # a coarser droptol drops the same column
-    assert orthonormalize_columns(V, droptol=1e-6).shape[1] == 8
+    assert orthonormalize_columns(V, droptol=1e-6)[0].shape[1] == 8
 
 
 def test_orthonormalize_drops_rounding_level_residual_column():
     V, _ = _with_residual_column(1e-13, seed=8)
-    out = orthonormalize_columns(V, droptol=1e-10)
+    out, _ = orthonormalize_columns(V, droptol=1e-10)
     assert out.shape[1] == 8
     resid = V - out @ (out.T @ V)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(V)
@@ -249,9 +254,10 @@ def test_orthonormalize_drops_rounding_level_residual_column():
 def test_orthonormalize_drops_zero_columns():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, 12))
-    out = orthonormalize_columns(np.column_stack([a, np.zeros(12), b]))
+    out, _ = orthonormalize_columns(np.column_stack([a, np.zeros(12), b]))
     assert out.shape == (12, 2)
-    assert orthonormalize_columns(sp.csc_matrix((12, 3))).shape == (12, 0)
+    Q, T = orthonormalize_columns(sp.csc_matrix((12, 3)))
+    assert Q.shape == (12, 0) and T.shape == (3, 0)
 
 
 def test_orthonormalize_ill_conditioned_input_stays_orthonormal():
@@ -261,10 +267,22 @@ def test_orthonormalize_ill_conditioned_input_stays_orthonormal():
     V = U @ np.diag(np.logspace(0.0, -8.0, 40)) @ W.T
     scaled = V / np.linalg.norm(V, axis=0)
     assert np.linalg.cond(scaled) >= 1e7
-    out = orthonormalize_columns(V)
+    out, _ = orthonormalize_columns(V)
     assert out.shape == (300, 40)
     assert np.abs(out.T @ out - np.eye(40)).max() <= 1e-12
     assert np.linalg.norm(U - out @ (out.T @ U)) <= 1e-6
+
+
+def test_orthonormalize_returns_the_coefficients_of_its_columns():
+    rng = np.random.default_rng(11)
+    S = sp.random(120, 20, density=0.1, format="csc", random_state=rng)
+    zero, dependent = sp.csc_matrix((120, 1)), S[:, [2]] - 3.0 * S[:, [9]]
+    V = sp.hstack([S[:, :5], zero, S[:, 5:], dependent], format="csc")
+    Q, T = orthonormalize_columns(V)
+    assert Q.shape == (120, 20) and T.shape == (22, 20)
+    assert not T[5].any()  # the zero column contributes nothing
+    assert np.abs(V @ T - Q).max() <= 1e-13
+    assert np.abs(Q.T @ Q - np.eye(20)).max() <= 1e-12
 
 
 def test_column_sparse_places_blocks_in_order():

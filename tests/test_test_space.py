@@ -123,7 +123,7 @@ def test_vertex_traces_equal_partition_for_pure_diffusion():
 
 def test_edge_snapshot_count_and_delta(ws_small):
     topo = ws_small.topology
-    snap = ws_small.w3(0)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0)
     r = topo.r
     assert snap.count == r - 1
     edge = snap.edge
@@ -135,7 +135,7 @@ def test_edge_snapshot_count_and_delta(ws_small):
 
 def test_edge_snapshot_support_and_residual(ws_small):
     op = ws_small.op
-    snap = ws_small.w3(3)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 3)
     edge = snap.edge
     full = np.zeros((op.A.shape[0], snap.count))
     full[edge.region, :] = snap.columns
@@ -149,7 +149,7 @@ def test_edge_snapshot_support_and_residual(ws_small):
 
 
 def test_eigenproblem_1_nonnegative_and_full_selection(ws_small):
-    snap = ws_small.w3(1)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 1)
     res = eigenproblem_1(snap, ws_small.op)
     assert res.eigenvalues.min() >= -1e-9 * max(res.eigenvalues.max(), 1.0)
     assert res.selected.shape[1] == snap.count
@@ -182,7 +182,7 @@ def _prefix(full, L):
 
 
 def test_eigenproblem_2_lambda_monotone_in_L(ws_small):
-    snap = ws_small.w3(2)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 2)
     full = eigenproblem_2(snap, ws_small.op)
     lams = [_prefix(full, L).lambda_excluded for L in range(1, snap.count + 1)]
     assert all(lams[i + 1] >= lams[i] for i in range(len(lams) - 2))
@@ -190,13 +190,13 @@ def test_eigenproblem_2_lambda_monotone_in_L(ws_small):
 
 
 def test_selection_nesting(ws_small):
-    full = eigenproblem_2(ws_small.w3(4), ws_small.op)
+    full = eigenproblem_2(build_W3_snapshots(ws_small.topology, ws_small.op, 4), ws_small.op)
     res1, res3 = _prefix(full, 1), _prefix(full, 3)
     assert np.allclose(res3.selected[:, :1], res1.selected)
 
 
 def test_eigenproblem_L_out_of_range(ws_small):
-    snap = ws_small.w3(0)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0)
     full = eigenproblem_1(snap, ws_small.op)
     assert full.L == snap.count and full.lambda_excluded == np.inf
     with pytest.raises(ValueError):
@@ -219,7 +219,8 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
 
     monkeypatch.setattr(test_space, "harmonic_extension", recording)
     for edge in ws_small.topology.edges:
-        eigenproblem_2(ws_small.w3(edge.index), ws_small.op, energy=energy)
+        snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index)
+        eigenproblem_2(snap, ws_small.op, energy=energy)
         B = _edge_energy(ws_small.op, edge, mode=energy)
         ns = edge.edge_local.size
         free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
@@ -231,10 +232,13 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
 
 
 def test_assembled_test_matrix_orthonormal(ws_small):
-    theta, report = ws_small.theta(1, 2, 2)
-    gram = theta.T @ theta
-    assert abs(gram - np.eye(theta.shape[1])).max() <= 1e-10
-    assert theta.shape[1] <= report.n_w1 + report.n_w2 + report.n_w3
+    V, report = ws_small.test_matrix(1, 2, 2)
+    assert V.format == "csc" and V.shape[1] == report.n_w1 + report.n_w2 + report.n_w3
+    # the test basis is orthonormal in the natural norm ||A^T w||
+    basis = test_space.test_basis(ws_small.op, V)
+    gram = basis.Q.T @ basis.Q
+    assert abs(gram - np.eye(basis.count)).max() <= 1e-10
+    assert basis.count <= V.shape[1]
     assert report.min_lambda_excluded == pytest.approx(
         min(r.lambda_excluded for r in report.edge_results)
     )
@@ -247,7 +251,7 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
     w1 = ws_small.w1(1)
     w2 = ws_small.w2()
     sel = ws_small.w3_selection(r - 1, 1)
-    theta, report = assemble_test_matrix(w1, w2, sel)
+    V, report = assemble_test_matrix(w1, w2, sel)
     raw = np.zeros((ws_small.mesh.num_dofs, report.n_w1 + report.n_w2 + report.n_w3))
     raw[:, : report.n_w1] = w1.columns.toarray()
     raw[:, report.n_w1 : report.n_w1 + report.n_w2] = w2.columns.toarray()
@@ -256,4 +260,4 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
         raw[res.edge.region, col : col + res.L] = res.selected
         col += res.L
     rank = np.linalg.matrix_rank(raw, tol=1e-8 * np.linalg.norm(raw))
-    assert theta.shape[1] == rank
+    assert test_space.test_basis(ws_small.op, V).count == rank
