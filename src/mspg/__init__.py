@@ -14,6 +14,7 @@ from .coupling import (
     append_test_columns,
     error_report,
     infsup_estimate,
+    leading_block,
     online_enrich,
     projection_error,
     solve_coupled,

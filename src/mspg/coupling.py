@@ -95,6 +95,26 @@ def solve_coupled(op: SparseOperator, V, Xi) -> SaddleState:
     return _solved_state(op, basis, Xi, (Xi.T @ basis.Q).T, rhs_w)
 
 
+def leading_block(state: SaddleState, n: int) -> SaddleState | None:
+    """The solve on the span of the first n raw test columns of ``state``.
+
+    The orthonormalization keeps its columns in order with T upper
+    triangular, so when none of the first n columns was dropped Q[:, :n] =
+    A^T V[:, :n] T[:n, :n] is their basis; the blocks G_wu and rhs_w are
+    then the leading n rows of the state's, all views, and only the M x M
+    system is solved again.  A dropped one may have depended on later
+    columns only, so then the result is None and the span needs its own
+    ``solve_coupled``.  All columns give ``state`` itself.
+    """
+    basis = state.basis
+    if n == basis.V.shape[1]:
+        return state
+    if np.searchsorted(basis.kept, n) != n:
+        return None
+    lead = TestBasis(V=basis.V[:, :n], T=basis.T[:n, :n], Q=basis.Q[:, :n], kept=basis.kept[:n])
+    return _solved_state(state.op, lead, state.Xi, state.G_wu[:n], state.rhs_w[:n])
+
+
 def append_test_columns(state: SaddleState, new) -> SaddleState:
     """Re-solve after appending the raw test columns ``new``.
 
@@ -132,7 +152,7 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
 def projection_error(Xi, u_ref: np.ndarray) -> float:
     """Best-approximation error of the trial span in percent, in the
     Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense)."""
-    Q, _ = orthonormalize_columns(Xi)
+    Q, _, _ = orthonormalize_columns(Xi)
     return _percent_of(u_ref, u_ref - Q @ (Q.T @ u_ref))
 
 

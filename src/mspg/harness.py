@@ -224,29 +224,40 @@ class Workspace:
             self._w2 = test_space.build_W2(self.topology, self.op)
         return self._w2
 
-    def edge_spectrum(self, k: int, problem: int) -> test_space.EdgeSpectralResult:
-        """Full spectral result (all modes selected) of one edge.
+    def edge_spectrum(
+        self, k: int, problem: int, L: int = 1
+    ) -> test_space.EdgeSpectralResult:
+        """One edge's spectral result: every eigenvalue, and its first modes.
 
-        The edge's snapshot set is built for the eigenproblem and dropped
-        once it is reduced.
+        Only the first max(L, ``config.L``) eigen-combinations are kept (a
+        sweep sets ``config.L`` to its largest count); a larger L rebuilds
+        them.  The edge's snapshot set is built for the eigenproblem and
+        dropped once it is reduced.
         """
-        key = (k, problem)
-        if key not in self._spectrum:
+        key, keep = (k, problem), max(L, self.config.L)
+        if key not in self._spectrum or self._spectrum[key].L < keep:
             snap = test_space.build_W3_snapshots(self.topology, self.op, k)
             solver = (
                 test_space.eigenproblem_1 if problem == 1 else test_space.eigenproblem_2
             )
-            self._spectrum[key] = solver(snap, self.op, energy=self.config.edge_energy)
+            full = solver(snap, self.op, energy=self.config.edge_energy)
+            self._spectrum[key] = test_space.select_prefix(
+                full.edge,
+                problem,
+                full.eigenvalues,
+                np.ascontiguousarray(full.selected[:, :keep]),
+                keep,
+            )
         return self._spectrum[key]
 
     def w3_selection(self, L: int, problem: int) -> list[test_space.EdgeSpectralResult]:
-        """Per-edge prefix selections of the cached full spectra."""
+        """Per-edge prefix selections of the cached spectra."""
         out = []
         for k in range(len(self.topology.edges)):
-            full = self.edge_spectrum(k, problem)
+            spectrum = self.edge_spectrum(k, problem, L)
             out.append(
                 test_space.select_prefix(
-                    full.edge, problem, full.eigenvalues, full.selected, L
+                    spectrum.edge, problem, spectrum.eigenvalues, spectrum.selected, L
                 )
             )
         return out
@@ -260,25 +271,49 @@ class Workspace:
     # ---- solve ------------------------------------------------------
 
     def run_cell(
-        self, m: int, L: int, problem: int, online_iters: int = 0
+        self, m: int, L: int | list[int], problem: int, online_iters: int = 0
     ) -> list[ReportRow]:
-        """One report row for the offline solve, then one per online sweep."""
-        V, report = self.test_matrix(m, L, problem)
-        state = coupling.solve_coupled(self.op, V, self.trial(m).Xi)
+        """Report rows of the cells (m, L, problem) for one test count L or a
+        list of them: per L, in ascending order, one row for the offline
+        solve, then one per online sweep.
+
+        The test matrices are nested (``test_space.assemble_test_matrix``),
+        so the test basis is built once, for the largest L and ``config.L``,
+        and every L reads its solve off the leading block
+        (``coupling.leading_block``).  Only an L whose leading columns lost
+        one to the orthonormalization solves on its own test matrix.  The
+        basis lives until the last L is solved, and each online sweep is
+        handed its state, so no reference here keeps an outgrown basis.
+        """
+        Ls = sorted(np.atleast_1d(L).tolist())
+        Xi = self.trial(m).Xi
+        V, _ = self.test_matrix(m, max(Ls[-1], self.config.L), problem)
+        group = coupling.solve_coupled(self.op, V, Xi)
         rows = []
-        for it in range(online_iters + 1):
-            if it:
-                state, _ = coupling.online_enrich(state, self.topology, iterations=1)
-            infsup = coupling.infsup_estimate(state) if self.config.infsup else None
-            err = coupling.error_report(
-                state,
-                self.u_ref,
-                self.projection_error(m),
-                min_lambda_excluded=report.min_lambda_excluded,
-                infsup_est=infsup,
-                online_iter=it,
+        for i, L in enumerate(Ls):
+            report = test_space.spectral_report(
+                self.w1(m), self.w2(), self.w3_selection(L, problem)
             )
-            rows.append(self._row(m, L, problem, err))
+            n = report.n_w1 + report.n_w2 + report.n_w3
+            cell = [coupling.leading_block(group, n)]
+            if i == len(Ls) - 1:
+                del group  # the last L keeps only what it uses of the group
+            if cell[0] is None:
+                cell[0] = coupling.solve_coupled(self.op, V[:, :n], Xi)
+            for it in range(online_iters + 1):
+                if it:
+                    # popped: the sweep holds the only reference to what it grows
+                    cell.append(coupling.online_enrich(cell.pop(), self.topology)[0])
+                infsup = coupling.infsup_estimate(cell[0]) if self.config.infsup else None
+                err = coupling.error_report(
+                    cell[0],
+                    self.u_ref,
+                    self.projection_error(m),
+                    min_lambda_excluded=report.min_lambda_excluded,
+                    infsup_est=infsup,
+                    online_iter=it,
+                )
+                rows.append(self._row(m, L, problem, err))
         return rows
 
     def _row(self, m, L, problem, err: coupling.ErrorReport) -> ReportRow:
@@ -334,11 +369,14 @@ def sweep_experiment(
     for m, L, problem in itertools.product(ms, Ls, eigenproblems):
         replace(config, m=m, L=L, eigenproblem=problem)  # rejects a bad cell
     ws = Workspace(replace(config, m=max(ms), L=max(Ls)))
+    per_cell = online + 1
     rows = []
     for m in sorted(ms):
-        for L in sorted(Ls):
-            for problem in sorted(eigenproblems):
-                rows.extend(ws.run_cell(m, L, problem, online))
+        # one test basis per (m, eigenproblem), shared by every L
+        groups = [ws.run_cell(m, Ls, problem, online) for problem in sorted(eigenproblems)]
+        for i in range(len(Ls)):
+            for group in groups:
+                rows.extend(group[i * per_cell : (i + 1) * per_cell])
     return rows
 
 

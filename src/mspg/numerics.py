@@ -145,6 +145,17 @@ def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
         raise SolverFailureError(f"Gram matrix not positive definite: {exc}") from exc
 
 
+def _product_by_first_row(V: sp.csc_matrix, X: np.ndarray) -> np.ndarray:
+    """V X as a C-ordered array, for a CSC V without empty columns.
+
+    The product runs over the columns of V in order of their first stored
+    row, so consecutive columns update nearby rows of the result whatever
+    order the caller gave them.
+    """
+    order = np.argsort(np.minimum.reduceat(V.indices, V.indptr[:-1]), kind="stable")
+    return np.ascontiguousarray(V[:, order] @ X[order])
+
+
 def orthonormalize_columns(V, droptol: float = DROPTOL):
     """Euclidean orthonormal basis Q = V T of the column span of a sparse or
     dense V, with its coefficients T.
@@ -161,11 +172,17 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
 
     A column is dropped when its residual against the other columns is at
     most ``droptol`` times its norm, or lies below the rounding floor of
-    Theta_1^T Theta_1.  Kept columns keep their input order, so without
-    drops Q is the Q factor of V with a positive R diagonal, the same matrix
-    Gram-Schmidt produces.  Q is a C-ordered ndarray; T has one row per
+    Theta_1^T Theta_1.  Kept columns keep their input order and only the
+    drop step pivots, so T is upper triangular in them: without drops Q is
+    the Q factor of V with a positive R diagonal, the same matrix
+    Gram-Schmidt produces, and Q[:, :n] = V[:, :n] T[:n, :n] spans the first
+    n columns of V whenever none of them was dropped.
+
+    Returns (Q, T, kept): Q is a C-ordered ndarray; T has one row per
     column of V (zero for a zero column) and is the scaled C^{-1}, restricted
-    to the kept columns, times the inverses of the two CholeskyQR factors.
+    to the kept columns, times the inverses of the two CholeskyQR factors;
+    ``kept`` holds the ascending indices of the columns of V that Q keeps,
+    one per column of Q.
     """
     V = sp.csc_matrix(V, dtype=float)
     num_rows, num_cols = V.shape
@@ -173,7 +190,7 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     sq_norms = G.diagonal().copy()
     nonzero = np.flatnonzero(sq_norms > 0.0)
     if nonzero.size == 0:
-        return np.zeros((num_rows, 0)), np.zeros((num_cols, 0))
+        return np.zeros((num_rows, 0)), np.zeros((num_cols, 0)), nonzero
     K = nonzero.size
     if K < num_cols:
         V = V[:, nonzero]
@@ -190,7 +207,7 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     del G
     T, _ = lapack.dtrtri(C, lower=0, overwrite_c=1)  # Fortran-ordered
     T *= scale[:, None]
-    theta = np.ascontiguousarray(V @ T)
+    theta = _product_by_first_row(V, T)
     del C
 
     # a column with relative residual r against the others keeps a residual
@@ -213,4 +230,4 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
         T_full = np.zeros((num_cols, T.shape[1]), order="F")
         T_full[nonzero] = T
         T = T_full
-    return theta, T
+    return theta, T, nonzero[kept]

@@ -249,19 +249,11 @@ class SpectralReport:
     min_lambda_excluded: float
 
 
-def assemble_test_matrix(
-    w1: BubbleSet,
-    w2: VertexTraceSet,
-    w3_results: list[EdgeSpectralResult],
-):
-    """Concatenate all components sparsely.
-
-    Returns the raw CSC test matrix V = [W1 W2 W3] together with a report of
-    retained counts and the per-edge excluded eigenvalues.
-    """
-    w3 = column_sparse(w1.columns.shape[0], [(r.edge.region, r.selected) for r in w3_results])
-    raw = sp.hstack([w1.columns, w2.columns, w3], format="csc")
-    report = SpectralReport(
+def spectral_report(
+    w1: BubbleSet, w2: VertexTraceSet, w3_results: list[EdgeSpectralResult]
+) -> SpectralReport:
+    """Retained counts and the smallest excluded edge eigenvalue."""
+    return SpectralReport(
         n_w1=w1.count,
         n_w2=w2.count,
         n_w3=sum(r.L for r in w3_results),
@@ -270,7 +262,32 @@ def assemble_test_matrix(
             (r.lambda_excluded for r in w3_results), default=np.inf
         ),
     )
-    return raw, report
+
+
+def assemble_test_matrix(
+    w1: BubbleSet,
+    w2: VertexTraceSet,
+    w3_results: list[EdgeSpectralResult],
+):
+    """Concatenate all components sparsely.
+
+    Returns the raw CSC test matrix V = [W1 W2 W3] together with its
+    ``spectral_report``.  W3 is mode-major: every edge's first mode, then
+    every edge's second mode, and so on.  The edge selections are nested
+    prefixes, so the test matrix of L modes per edge is exactly the leading
+    n_w1 + n_w2 + n_w3 columns of the one of any larger L.
+    """
+    w3 = column_sparse(
+        w1.columns.shape[0],
+        [
+            (r.edge.region, r.selected[:, j : j + 1])
+            for j in range(max((r.L for r in w3_results), default=0))
+            for r in w3_results
+            if j < r.L
+        ],
+    )
+    raw = sp.hstack([w1.columns, w2.columns, w3], format="csc")
+    return raw, spectral_report(w1, w2, w3_results)
 
 
 @dataclass(frozen=True)
@@ -280,12 +297,15 @@ class TestBasis:
 
     ``V`` holds the raw columns (CSC) and ``T`` their coefficients, one row
     per column of V; ``Q = A^T V T`` has orthonormal columns, so the test
-    block of the saddle system is the identity.
+    block of the saddle system is the identity.  ``kept`` holds the
+    ascending indices of the columns of V that the orthonormalization kept,
+    one per column of Q.
     """
 
     V: sp.csc_matrix
     T: np.ndarray
     Q: np.ndarray
+    kept: np.ndarray
 
     @property
     def count(self) -> int:
@@ -296,8 +316,8 @@ def test_basis(op: SparseOperator, V) -> TestBasis:
     """Basis of the span of the sparse or dense ``V``; a column that adds
     nothing in the w-norm is dropped by ``orthonormalize_columns``."""
     V = sp.csc_matrix(V, dtype=float)
-    Q, T = orthonormalize_columns(op.A.T @ V)
-    return TestBasis(V=V, T=T, Q=Q)
+    Q, T, kept = orthonormalize_columns(op.A.T @ V)
+    return TestBasis(V=V, T=T, Q=Q, kept=kept)
 
 
 def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
@@ -319,11 +339,12 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
         Y -= basis.Q @ C
         S += C
     keep = np.linalg.norm(Y, axis=0) > DROPTOL * norms
-    Q_n, T_n = orthonormalize_columns(Y[:, keep])
+    Q_n, T_n, kept_n = orthonormalize_columns(Y[:, keep])
     if not T_n.shape[1]:
         return basis
     T = np.block(
         [[basis.T, -basis.T @ (S[:, keep] @ T_n)], [np.zeros((T_n.shape[0], basis.count)), T_n]]
     )
     V = sp.hstack([basis.V, new[:, keep]], format="csc")
-    return TestBasis(V=V, T=T, Q=np.hstack([basis.Q, Q_n]))
+    kept = np.concatenate([basis.kept, basis.V.shape[1] + kept_n])
+    return TestBasis(V=V, T=T, Q=np.hstack([basis.Q, Q_n]), kept=kept)

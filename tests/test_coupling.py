@@ -140,7 +140,7 @@ def _lifted_infsup(op, V, Xi):
     transposed operator and project it onto the test span A^T Theta, taken
     through a Householder QR of A^T Theta for a Euclidean orthonormal Theta
     (no Gram of A^T Theta, whose condition would square)."""
-    Theta, _ = orthonormalize_columns(V)
+    Theta, _, _ = orthonormalize_columns(V)
     Z = spla.splu(op.A.T.tocsc()).solve(Xi.toarray())
     W = op.A.T @ Z
     C = W.T @ np.linalg.qr(op.A.T @ Theta)[0]
@@ -347,3 +347,61 @@ def test_w_fine_is_the_adjoint_lift_of_the_test_coefficients(request, name, m, L
     state = solve_coupled(ws.op, V, ws.trial(m).Xi)
     lift = spla.splu(ws.op.A.T.tocsc()).solve(state.basis.Q @ state.w)
     assert _relative(state.w_fine, lift) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["tiny", "ws_contrast"])
+def test_leading_block_matches_the_solve_on_its_own_test_matrix(request, name):
+    # V(L) is the leading block of V(L_max), so the rows G_wu[:n] and
+    # rhs_w[:n] of the larger solve give the solve on V(L)
+    ws = request.getfixturevalue(name)
+    m, problem, L_max = ws.config.m, ws.config.eigenproblem, ws.topology.r - 1
+    Xi, proj = ws.trial(m).Xi, ws.projection_error(m)
+    group = solve_coupled(ws.op, ws.test_matrix(m, L_max, problem)[0], Xi)
+    for L in range(1, L_max):
+        V, _ = ws.test_matrix(m, L, problem)
+        cell = coupling.leading_block(group, V.shape[1])
+        own = solve_coupled(ws.op, V, Xi)
+        assert cell is not None and cell.basis.count == own.basis.count
+        assert np.shares_memory(cell.basis.Q, group.basis.Q)
+        rep_cell, rep_own = error_report(cell, ws.u_ref, proj), error_report(own, ws.u_ref, proj)
+        for field in ("err_ms_pct", "w_norm"):
+            assert getattr(rep_cell, field) == pytest.approx(getattr(rep_own, field), rel=1e-10)
+        assert _relative(cell.u_fine, own.u_fine) <= 1e-10
+
+
+def test_a_dropped_leading_column_takes_its_own_solve(tiny, monkeypatch):
+    # a copy of a W2 column sits in the leading columns of every V(L); the
+    # kernel drops one of the two, so no leading block spans a smaller V(L)
+    w2 = tiny.w2()
+    doubled = test_space.VertexTraceSet(
+        columns=sp.hstack([w2.columns, w2.columns[:, [0]]], format="csc"),
+        node_ids=np.append(w2.node_ids, w2.node_ids[0]),
+    )
+    monkeypatch.setattr(tiny, "w2", lambda: doubled)
+    widths, kernel = [], test_space.orthonormalize_columns
+
+    def counting_kernel(X, *args, **kwargs):
+        widths.append(X.shape[1])
+        return kernel(X, *args, **kwargs)
+
+    monkeypatch.setattr(test_space, "orthonormalize_columns", counting_kernel)
+    rows = tiny.run_cell(1, [1, 2], 1)
+    sizes = [tiny.test_matrix(1, L, 1)[0].shape[1] for L in (3, 1, 2)]
+    assert widths[:3] == sizes  # the group's V(3), then each V(L) on its own
+    Xi, proj = tiny.trial(1).Xi, tiny.projection_error(1)
+    for row, L in zip(rows, (1, 2)):
+        own = error_report(solve_coupled(tiny.op, tiny.test_matrix(1, L, 1)[0], Xi), tiny.u_ref, proj)
+        assert (row.L_test, row.err_ms_pct) == (L, pytest.approx(own.err_ms_pct, rel=1e-12))
+        assert row.w_norm == pytest.approx(own.w_norm, rel=1e-12)
+
+
+def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
+    Xi = tiny.trial(1).Xi
+    group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
+    before = [a.copy() for a in (group.basis.Q, group.basis.T, group.G_wu, group.rhs_w)]
+    cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
+    assert np.shares_memory(cell.basis.Q, group.basis.Q)
+    enriched, reports = online_enrich(cell, tiny.topology, iterations=2)
+    assert sum(rep.added_columns for rep in reports) > 0
+    after = (group.basis.Q, group.basis.T, group.G_wu, group.rhs_w)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))

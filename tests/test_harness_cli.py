@@ -112,9 +112,40 @@ def test_sweep_deterministic_bytes():
 
 
 def test_sweep_row_order():
-    rows = sweep_experiment(small_config(), [2, 1], [3, 1], [1])
-    cells = [(r.m_trial, r.L_test) for r in rows]
-    assert cells == [(1, 1), (1, 3), (2, 1), (2, 3)]
+    # the sweep solves per (m, eigenproblem) group but emits (m, L, eig) order
+    rows = sweep_experiment(small_config(), [2, 1], [3, 1, 2], [2, 1], online_iters=1)
+    keys = [(r.m_trial, r.L_test, r.eigenproblem, r.online_iter) for r in rows]
+    assert keys == [
+        (m, L, p, it) for m in (1, 2) for L in (1, 2, 3) for p in (1, 2) for it in (0, 1)
+    ]
+    # each cell's rows are the ones of the cell run on its own
+    for i in range(0, len(rows), 2):
+        m, L, problem, _ = keys[i]
+        alone = run_experiment(small_config(m=m, L=L, eigenproblem=problem, online_iters=1))
+        for mine, theirs in zip(rows[i : i + 2], alone):
+            for field in ("err_ms_pct", "w_norm", "min_lambda_excluded"):
+                assert getattr(mine, field) == pytest.approx(getattr(theirs, field), rel=1e-10)
+
+
+def test_sweep_orthonormalizes_once_per_trial_count_and_eigenproblem(tmp_path, monkeypatch):
+    # every test count of a (m, eigenproblem) group is a leading block of the
+    # largest one's basis: 2 offline kernel calls here, not one per cell (4)
+    from mspg import test_space
+
+    calls = []
+    kernel = test_space.orthonormalize_columns
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(test_space, "orthonormalize_columns", counting_kernel)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--example", "1", "--alpha", "2", "--coarse", "4", "--fine", "16",
+            "--trial", "1", "--test", "1,3", "--eig", "1,2", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 4
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -178,14 +178,14 @@ def test_local_solves_go_through_the_checked_kernel():
 
 def test_orthonormalize_drops_duplicates():
     v = np.random.default_rng(0).standard_normal(10)
-    out, _ = orthonormalize_columns(np.stack([v, v], axis=1))
+    out, _, _ = orthonormalize_columns(np.stack([v, v], axis=1))
     assert out.shape == (10, 1)
 
 
 def test_orthonormalize_keeps_orthonormal_input():
     rng = np.random.default_rng(1)
     Q = np.linalg.qr(rng.standard_normal((12, 4)))[0]
-    out, _ = orthonormalize_columns(Q)
+    out, _, _ = orthonormalize_columns(Q)
     assert np.allclose(out, Q, atol=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_orthonormalize_rank_detection():
     rng = np.random.default_rng(2)
     base = rng.standard_normal((20, 3))
     V = base @ rng.standard_normal((3, 5))
-    out, _ = orthonormalize_columns(V)
+    out, _, _ = orthonormalize_columns(V)
     assert out.shape[1] == np.linalg.matrix_rank(V)  # SVD oracle: 3
     assert np.allclose(out.T @ out, np.eye(3), atol=1e-10)
     # span preserved: projecting the input onto the output loses nothing
@@ -204,7 +204,7 @@ def test_orthonormalize_rank_detection():
 def test_orthonormalize_orthogonality_tolerance():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((60, 25))
-    out, _ = orthonormalize_columns(V)
+    out, _, _ = orthonormalize_columns(V)
     assert abs(out.T @ out - np.eye(out.shape[1])).max() < 1e-10
 
 
@@ -212,8 +212,8 @@ def test_orthonormalize_sparse_matches_dense():
     rng = np.random.default_rng(6)
     S = sp.random(200, 30, density=0.08, format="csc", random_state=rng)
     S = sp.hstack([S, S[:, [3]] - 2.0 * S[:, [7]]], format="csc")  # one dependent
-    from_sparse, _ = orthonormalize_columns(S)
-    from_dense, _ = orthonormalize_columns(S.toarray())
+    from_sparse, _, _ = orthonormalize_columns(S)
+    from_dense, _, _ = orthonormalize_columns(S.toarray())
     assert from_sparse.shape == from_dense.shape == (200, np.linalg.matrix_rank(S.toarray()))
     # same span: equal orthogonal projectors
     assert np.allclose(from_sparse @ from_sparse.T, from_dense @ from_dense.T, atol=1e-12)
@@ -235,7 +235,7 @@ def _with_residual_column(rel_residual, seed):
 
 def test_orthonormalize_keeps_small_residual_column():
     V, outside = _with_residual_column(1e-7, seed=7)
-    out, _ = orthonormalize_columns(V, droptol=1e-10)
+    out, _, _ = orthonormalize_columns(V, droptol=1e-10)
     assert out.shape[1] == 9
     # the kept column carries the residual direction, not rounding noise
     assert np.linalg.norm(out.T @ outside) > 1.0 - 1e-6
@@ -245,7 +245,7 @@ def test_orthonormalize_keeps_small_residual_column():
 
 def test_orthonormalize_drops_rounding_level_residual_column():
     V, _ = _with_residual_column(1e-13, seed=8)
-    out, _ = orthonormalize_columns(V, droptol=1e-10)
+    out, _, _ = orthonormalize_columns(V, droptol=1e-10)
     assert out.shape[1] == 8
     resid = V - out @ (out.T @ V)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(V)
@@ -254,10 +254,10 @@ def test_orthonormalize_drops_rounding_level_residual_column():
 def test_orthonormalize_drops_zero_columns():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, 12))
-    out, _ = orthonormalize_columns(np.column_stack([a, np.zeros(12), b]))
+    out, _, _ = orthonormalize_columns(np.column_stack([a, np.zeros(12), b]))
     assert out.shape == (12, 2)
-    Q, T = orthonormalize_columns(sp.csc_matrix((12, 3)))
-    assert Q.shape == (12, 0) and T.shape == (3, 0)
+    Q, T, kept = orthonormalize_columns(sp.csc_matrix((12, 3)))
+    assert Q.shape == (12, 0) and T.shape == (3, 0) and kept.size == 0
 
 
 def test_orthonormalize_ill_conditioned_input_stays_orthonormal():
@@ -267,7 +267,7 @@ def test_orthonormalize_ill_conditioned_input_stays_orthonormal():
     V = U @ np.diag(np.logspace(0.0, -8.0, 40)) @ W.T
     scaled = V / np.linalg.norm(V, axis=0)
     assert np.linalg.cond(scaled) >= 1e7
-    out, _ = orthonormalize_columns(V)
+    out, _, _ = orthonormalize_columns(V)
     assert out.shape == (300, 40)
     assert np.abs(out.T @ out - np.eye(40)).max() <= 1e-12
     assert np.linalg.norm(U - out @ (out.T @ U)) <= 1e-6
@@ -278,9 +278,12 @@ def test_orthonormalize_returns_the_coefficients_of_its_columns():
     S = sp.random(120, 20, density=0.1, format="csc", random_state=rng)
     zero, dependent = sp.csc_matrix((120, 1)), S[:, [2]] - 3.0 * S[:, [9]]
     V = sp.hstack([S[:, :5], zero, S[:, 5:], dependent], format="csc")
-    Q, T = orthonormalize_columns(V)
+    Q, T, kept = orthonormalize_columns(V)
     assert Q.shape == (120, 20) and T.shape == (22, 20)
     assert not T[5].any()  # the zero column contributes nothing
+    # one kept index per column of Q; the zero column and one of the three
+    # dependent ones are not kept
+    assert kept.size == 20 and np.all(np.diff(kept) > 0) and 5 not in kept
     assert np.abs(V @ T - Q).max() <= 1e-13
     assert np.abs(Q.T @ Q - np.eye(20)).max() <= 1e-12
 

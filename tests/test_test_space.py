@@ -261,3 +261,51 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
         col += res.L
     rank = np.linalg.matrix_rank(raw, tol=1e-8 * np.linalg.norm(raw))
     assert test_space.test_basis(ws_small.op, V).count == rank
+
+
+@pytest.mark.parametrize("problem", [1, 2])
+def test_test_matrix_of_fewer_modes_is_a_leading_block(ws_small, problem):
+    # W3 is mode-major, so V(L) is the leading block of V(L_max), stored alike
+    L_max = ws_small.topology.r - 1
+    V_max, _ = ws_small.test_matrix(1, L_max, problem)
+    for L in range(1, L_max):
+        V, report = ws_small.test_matrix(1, L, problem)
+        n = report.n_w1 + report.n_w2 + report.n_w3
+        lead = V_max[:, :n]
+        assert V.shape == lead.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(V, part), getattr(lead, part)), (L, part)
+
+
+def test_w3_columns_are_mode_major(ws_small):
+    w1, w2, sel = ws_small.w1(1), ws_small.w2(), ws_small.w3_selection(3, 2)
+    V, _ = assemble_test_matrix(w1, w2, sel)
+    start, E = w1.count + w2.count, len(sel)
+    for j in range(3):
+        for e, res in enumerate(sel):
+            col = V[:, start + j * E + e].toarray().ravel()
+            assert np.array_equal(col[res.edge.region], res.selected[:, j])
+            assert not np.delete(col, res.edge.region).any()
+
+
+@pytest.mark.parametrize("order", ["mode_major", "edge_major"])
+def test_row_sorted_product_matches_the_plain_product(ws_small, monkeypatch, order):
+    # the kernel forms V C^{-1} over the columns sorted by first stored row;
+    # the plain product gives the same Q and T to rounding
+    from mspg import numerics
+
+    V, report = ws_small.test_matrix(1, 3, 2)
+    n0, E = report.n_w1 + report.n_w2, len(report.edge_results)
+    if order == "edge_major":
+        V = V[:, np.concatenate([np.arange(n0), n0 + np.arange(3 * E).reshape(3, E).T.ravel()])]
+    Y = (ws_small.op.A.T @ V).tocsc()
+    first_rows = np.minimum.reduceat(Y.indices, Y.indptr[:-1])
+    assert np.any(np.diff(first_rows) < 0)  # the sort reorders the columns
+    Q, T, kept = numerics.orthonormalize_columns(Y)
+    monkeypatch.setattr(
+        numerics, "_product_by_first_row", lambda V, X: np.ascontiguousarray(V @ X)
+    )
+    Q_plain, T_plain, kept_plain = numerics.orthonormalize_columns(Y)
+    assert np.array_equal(kept, kept_plain)
+    assert np.abs(Q - Q_plain).max() <= 1e-13
+    assert np.abs(T - T_plain).max() <= 1e-13 * np.abs(T_plain).max()
