@@ -24,6 +24,7 @@ from .numerics import (
     generalized_sym_eig,
     local_dirichlet_solve,
     orthonormalize_columns,
+    serial_blas,
 )
 from .test_space import TestBasis, extend_test_basis, test_basis
 
@@ -207,17 +208,18 @@ class OnlineSweepReport:
 
 def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor):
     """Local squared-operator solves against the residual, one CSC column
-    per node."""
+    per node, on one BLAS thread (``serial_blas``)."""
     op = state.op
     blocks = []
-    for node in nodes:
-        I = topology.neighborhoods[int(node)].interior
-        r_I = r[I]
-        if np.linalg.norm(r_I) <= floor:
-            continue
-        A_I = op.A[I, :]
-        x = local_dirichlet_solve((A_I @ A_I.T).tocsc(), r_I, label=f"node {node} online")
-        blocks.append((I, x[:, None]))
+    with serial_blas():
+        for node in nodes:
+            I = topology.neighborhoods[int(node)].interior
+            r_I = r[I]
+            if np.linalg.norm(r_I) <= floor:
+                continue
+            A_I = op.A[I, :]
+            x = local_dirichlet_solve((A_I @ A_I.T).tocsc(), r_I, label=f"node {node} online")
+            blocks.append((I, x[:, None]))
     return column_sparse(op.A.shape[0], blocks)
 
 

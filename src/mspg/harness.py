@@ -22,6 +22,7 @@ from .assembly import CoefficientField, SparseOperator, assemble, solve_fine_ref
 from .errors import ConfigError, UnknownExampleError
 from .fields import ALPHA_DEFAULTS, DELTA_DEFAULT, DIFFUSION_ALPHA, field_for_example
 from .grid import FineMesh, build_coarse_topology, build_fine_mesh
+from .numerics import serial_blas
 
 PECLET_WARN = 2.0
 
@@ -182,22 +183,24 @@ class Workspace:
         Only each neighborhood's eigen-combinations are kept, up to the
         larger of ``config.m`` and the largest m asked for (a sweep sets
         ``config.m`` to its largest count); the snapshot sets are dropped
-        once they are reduced.
+        once they are reduced.  The neighborhood loop runs on one BLAS
+        thread (``numerics.serial_blas``).
         """
         if m not in self._trial:
             if m > self._eigen_m:
                 m_max, bases = max(m, self.config.m), []
-                for node in range(self.topology.num_coarse_nodes):
-                    snap = trial_space.trial_snapshots(self.topology, self.op, node)
-                    if snap.count:
-                        bases.append(
-                            trial_space.trial_eigenbasis(
-                                snap,
-                                self.op,
-                                min(m_max, snap.count),
-                                restriction=self.config.trial_restriction,
+                with serial_blas():
+                    for node in range(self.topology.num_coarse_nodes):
+                        snap = trial_space.trial_snapshots(self.topology, self.op, node)
+                        if snap.count:
+                            bases.append(
+                                trial_space.trial_eigenbasis(
+                                    snap,
+                                    self.op,
+                                    min(m_max, snap.count),
+                                    restriction=self.config.trial_restriction,
+                                )
                             )
-                        )
                 self._eigenbases, self._eigen_m = bases, m_max
             self._trial[m] = trial_space.assemble_trial_matrix(
                 self.topology, self._eigenbases, self.chi, m
@@ -216,12 +219,14 @@ class Workspace:
 
     def w1(self, m: int) -> test_space.BubbleSet:
         if m not in self._w1:
-            self._w1[m] = test_space.build_W1(self.topology, self.op, self.trial(m).Xi)
+            with serial_blas():
+                self._w1[m] = test_space.build_W1(self.topology, self.op, self.trial(m).Xi)
         return self._w1[m]
 
     def w2(self) -> test_space.VertexTraceSet:
         if self._w2 is None:
-            self._w2 = test_space.build_W2(self.topology, self.op)
+            with serial_blas():
+                self._w2 = test_space.build_W2(self.topology, self.op)
         return self._w2
 
     def edge_spectrum(
@@ -236,11 +241,12 @@ class Workspace:
         """
         key, keep = (k, problem), max(L, self.config.L)
         if key not in self._spectrum or self._spectrum[key].L < keep:
-            snap = test_space.build_W3_snapshots(self.topology, self.op, k)
             solver = (
                 test_space.eigenproblem_1 if problem == 1 else test_space.eigenproblem_2
             )
-            full = solver(snap, self.op, energy=self.config.edge_energy)
+            with serial_blas():
+                snap = test_space.build_W3_snapshots(self.topology, self.op, k)
+                full = solver(snap, self.op, energy=self.config.edge_energy)
             self._spectrum[key] = test_space.select_prefix(
                 full.edge,
                 problem,
