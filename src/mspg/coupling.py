@@ -4,12 +4,13 @@ residual-driven test enrichment loop.
 The reduced blocks contract the fine operator with the test basis and the
 trial matrix Xi.  The test basis is orthonormal in the natural norm of the
 auxiliary variable (``test_space.TestBasis``), so the test block is the
-identity and the squared fine operator is never materialized.
+identity and the squared fine operator is never materialized.  The basis is
+the sparse A^T V with small coefficients T, so every block is a sparse
+product and no dense array has a row per fine dof and a column per function.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,10 @@ from .errors import SolverFailureError
 from .grid import CoarseTopology, coloring
 from .numerics import (
     column_sparse,
+    full_rank_lstsq,
     generalized_sym_eig,
     local_dirichlet_solve,
+    orthonormal_row_blocks,
     orthonormalize_columns,
     serial_blas,
 )
@@ -35,12 +38,9 @@ RESIDUAL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SaddleState:
-    """Solved reduced system with its fine-grid expansions.
-
-    The test block is the identity in ``basis``, so no factor of it is
-    kept; the online loop grows ``basis``, ``G_wu`` and ``rhs_w``.  ``Xi``
-    is CSC.
-    """
+    """Solved reduced system with its fine-grid expansions; the test block
+    is the identity in ``basis``, the online loop grows ``basis``, ``G_wu``
+    and ``rhs_w``, and ``Xi`` is CSC."""
 
     op: SparseOperator
     basis: TestBasis
@@ -56,15 +56,13 @@ class SaddleState:
 def _solved_state(op, basis, Xi, G_wu, rhs_w) -> SaddleState:
     """Solve [[I, G_wu], [G_wu^T, 0]] [w; u] = [rhs_w; 0].
 
-    The trial unknowns solve the M x M system G_wu^T G_wu u = G_wu^T rhs_w
-    with partial pivoting (a singular one means a rank-deficient G_wu), and
+    u is the least-squares solution of G_wu u = rhs_w from a Householder QR
+    of G_wu (``numerics.full_rank_lstsq``; a rank-deficient G_wu fails), and
     w = rhs_w - G_wu u.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sla.LinAlgWarning)
-            u = sla.solve(G_wu.T @ G_wu, G_wu.T @ rhs_w, overwrite_a=True, overwrite_b=True)
-    except (sla.LinAlgError, sla.LinAlgWarning) as exc:
+        u = full_rank_lstsq(G_wu, rhs_w)
+    except sla.LinAlgError as exc:
         N, M = G_wu.shape
         raise SolverFailureError(
             f"singular reduced system (blocks N={N}, M={M}, "
@@ -93,7 +91,7 @@ def solve_coupled(op: SparseOperator, V, Xi) -> SaddleState:
     Xi = sp.csc_matrix(Xi, dtype=float)
     basis = test_basis(op, V)
     rhs_w = basis.T.T @ (basis.V.T @ op.f)
-    return _solved_state(op, basis, Xi, (Xi.T @ basis.Q).T, rhs_w)
+    return _solved_state(op, basis, Xi, basis.T.T @ (basis.AtV.T @ Xi), rhs_w)
 
 
 def leading_block(state: SaddleState, n: int) -> SaddleState | None:
@@ -102,17 +100,17 @@ def leading_block(state: SaddleState, n: int) -> SaddleState | None:
     The orthonormalization keeps its columns in order with T upper
     triangular, so when none of the first n columns was dropped Q[:, :n] =
     A^T V[:, :n] T[:n, :n] is their basis; the blocks G_wu and rhs_w are
-    then the leading n rows of the state's, all views, and only the M x M
-    system is solved again.  A dropped one may have depended on later
-    columns only, so then the result is None and the span needs its own
-    ``solve_coupled``.  All columns give ``state`` itself.
+    then the leading n rows of the state's, views like T[:n, :n], and only
+    the small system is solved again.  A dropped one may have depended on
+    later columns only, so then the result is None and the span needs its
+    own ``solve_coupled``.  All columns give ``state`` itself.
     """
     basis = state.basis
     if n == basis.V.shape[1]:
         return state
     if np.searchsorted(basis.kept, n) != n:
         return None
-    lead = TestBasis(V=basis.V[:, :n], T=basis.T[:n, :n], Q=basis.Q[:, :n], kept=basis.kept[:n])
+    lead = TestBasis(basis.V[:, :n], basis.AtV[:, :n], basis.T[:n, :n], basis.kept[:n])
     return _solved_state(state.op, lead, state.Xi, state.G_wu[:n], state.rhs_w[:n])
 
 
@@ -128,7 +126,7 @@ def append_test_columns(state: SaddleState, new) -> SaddleState:
     basis = extend_test_basis(state.basis, op, new)
     if basis is state.basis:
         return state
-    G_wu = np.vstack([state.G_wu, (state.Xi.T @ basis.Q[:, old:]).T])
+    G_wu = np.vstack([state.G_wu, basis.T[:, old:].T @ (basis.AtV.T @ state.Xi)])
     rhs_w = np.concatenate([state.rhs_w, basis.T[:, old:].T @ (basis.V.T @ op.f)])
     return _solved_state(op, basis, state.Xi, G_wu, rhs_w)
 
@@ -153,8 +151,10 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
 def projection_error(Xi, u_ref: np.ndarray) -> float:
     """Best-approximation error of the trial span in percent, in the
     Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense)."""
-    Q, _, _ = orthonormalize_columns(Xi)
-    return _percent_of(u_ref, u_ref - Q @ (Q.T @ u_ref))
+    _, _, steps = orthonormalize_columns(Xi)
+    coefficients = sum(Q.T @ u_ref[rows] for rows, Q in orthonormal_row_blocks(Xi, steps))
+    projection = np.concatenate([Q @ coefficients for _, Q in orthonormal_row_blocks(Xi, steps)])
+    return _percent_of(u_ref, u_ref - projection)
 
 
 def error_report(
@@ -193,10 +193,9 @@ def infsup_estimate(state: SaddleState) -> float:
 
 
 def residual_full(state: SaddleState) -> np.ndarray:
-    """Strong residual of the first block equation on the fine grid; A^T
-    w_fine is Q w."""
+    """Strong residual of the first block equation on the fine grid."""
     op = state.op
-    return op.A @ (state.basis.Q @ state.w + state.u_fine) - op.f
+    return op.A @ (op.A.T @ state.w_fine + state.u_fine) - op.f
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,6 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int 
             before = state.basis.count
             state = append_test_columns(state, new)
             added += state.basis.count - before
-        reports.append(
-            OnlineSweepReport(
-                iteration=it,
-                added_columns=added,
-                residual_norm=float(np.linalg.norm(residual_full(state))),
-            )
-        )
+        residual_norm = float(np.linalg.norm(residual_full(state)))
+        reports.append(OnlineSweepReport(it, added, residual_norm))
     return state, reports

@@ -287,32 +287,27 @@ class Workspace:
         so the test basis is built once, for the largest L and ``config.L``,
         and every L reads its solve off the leading block
         (``coupling.leading_block``).  Only an L whose leading columns lost
-        one to the orthonormalization solves on its own test matrix.  The
-        basis lives until the last L is solved, and each online sweep is
-        handed its state, so no reference here keeps an outgrown basis.
+        one to the orthonormalization solves on its own test matrix.
         """
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m).Xi
         V, _ = self.test_matrix(m, max(Ls[-1], self.config.L), problem)
         group = coupling.solve_coupled(self.op, V, Xi)
         rows = []
-        for i, L in enumerate(Ls):
+        for L in Ls:
             report = test_space.spectral_report(
                 self.w1(m), self.w2(), self.w3_selection(L, problem)
             )
             n = report.n_w1 + report.n_w2 + report.n_w3
-            cell = [coupling.leading_block(group, n)]
-            if i == len(Ls) - 1:
-                del group  # the last L keeps only what it uses of the group
-            if cell[0] is None:
-                cell[0] = coupling.solve_coupled(self.op, V[:, :n], Xi)
+            state = coupling.leading_block(group, n)
+            if state is None:
+                state = coupling.solve_coupled(self.op, V[:, :n], Xi)
             for it in range(online_iters + 1):
                 if it:
-                    # popped: the sweep holds the only reference to what it grows
-                    cell.append(coupling.online_enrich(cell.pop(), self.topology)[0])
-                infsup = coupling.infsup_estimate(cell[0]) if self.config.infsup else None
+                    state = coupling.online_enrich(state, self.topology)[0]
+                infsup = coupling.infsup_estimate(state) if self.config.infsup else None
                 err = coupling.error_report(
-                    cell[0],
+                    state,
                     self.u_ref,
                     self.projection_error(m),
                     min_lambda_excluded=report.min_lambda_excluded,

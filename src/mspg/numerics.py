@@ -63,12 +63,10 @@ def serial_blas():
 
     For the per-region stages: their dense kernels are small (a 32 x 32
     generalized ``eigh`` took 0.21 ms on one thread and 3.9 ms on two, on
-    a 2-vCPU Xeon), while the global N x K kernels outside the scope keep
-    the thread count the process started with (``OPENBLAS_NUM_THREADS``).
-    The setting is process-wide while the scope is open, so BLAS calls
-    from other Python threads run on one thread too.  Without an OpenBLAS
-    it does nothing.
-    """
+    a 2-vCPU Xeon), while the global kernels outside the scope keep the
+    process's count (``OPENBLAS_NUM_THREADS``).  The setting is process-
+    wide while the scope is open, so BLAS calls from other Python threads
+    run on one thread too.  Without an OpenBLAS it does nothing."""
     return _blas_threads(1)
 
 
@@ -176,6 +174,27 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
 # a column is dropped when its residual against the others is at most
 # DROPTOL of its norm
 DROPTOL = 1e-10
+# bytes of one row block of an orthonormal Q, the most of Q ever held
+ROW_BLOCK_BYTES = 32 * 2**20
+
+
+def full_rank_lstsq(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||G x - b|| from a Householder QR of G (the normal equations
+    would square its condition).  The R factor of [G b] holds R and Q^T b;
+    the QR runs on one BLAS thread, 7 ms against 21 ms on two for a
+    1601 x 148 G (2-vCPU Xeon).  ``LinAlgError`` when G has fewer rows than
+    columns or the 1-norm reciprocal condition of R (``dtrcon``) is at most
+    max(G.shape) eps, the rank tolerance of ``numpy.linalg.matrix_rank``."""
+    rows, cols = G.shape
+    if rows < cols:
+        raise sla.LinAlgError(f"{rows} equations for {cols} unknowns")
+    lwork = int(lapack.dgeqrf_lwork(rows, cols + 1)[0])  # the default one runs unblocked
+    with serial_blas():
+        R = lapack.dgeqrf(np.column_stack([G, b]), lwork=lwork)[0][:cols]  # upper triangle
+    rcond, _ = lapack.dtrcon(R[:, :cols])
+    if not rcond > max(rows, cols) * np.finfo(float).eps:
+        raise sla.LinAlgError(f"R factor has reciprocal condition number {rcond:.1e}")
+    return sla.solve_triangular(R[:, :cols], R[:, cols])
 
 
 def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -187,9 +206,27 @@ def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return blas.dtrsm(1.0, R, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
 
-def _gram_upper(X: np.ndarray) -> np.ndarray:
-    """Upper triangle of X^T X for a C-ordered X, without a transposed copy."""
-    return blas.dsyrk(1.0, X.T)
+def orthonormal_row_blocks(V, steps):
+    """Row blocks ``(rows, V[rows] C R_1^{-1} R_2^{-1})`` of the Q that
+    ``orthonormalize_columns`` made of V with ``steps`` = (C, R_1, R_2), in
+    the kernel's order of operations; a prefix of ``steps`` gives its
+    intermediate factors.  ``rows`` is a slice; C and each block C-ordered."""
+    V, (C, *factors) = sp.csr_matrix(V, dtype=float), steps
+    step = max(1, ROW_BLOCK_BYTES // (8 * max(C.shape[1], 1)))
+    for start in range(0, V.shape[0], step):
+        rows = slice(start, start + step)
+        block = V[rows] @ C
+        for R in factors:
+            block = _solve_right_upper(block, R)
+        yield rows, block
+
+
+def _gram_upper(V, steps) -> np.ndarray:
+    """Upper triangle of X^T X, by ``dsyrk`` over the row blocks of X."""
+    gram = np.zeros((steps[0].shape[1],) * 2, order="F")
+    for _, block in orthonormal_row_blocks(V, steps):
+        gram = blas.dsyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
+    return gram
 
 
 def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
@@ -200,56 +237,37 @@ def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
         raise SolverFailureError(f"Gram matrix not positive definite: {exc}") from exc
 
 
-def _product_by_first_row(V: sp.csc_matrix, X: np.ndarray) -> np.ndarray:
-    """V X as a C-ordered array, for a CSC V without empty columns.
-
-    The product runs over the columns of V in order of their first stored
-    row, so consecutive columns update nearby rows of the result whatever
-    order the caller gave them.
-    """
-    order = np.argsort(np.minimum.reduceat(V.indices, V.indptr[:-1]), kind="stable")
-    return np.ascontiguousarray(V[:, order] @ X[order])
-
-
 def orthonormalize_columns(V, droptol: float = DROPTOL):
-    """Euclidean orthonormal basis Q = V T of the column span of a sparse or
-    dense V, with its coefficients T.
+    """Coefficients T of a Euclidean orthonormal basis Q = V T of the column
+    span of a sparse or dense V.
 
     Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
-    Yanagisawa, SIAM J. Sci. Comput. 2020), driven by the sparse Gram V^T V:
+    Yanagisawa, SIAM J. Sci. Comput. 2020) on the sparse Gram V^T V: scale
+    the columns to unit norm and drop zero ones; C is the scaled inverse
+    Cholesky factor of the Gram plus the shift that makes it succeed for any
+    condition number up to 1/u; a pivoted Cholesky of (V C)^T (V C) drops
+    columns whose residual against the others is at most ``droptol`` of
+    their norm or below its rounding floor; two CholeskyQR passes, R_1 and
+    R_2, finish.  Each Gram is summed over the row blocks of
+    ``orthonormal_row_blocks``, which is also how callers regenerate Q.
 
-    1. scale the columns to unit norm and drop zero columns;
-    2. Cholesky-factor the Gram plus the shift that makes the factorization
-       succeed for any condition number up to 1/u, and form
-       Theta_1 = V C^{-1} with one sparse-dense product;
-    3. drop dependent columns with a pivoted Cholesky of Theta_1^T Theta_1;
-    4. finish with two CholeskyQR passes over the kept columns.
-
-    A column is dropped when its residual against the other columns is at
-    most ``droptol`` times its norm, or lies below the rounding floor of
-    Theta_1^T Theta_1.  Kept columns keep their input order and only the
-    drop step pivots, so T is upper triangular in them: without drops Q is
-    the Q factor of V with a positive R diagonal, the same matrix
-    Gram-Schmidt produces, and Q[:, :n] = V[:, :n] T[:n, :n] spans the first
-    n columns of V whenever none of them was dropped.
-
-    Returns (Q, T, kept): Q is a C-ordered ndarray; T has one row per
-    column of V (zero for a zero column) and is the scaled C^{-1}, restricted
-    to the kept columns, times the inverses of the two CholeskyQR factors;
-    ``kept`` holds the ascending indices of the columns of V that Q keeps,
-    one per column of Q.
+    Only the drop step pivots, so T is upper triangular in the kept
+    columns: without drops Q is the Q factor of V with a positive R
+    diagonal, and Q[:, :n] = V[:, :n] T[:n, :n] spans the first n columns
+    of V whenever none of them was dropped.  Returns (T, kept, steps): T
+    has a row per column of V (zero for a zero column), ``kept`` the
+    ascending indices of the kept columns, one per column of T, and
+    ``steps`` = (C, R_1, R_2), so T = C R_1^{-1} R_2^{-1}.
     """
     V = sp.csc_matrix(V, dtype=float)
     num_rows, num_cols = V.shape
     G = (V.T @ V).toarray()
     sq_norms = G.diagonal().copy()
     nonzero = np.flatnonzero(sq_norms > 0.0)
-    if nonzero.size == 0:
-        return np.zeros((num_rows, 0)), np.zeros((num_cols, 0)), nonzero
     K = nonzero.size
-    if K < num_cols:
-        V = V[:, nonzero]
-        G = G[np.ix_(nonzero, nonzero)]
+    if K == 0:
+        return np.zeros((num_cols, 0)), nonzero, (np.zeros((num_cols, 0)),)
+    G = G[np.ix_(nonzero, nonzero)]
     scale = 1.0 / np.sqrt(sq_norms[nonzero])
     G *= scale[:, None]
     G *= scale[None, :]
@@ -258,31 +276,20 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     # ||G||_1 bounds ||V||_2^2 of the scaled V; the shift follows the 2020 paper
     shift = 11.0 * (num_rows * K + K * (K + 1)) * u * np.abs(G).sum(axis=0).max()
     G[np.diag_indices(K)] += shift
-    C = _cholesky_upper(G)
+    C = np.zeros((num_cols, K))  # a zero row for each zero column
+    C[nonzero] = lapack.dtrtri(_cholesky_upper(G), lower=0, overwrite_c=1)[0] * scale[:, None]
     del G
-    T, _ = lapack.dtrtri(C, lower=0, overwrite_c=1)  # Fortran-ordered
-    T *= scale[:, None]
-    theta = _product_by_first_row(V, T)
-    del C
+    V = V.tocsr()
 
     # a column with relative residual r against the others keeps a residual
-    # of about r^2 / (r^2 + shift) in the Gram of Theta_1
-    gram = _gram_upper(theta)
+    # of about r^2 / (r^2 + shift) in the Gram of V C
+    gram = _gram_upper(V, (C,))
     tol = max(droptol**2 / (droptol**2 + shift), K * u)
     _, piv, rank, _ = lapack.dpstrf(gram, tol=tol, lower=0)
     kept = np.sort(piv[:rank] - 1)
-    if rank < K:
-        theta = np.take(theta, kept, axis=1)  # C-ordered, unlike theta[:, kept]
-        T = T[:, kept]  # Fortran-ordered
-        gram = gram[np.ix_(kept, kept)]
     # two CholeskyQR passes; the first reuses the Gram the pivoting saw
-    R = _cholesky_upper(gram)
-    del gram
-    theta, T = _solve_right_upper(theta, R), _solve_right_upper(T, R)
-    R = _cholesky_upper(_gram_upper(theta))
-    theta, T = _solve_right_upper(theta, R), _solve_right_upper(T, R)
-    if K < num_cols:
-        T_full = np.zeros((num_cols, T.shape[1]), order="F")
-        T_full[nonzero] = T
-        T = T_full
-    return theta, T, nonzero[kept]
+    steps = (np.ascontiguousarray(C[:, kept]), _cholesky_upper(gram[np.ix_(kept, kept)]))
+    del C, gram
+    steps += (_cholesky_upper(_gram_upper(V, steps)),)
+    T = functools.reduce(_solve_right_upper, steps[1:], np.array(steps[0], order="F"))
+    return T, nonzero[kept], steps

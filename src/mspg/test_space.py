@@ -4,7 +4,9 @@ spectral reductions of the edge component.
 All test snapshots are built from the discrete adjoint (the transpose of
 the assembled stiffness matrix).  The edge component dominates the snapshot
 count, so it is compressed per edge by one of two eigenproblems posed in
-the squared-adjoint energy on the two blocks sharing the edge.
+the squared-adjoint energy on the two blocks sharing the edge.  The test
+basis (``TestBasis``) is the raw sparse columns V with A^T V and the small
+coefficients T that make Q = A^T V T orthonormal; Q is never formed.
 """
 
 from __future__ import annotations
@@ -292,59 +294,60 @@ def assemble_test_matrix(
 
 @dataclass(frozen=True)
 class TestBasis:
-    """Test functions Theta = V T, orthonormal in the natural norm of the
-    auxiliary variable, ||A^T w||.
-
-    ``V`` holds the raw columns (CSC) and ``T`` their coefficients, one row
-    per column of V; ``Q = A^T V T`` has orthonormal columns, so the test
-    block of the saddle system is the identity.  ``kept`` holds the
-    ascending indices of the columns of V that the orthonormalization kept,
-    one per column of Q.
+    """Test functions Theta = V T, orthonormal in the natural norm ||A^T w||
+    of the auxiliary variable: Q = A^T V T has orthonormal columns, so the
+    test block of the saddle system is the identity.  ``V`` (raw columns)
+    and ``AtV`` = A^T V are CSC, ``T`` has a row per column of V, and Q is
+    never held: products with it go through ``AtV`` and ``T``.  ``kept``
+    holds the ascending indices of the columns of V kept, one per column of T.
     """
 
     V: sp.csc_matrix
+    AtV: sp.csc_matrix
     T: np.ndarray
-    Q: np.ndarray
     kept: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.Q.shape[1]
+        return self.T.shape[1]
 
 
 def test_basis(op: SparseOperator, V) -> TestBasis:
     """Basis of the span of the sparse or dense ``V``; a column that adds
     nothing in the w-norm is dropped by ``orthonormalize_columns``."""
     V = sp.csc_matrix(V, dtype=float)
-    Q, T, kept = orthonormalize_columns(op.A.T @ V)
-    return TestBasis(V=V, T=T, Q=Q, kept=kept)
+    AtV = (op.A.T @ V).tocsc()
+    T, kept, _ = orthonormalize_columns(AtV)
+    return TestBasis(V=V, AtV=AtV, T=T, kept=kept)
 
 
 def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     """The basis grown by the part of span(``new``) outside its span.
 
-    Y = A^T new is projected against Q twice, accumulating the coefficients
-    S; a column whose residual is at most DROPTOL of ||A^T x|| adds nothing
-    and is dropped, and the rest are orthonormalized among themselves,
-    Q_n = Y T_n.  Then Q_n = A^T (X - V T S) T_n for the kept columns X, so
-    V grows by X and T by the block column [-T S T_n; T_n].  A ``new`` that
-    adds nothing returns ``basis`` itself.
+    Y = A^T new is projected against Q twice, through Q^T Y = T^T ((A^T V)^T
+    Y) and (A^T V)(T S), accumulating the coefficients S; a column whose
+    residual is at most DROPTOL of ||A^T x|| adds nothing and is dropped,
+    and the rest are orthonormalized among themselves, Q_n = Y T_n.  Then
+    Q_n = A^T (X - V T S) T_n for the kept columns X, so V and A^T V grow
+    by X and A^T X, and T by the block column [-T S T_n; T_n].  A ``new``
+    that adds nothing returns ``basis`` itself.
     """
     new = sp.csc_matrix(new, dtype=float)
-    Y = (op.A.T @ new).toarray()
+    AtX = (op.A.T @ new).tocsc()
+    Y = AtX.toarray()
     norms = np.linalg.norm(Y, axis=0)
     S = np.zeros((basis.count, Y.shape[1]))
     for _ in range(2):
-        C = basis.Q.T @ Y
-        Y -= basis.Q @ C
+        C = basis.T.T @ (basis.AtV.T @ Y)
+        Y -= basis.AtV @ (basis.T @ C)
         S += C
     keep = np.linalg.norm(Y, axis=0) > DROPTOL * norms
-    Q_n, T_n, kept_n = orthonormalize_columns(Y[:, keep])
+    T_n, kept_n, _ = orthonormalize_columns(Y[:, keep])
     if not T_n.shape[1]:
         return basis
     T = np.block(
         [[basis.T, -basis.T @ (S[:, keep] @ T_n)], [np.zeros((T_n.shape[0], basis.count)), T_n]]
     )
     V = sp.hstack([basis.V, new[:, keep]], format="csc")
-    kept = np.concatenate([basis.kept, basis.V.shape[1] + kept_n])
-    return TestBasis(V=V, T=T, Q=np.hstack([basis.Q, Q_n]), kept=kept)
+    AtV = sp.hstack([basis.AtV, AtX[:, keep]], format="csc")
+    return TestBasis(V, AtV, T, np.concatenate([basis.kept, basis.V.shape[1] + kept_n]))

@@ -1,8 +1,11 @@
 import warnings
 
+import numpy as np
 import pytest
 
+from mspg import test_space
 from mspg.harness import ExperimentConfig, Workspace
+from mspg.numerics import DROPTOL, orthonormal_row_blocks, orthonormalize_columns
 
 
 @pytest.fixture(autouse=True)
@@ -19,3 +22,44 @@ def ws_small():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="cell Peclet")
         return Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=32, L=1))
+
+
+def _regenerated(X, steps):
+    return np.vstack([block for _, block in orthonormal_row_blocks(X, steps)])
+
+
+@pytest.fixture
+def kernel_q():
+    """Q of ``orthonormalize_columns`` on X, regenerated from its row blocks
+    in the kernel's order (the kernel itself returns coefficients only)."""
+
+    def q(X, droptol=DROPTOL):
+        return _regenerated(X, orthonormalize_columns(X, droptol=droptol)[2])
+
+    return q
+
+
+@pytest.fixture
+def basis_q(monkeypatch):
+    """Records every test-basis orthonormalization made from here on.
+
+    Calling it returns the recorded Q blocks, each regenerated in the
+    kernel's order from the input and steps of its call, side by side, and
+    starts a new record: for a basis grown online, the offline block
+    followed by each online block Q_n.
+    """
+    calls, kernel = [], test_space.orthonormalize_columns
+
+    def recording(X, *args, **kwargs):
+        T, kept, steps = kernel(X, *args, **kwargs)
+        calls.append((X, steps))
+        return T, kept, steps
+
+    monkeypatch.setattr(test_space, "orthonormalize_columns", recording)
+
+    def q():
+        blocks = [_regenerated(X, steps) for X, steps in calls]
+        calls.clear()
+        return np.hstack(blocks)
+
+    return q

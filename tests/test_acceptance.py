@@ -2,12 +2,19 @@
 PASS/FAIL line with the measured quantities.
 
 Criterion 5 replays the full-resolution experiment and takes minutes; it
-only runs when MSPG_FULL_RES=1 is set.
+only runs when MSPG_FULL_RES=1 is set, as do the seven cells of the full
+experiment matrix (about 20 minutes, in capped child processes).
 """
 
+import json
+import math
 import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +77,7 @@ def test_criterion_1_full_snapshot_exactness(ws_ex1):
     )
 
 
-def test_high_contrast_full_test_space_exactness():
+def test_high_contrast_full_test_space_exactness(basis_q):
     """Example 5 (Darcy flow, contrast 500): the raw test matrix has a scaled
     Gram condition number near 1e15, yet the full test space must keep every
     column, stay orthonormal in the w-norm (Q = A^T Theta) and reproduce the
@@ -82,7 +89,7 @@ def test_high_contrast_full_test_space_exactness():
     for problem in (1, 2):
         V, spectra = ws.test_matrix(3, r - 1, problem)
         state = solve_coupled(ws.op, V, ws.trial(3).Xi)
-        Q = state.basis.Q
+        Q = basis_q()
         columns.add((spectra.n_w1 + spectra.n_w2 + spectra.n_w3, Q.shape[1]))
         worst_orth = max(worst_orth, float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()))
         rep = error_report(state, ws.u_ref, ws.projection_error(3))
@@ -187,6 +194,72 @@ def test_criterion_5_full_resolution_trend():
         "criterion 5 (full-resolution trend)",
         f"err {err:.4f}% (target 2.85±1.0: {err_ok}), gap {abs(err - proj):.4f} "
         f"(≤0.3: {gap_ok}), excluded eigenvalues {lams} vs {reference} (±0.15: {lam_ok})",
+    )
+
+
+# the seven cells of the full-resolution experiment matrix: (example, alpha),
+# each on the grid ``harness.full_resolution`` maps it to
+FULL_MATRIX = ((1, 2.0), (2, 2.0), (3, 1e-3), (3, 1.0 / 2000.0), (4, 200.0), (5, 1.0 / 250.0),
+               (5, 1.0 / 500.0))
+FULL_MATRIX_AS_BYTES = 6 * 2**30
+
+# one offline cell (m=1, L=7, eigenproblem 2), run by a child process that
+# prints its rows, wall time and peak RSS as JSON
+_FULL_MATRIX_CELL = """
+import json, resource, sys, time, warnings
+warnings.filterwarnings("ignore", message="cell Peclet")
+from mspg.harness import ExperimentConfig, full_resolution, run_experiment
+example, alpha = int(sys.argv[1]), float(sys.argv[2])
+nc, n = full_resolution(example, alpha)
+t0 = time.perf_counter()
+rows = run_experiment(
+    ExperimentConfig(example=example, alpha=alpha, nc=nc, n=n, m=1, L=7, eigenproblem=2)
+)
+print(json.dumps({
+    "n": n,
+    "rows": [vars(row) for row in rows],
+    "wall_s": time.perf_counter() - t0,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+}))
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (FULL_MATRIX_AS_BYTES, FULL_MATRIX_AS_BYTES))
+
+
+@pytest.mark.fullres
+@pytest.mark.skipif(
+    os.environ.get("MSPG_FULL_RES") != "1",
+    reason="full-resolution gate; set MSPG_FULL_RES=1",
+)
+@pytest.mark.parametrize("example, alpha", FULL_MATRIX, ids=lambda v: f"{v:g}")
+def test_full_matrix_cell(example, alpha):
+    """One cell of the full experiment matrix, in a child whose address space
+    is capped at 6 GB, so an overshoot is a MemoryError in the child and not
+    an out-of-memory kill of the machine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FULL_MATRIX_CELL, str(example), repr(alpha)],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space,
+    )
+    label = f"full matrix (example {example}, alpha {alpha:g})"
+    if proc.returncode != 0:
+        report(False, label, f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    out = json.loads(proc.stdout.splitlines()[-1])
+    row = out["rows"][0]
+    finite = all(
+        math.isfinite(value) for r in out["rows"] for value in r.values()
+        if isinstance(value, (int, float))
+    )
+    ordered = all(r["err_ms_pct"] >= r["err_proj_pct"] for r in out["rows"])
+    report(
+        finite and ordered,
+        label,
+        f"n={out['n']}, err {row['err_ms_pct']:.4f}% vs proj {row['err_proj_pct']:.4f}%, "
+        f"{out['wall_s']:.1f} s, peak RSS {out['peak_rss_mb']:.0f} MB",
     )
 
 

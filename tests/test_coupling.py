@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mspg import coupling, test_space
+from mspg import coupling, numerics, test_space
 from mspg.assembly import assemble, constant_field
 from mspg.coupling import (
     append_test_columns,
@@ -17,7 +19,7 @@ from mspg.coupling import (
 from mspg.errors import SolverFailureError
 from mspg.grid import build_fine_mesh, coloring
 from mspg.harness import ExperimentConfig, Workspace
-from mspg.numerics import generalized_sym_eig, orthonormalize_columns
+from mspg.numerics import generalized_sym_eig, orthonormal_row_blocks, orthonormalize_columns
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,19 @@ def test_singular_reduced_system_reported(tiny):
         solve_coupled(tiny.op, V, bad)
 
 
+def test_rank_deficient_trial_matrix_is_a_solver_failure(tiny):
+    # a trial column that combines two others makes G_wu rank-deficient;
+    # the QR of G_wu reports it with the block sizes and the rank
+    Xi = tiny.trial(1).Xi
+    bad = sp.hstack([Xi, Xi[:, [0]] - 2.0 * Xi[:, [1]]], format="csc")
+    V, _ = tiny.test_matrix(1, 3, 1)
+    with pytest.raises(SolverFailureError) as err:
+        solve_coupled(tiny.op, V, bad)
+    M = bad.shape[1]
+    assert err.value.exit_code == 3
+    assert f"M={M}, rank G_wu {M - 1})" in str(err.value)
+
+
 def test_infsup_full_test_space_is_one():
     mesh = build_fine_mesh(8)
     op = assemble(mesh, constant_field(kappa=1.0, b=(0.5, 0.2)))
@@ -140,7 +155,8 @@ def _lifted_infsup(op, V, Xi):
     transposed operator and project it onto the test span A^T Theta, taken
     through a Householder QR of A^T Theta for a Euclidean orthonormal Theta
     (no Gram of A^T Theta, whose condition would square)."""
-    Theta, _, _ = orthonormalize_columns(V)
+    _, _, steps = orthonormalize_columns(V)
+    Theta = np.vstack([block for _, block in orthonormal_row_blocks(V, steps)])
     Z = spla.splu(op.A.T.tocsc()).solve(Xi.toarray())
     W = op.A.T @ Z
     C = W.T @ np.linalg.qr(op.A.T @ Theta)[0]
@@ -221,19 +237,19 @@ def test_online_contraction_rate(ws_small):
     assert excess_after <= ((1.0 - lam) + 0.1) * excess_before + 1e-12
 
 
-def test_online_test_space_stays_orthonormal(tiny):
+def test_online_test_space_stays_orthonormal(tiny, basis_q):
     V, _ = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     enriched, reps = online_enrich(state, tiny.topology, iterations=2)
     added = sum(rep.added_columns for rep in reps)
     basis = enriched.basis
-    Q = basis.Q
+    Q = basis_q()  # the offline block, then every online block Q_n
     assert added > 0 and Q.shape[1] == state.basis.count + added
     assert abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
     assert _relative(tiny.op.A.T @ (basis.V @ basis.T), Q) <= 1e-10
 
 
-def test_online_extension_skips_columns_in_the_test_span(tiny):
+def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
     V, _ = tiny.test_matrix(1, 1, 1)
     basis = test_space.test_basis(tiny.op, V)
     rng = np.random.default_rng(3)
@@ -241,12 +257,13 @@ def test_online_extension_skips_columns_in_the_test_span(tiny):
     outside = rng.standard_normal(V.shape[0])
     ext = test_space.extend_test_basis(basis, tiny.op, np.column_stack([inside, outside]))
     assert ext.count == basis.count + 1 and ext.V.shape[1] == V.shape[1] + 1
-    Q = ext.Q
+    Q = basis_q()
     assert abs(Q.T @ Q - np.eye(ext.count)).max() <= 1e-12
     assert _relative(tiny.op.A.T @ (ext.V @ ext.T), Q) <= 1e-10
     # the kept column spans the part of A^T outside that lies outside A^T Theta
     y = tiny.op.A.T @ outside
-    resid = y - basis.Q @ (basis.Q.T @ y)
+    Q_0 = Q[:, : basis.count]
+    resid = y - Q_0 @ (Q_0.T @ y)
     Q_n = Q[:, basis.count :]
     assert np.linalg.norm(resid - Q_n @ (Q_n.T @ resid)) <= 1e-12 * np.linalg.norm(resid)
 
@@ -267,7 +284,7 @@ def ws_contrast():
 
 
 @pytest.mark.parametrize("name", ["tiny", "ws_contrast"])
-def test_bordered_update_matches_a_full_solve(request, name):
+def test_bordered_update_matches_a_full_solve(request, name, basis_q):
     ws = request.getfixturevalue(name)
     m = ws.config.m
     V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
@@ -275,6 +292,7 @@ def test_bordered_update_matches_a_full_solve(request, name):
     new = _online_block(ws, state)
     assert new.shape[1] > 0
     bordered = append_test_columns(state, new)
+    bordered_q = basis_q()  # the offline block, then the online block Q_n
     full = solve_coupled(ws.op, sp.hstack([V, new]), ws.trial(m).Xi)
     assert bordered.basis.count == full.basis.count > state.basis.count
     for field in ("w_fine", "u_fine", "G_wu", "rhs_w"):
@@ -284,7 +302,46 @@ def test_bordered_update_matches_a_full_solve(request, name):
     # A^T V has condition ~3e8, and a sparse and a dense copy of it give Q
     # factors 5e-11 apart
     bound = 1e-12 if name == "tiny" else 1e-10
-    assert _relative(bordered.basis.Q, full.basis.Q) <= bound
+    assert _relative(bordered_q, basis_q()) <= bound
+
+
+@pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
+def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, name, bound):
+    # the kernel's Grams are sums over row blocks of A^T V C^{-1} (then
+    # R_1^{-1}); a budget of about a seventh of the rows changes only their
+    # summation order
+    ws = request.getfixturevalue(name)
+    m = ws.config.m
+    AtV = (ws.op.A.T @ ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)[0]).tocsc()
+    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * AtV.shape[1] * AtV.shape[0])
+    T, kept, steps = orthonormalize_columns(AtV)
+    assert len(list(orthonormal_row_blocks(AtV, steps))) == 1
+    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * AtV.shape[1] * (AtV.shape[0] // 7))
+    T_b, kept_b, steps_b = orthonormalize_columns(AtV)
+    blocks = list(orthonormal_row_blocks(AtV, steps_b))
+    assert len(blocks) >= 7
+    assert np.array_equal(kept_b, kept)
+    assert np.abs(T_b - T).max() <= 1e-13 * np.abs(T).max()
+    Q = np.vstack([block for _, block in blocks])
+    assert np.abs(Q.T @ Q - np.eye(kept.size)).max() <= bound
+
+
+def test_no_array_with_a_row_per_fine_dof_is_held(tiny):
+    # the test basis is the sparse V and A^T V with the small T: after an
+    # offline solve, a leading block and two online sweeps, no state or
+    # basis field is a dense array with one row per fine dof
+    N, Xi = tiny.mesh.num_dofs, tiny.trial(1).Xi
+    group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
+    cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
+    enriched, reports = online_enrich(cell, tiny.topology, iterations=2)
+    assert sum(rep.added_columns for rep in reports) > 0
+    for state in (group, cell, enriched):
+        for holder in (state, state.basis):
+            for field in dataclasses.fields(holder):
+                value = getattr(holder, field.name)
+                assert not (
+                    isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] == N
+                ), field.name
 
 
 def test_online_enrich_makes_no_full_solve(tiny, monkeypatch):
@@ -340,12 +397,14 @@ def test_solution_depends_on_the_test_span_only(tiny):
 
 
 @pytest.mark.parametrize("name, m, L, problem", [("tiny", 1, 3, 1), ("ws_contrast", 3, 7, 2)])
-def test_w_fine_is_the_adjoint_lift_of_the_test_coefficients(request, name, m, L, problem):
+def test_w_fine_is_the_adjoint_lift_of_the_test_coefficients(
+    request, basis_q, name, m, L, problem
+):
     # A^T Theta = Q, so the fine test function is w_fine = A^{-T} Q w
     ws = request.getfixturevalue(name)
     V, _ = ws.test_matrix(m, L, problem)
     state = solve_coupled(ws.op, V, ws.trial(m).Xi)
-    lift = spla.splu(ws.op.A.T.tocsc()).solve(state.basis.Q @ state.w)
+    lift = spla.splu(ws.op.A.T.tocsc()).solve(basis_q() @ state.w)
     assert _relative(state.w_fine, lift) <= 1e-10
 
 
@@ -362,7 +421,7 @@ def test_leading_block_matches_the_solve_on_its_own_test_matrix(request, name):
         cell = coupling.leading_block(group, V.shape[1])
         own = solve_coupled(ws.op, V, Xi)
         assert cell is not None and cell.basis.count == own.basis.count
-        assert np.shares_memory(cell.basis.Q, group.basis.Q)
+        assert np.shares_memory(cell.basis.T, group.basis.T)
         rep_cell, rep_own = error_report(cell, ws.u_ref, proj), error_report(own, ws.u_ref, proj)
         for field in ("err_ms_pct", "w_norm"):
             assert getattr(rep_cell, field) == pytest.approx(getattr(rep_own, field), rel=1e-10)
@@ -398,10 +457,11 @@ def test_a_dropped_leading_column_takes_its_own_solve(tiny, monkeypatch):
 def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
     Xi = tiny.trial(1).Xi
     group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
-    before = [a.copy() for a in (group.basis.Q, group.basis.T, group.G_wu, group.rhs_w)]
+    held = lambda: (group.basis.AtV.toarray(), group.basis.T, group.G_wu, group.rhs_w)
+    before = [a.copy() for a in held()]
     cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
-    assert np.shares_memory(cell.basis.Q, group.basis.Q)
+    assert np.shares_memory(cell.basis.T, group.basis.T)
     enriched, reports = online_enrich(cell, tiny.topology, iterations=2)
     assert sum(rep.added_columns for rep in reports) > 0
-    after = (group.basis.Q, group.basis.T, group.G_wu, group.rhs_w)
+    after = held()
     assert all(np.array_equal(a, b) for a, b in zip(after, before))

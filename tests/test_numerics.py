@@ -176,24 +176,24 @@ def test_local_solves_go_through_the_checked_kernel():
                 assert factor not in text, (name, factor)
 
 
-def test_orthonormalize_drops_duplicates():
+def test_orthonormalize_drops_duplicates(kernel_q):
     v = np.random.default_rng(0).standard_normal(10)
-    out, _, _ = orthonormalize_columns(np.stack([v, v], axis=1))
+    out = kernel_q(np.stack([v, v], axis=1))
     assert out.shape == (10, 1)
 
 
-def test_orthonormalize_keeps_orthonormal_input():
+def test_orthonormalize_keeps_orthonormal_input(kernel_q):
     rng = np.random.default_rng(1)
     Q = np.linalg.qr(rng.standard_normal((12, 4)))[0]
-    out, _, _ = orthonormalize_columns(Q)
+    out = kernel_q(Q)
     assert np.allclose(out, Q, atol=1e-12)
 
 
-def test_orthonormalize_rank_detection():
+def test_orthonormalize_rank_detection(kernel_q):
     rng = np.random.default_rng(2)
     base = rng.standard_normal((20, 3))
     V = base @ rng.standard_normal((3, 5))
-    out, _, _ = orthonormalize_columns(V)
+    out = kernel_q(V)
     assert out.shape[1] == np.linalg.matrix_rank(V)  # SVD oracle: 3
     assert np.allclose(out.T @ out, np.eye(3), atol=1e-10)
     # span preserved: projecting the input onto the output loses nothing
@@ -201,19 +201,19 @@ def test_orthonormalize_rank_detection():
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(V)
 
 
-def test_orthonormalize_orthogonality_tolerance():
+def test_orthonormalize_orthogonality_tolerance(kernel_q):
     rng = np.random.default_rng(5)
     V = rng.standard_normal((60, 25))
-    out, _, _ = orthonormalize_columns(V)
+    out = kernel_q(V)
     assert abs(out.T @ out - np.eye(out.shape[1])).max() < 1e-10
 
 
-def test_orthonormalize_sparse_matches_dense():
+def test_orthonormalize_sparse_matches_dense(kernel_q):
     rng = np.random.default_rng(6)
     S = sp.random(200, 30, density=0.08, format="csc", random_state=rng)
     S = sp.hstack([S, S[:, [3]] - 2.0 * S[:, [7]]], format="csc")  # one dependent
-    from_sparse, _, _ = orthonormalize_columns(S)
-    from_dense, _, _ = orthonormalize_columns(S.toarray())
+    from_sparse = kernel_q(S)
+    from_dense = kernel_q(S.toarray())
     assert from_sparse.shape == from_dense.shape == (200, np.linalg.matrix_rank(S.toarray()))
     # same span: equal orthogonal projectors
     assert np.allclose(from_sparse @ from_sparse.T, from_dense @ from_dense.T, atol=1e-12)
@@ -233,9 +233,9 @@ def _with_residual_column(rel_residual, seed):
     return np.column_stack([B, col / np.linalg.norm(col)]), outside
 
 
-def test_orthonormalize_keeps_small_residual_column():
+def test_orthonormalize_keeps_small_residual_column(kernel_q):
     V, outside = _with_residual_column(1e-7, seed=7)
-    out, _, _ = orthonormalize_columns(V, droptol=1e-10)
+    out = kernel_q(V, droptol=1e-10)
     assert out.shape[1] == 9
     # the kept column carries the residual direction, not rounding noise
     assert np.linalg.norm(out.T @ outside) > 1.0 - 1e-6
@@ -243,42 +243,44 @@ def test_orthonormalize_keeps_small_residual_column():
     assert orthonormalize_columns(V, droptol=1e-6)[0].shape[1] == 8
 
 
-def test_orthonormalize_drops_rounding_level_residual_column():
+def test_orthonormalize_drops_rounding_level_residual_column(kernel_q):
     V, _ = _with_residual_column(1e-13, seed=8)
-    out, _, _ = orthonormalize_columns(V, droptol=1e-10)
+    out = kernel_q(V, droptol=1e-10)
     assert out.shape[1] == 8
     resid = V - out @ (out.T @ V)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(V)
 
 
-def test_orthonormalize_drops_zero_columns():
+def test_orthonormalize_drops_zero_columns(kernel_q):
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, 12))
-    out, _, _ = orthonormalize_columns(np.column_stack([a, np.zeros(12), b]))
+    out = kernel_q(np.column_stack([a, np.zeros(12), b]))
     assert out.shape == (12, 2)
-    Q, T, kept = orthonormalize_columns(sp.csc_matrix((12, 3)))
-    assert Q.shape == (12, 0) and T.shape == (3, 0) and kept.size == 0
+    zero = sp.csc_matrix((12, 3))
+    T, kept, _ = orthonormalize_columns(zero)
+    assert kernel_q(zero).shape == (12, 0) and T.shape == (3, 0) and kept.size == 0
 
 
-def test_orthonormalize_ill_conditioned_input_stays_orthonormal():
+def test_orthonormalize_ill_conditioned_input_stays_orthonormal(kernel_q):
     rng = np.random.default_rng(10)
     U = np.linalg.qr(rng.standard_normal((300, 40)))[0]
     W = np.linalg.qr(rng.standard_normal((40, 40)))[0]
     V = U @ np.diag(np.logspace(0.0, -8.0, 40)) @ W.T
     scaled = V / np.linalg.norm(V, axis=0)
     assert np.linalg.cond(scaled) >= 1e7
-    out, _, _ = orthonormalize_columns(V)
+    out = kernel_q(V)
     assert out.shape == (300, 40)
     assert np.abs(out.T @ out - np.eye(40)).max() <= 1e-12
     assert np.linalg.norm(U - out @ (out.T @ U)) <= 1e-6
 
 
-def test_orthonormalize_returns_the_coefficients_of_its_columns():
+def test_orthonormalize_returns_the_coefficients_of_its_columns(kernel_q):
     rng = np.random.default_rng(11)
     S = sp.random(120, 20, density=0.1, format="csc", random_state=rng)
     zero, dependent = sp.csc_matrix((120, 1)), S[:, [2]] - 3.0 * S[:, [9]]
     V = sp.hstack([S[:, :5], zero, S[:, 5:], dependent], format="csc")
-    Q, T, kept = orthonormalize_columns(V)
+    T, kept, _ = orthonormalize_columns(V)
+    Q = kernel_q(V)
     assert Q.shape == (120, 20) and T.shape == (22, 20)
     assert not T[5].any()  # the zero column contributes nothing
     # one kept index per column of Q; the zero column and one of the three

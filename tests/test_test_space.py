@@ -231,12 +231,13 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
         assert np.array_equal(np.vstack([extensions[-1], np.eye(ns)]), oracle)
 
 
-def test_assembled_test_matrix_orthonormal(ws_small):
+def test_assembled_test_matrix_orthonormal(ws_small, basis_q):
     V, report = ws_small.test_matrix(1, 2, 2)
     assert V.format == "csc" and V.shape[1] == report.n_w1 + report.n_w2 + report.n_w3
     # the test basis is orthonormal in the natural norm ||A^T w||
     basis = test_space.test_basis(ws_small.op, V)
-    gram = basis.Q.T @ basis.Q
+    Q = basis_q()
+    gram = Q.T @ Q
     assert abs(gram - np.eye(basis.count)).max() <= 1e-10
     assert basis.count <= V.shape[1]
     assert report.min_lambda_excluded == pytest.approx(
@@ -286,26 +287,3 @@ def test_w3_columns_are_mode_major(ws_small):
             col = V[:, start + j * E + e].toarray().ravel()
             assert np.array_equal(col[res.edge.region], res.selected[:, j])
             assert not np.delete(col, res.edge.region).any()
-
-
-@pytest.mark.parametrize("order", ["mode_major", "edge_major"])
-def test_row_sorted_product_matches_the_plain_product(ws_small, monkeypatch, order):
-    # the kernel forms V C^{-1} over the columns sorted by first stored row;
-    # the plain product gives the same Q and T to rounding
-    from mspg import numerics
-
-    V, report = ws_small.test_matrix(1, 3, 2)
-    n0, E = report.n_w1 + report.n_w2, len(report.edge_results)
-    if order == "edge_major":
-        V = V[:, np.concatenate([np.arange(n0), n0 + np.arange(3 * E).reshape(3, E).T.ravel()])]
-    Y = (ws_small.op.A.T @ V).tocsc()
-    first_rows = np.minimum.reduceat(Y.indices, Y.indptr[:-1])
-    assert np.any(np.diff(first_rows) < 0)  # the sort reorders the columns
-    Q, T, kept = numerics.orthonormalize_columns(Y)
-    monkeypatch.setattr(
-        numerics, "_product_by_first_row", lambda V, X: np.ascontiguousarray(V @ X)
-    )
-    Q_plain, T_plain, kept_plain = numerics.orthonormalize_columns(Y)
-    assert np.array_equal(kept, kept_plain)
-    assert np.abs(Q - Q_plain).max() <= 1e-13
-    assert np.abs(T - T_plain).max() <= 1e-13 * np.abs(T_plain).max()
