@@ -23,11 +23,11 @@ from .grid import CoarseTopology, coloring
 from .numerics import (
     column_sparse,
     full_rank_lstsq,
-    generalized_sym_eig,
     local_dirichlet_solve,
     orthonormal_row_blocks,
     orthonormalize_columns,
     serial_blas,
+    smallest_singular_value,
 )
 from .test_space import TestBasis, extend_test_basis, test_basis
 
@@ -184,12 +184,10 @@ def infsup_estimate(state: SaddleState) -> float:
     and the squared-operator inner product of z with a test function theta
     is (A^T theta)^T xi, an entry of G_wu.  The test block is the identity,
     so the estimate is sqrt(lambda_min(G_wu^T G_wu, Xi^T Xi)), read from
-    the solved blocks; it equals 1 when the lifted columns lie in the test
-    span.
+    the solved blocks by ``smallest_singular_value``; it equals 1 when the
+    lifted columns lie in the test span.
     """
-    G2 = state.G_wu.T @ state.G_wu
-    vals = generalized_sym_eig(G2, (state.Xi.T @ state.Xi).toarray()).values
-    return float(np.sqrt(max(vals[0], 0.0)))
+    return smallest_singular_value(state.G_wu, (state.Xi.T @ state.Xi).toarray())
 
 
 def residual_full(state: SaddleState) -> np.ndarray:

@@ -176,6 +176,9 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
 DROPTOL = 1e-10
 # bytes of one row block of an orthonormal Q, the most of Q ever held
 ROW_BLOCK_BYTES = 32 * 2**20
+# eta = ||Q_0^T Q_0 - I||_F <= 1/11 gives kappa(Q_0)^2 <= (1+eta)/(1-eta) <= 6/5,
+# where one CholeskyQR pass meets the CholeskyQR2 bound (``orthonormalize_columns``)
+ONE_PASS_MAX_DEVIATION = 1.0 / 11.0
 
 
 def full_rank_lstsq(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,11 +210,11 @@ def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_row_blocks(V, steps):
-    """Row blocks ``(rows, V[rows] C R_1^{-1} R_2^{-1})`` of the Q that
-    ``orthonormalize_columns`` made of V with ``steps`` = (C, R_1, R_2), in
+    """Row blocks ``(rows, V[rows] C R_1^{-1} ...)`` of the Q that
+    ``orthonormalize_columns`` made of V with ``steps`` = (C, R_1[, R_2]), in
     the kernel's order of operations; a prefix of ``steps`` gives its
     intermediate factors.  ``rows`` is a slice; C and each block C-ordered."""
-    V, (C, *factors) = sp.csr_matrix(V, dtype=float), steps
+    V, (C, *factors) = (V.tocsr() if sp.issparse(V) else V), steps
     step = max(1, ROW_BLOCK_BYTES // (8 * max(C.shape[1], 1)))
     for start in range(0, V.shape[0], step):
         rows = slice(start, start + step)
@@ -242,14 +245,17 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     span of a sparse or dense V.
 
     Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
-    Yanagisawa, SIAM J. Sci. Comput. 2020) on the sparse Gram V^T V: scale
-    the columns to unit norm and drop zero ones; C is the scaled inverse
+    Yanagisawa, SIAM J. Sci. Comput. 2020) on the Gram V^T V: scale the
+    columns to unit norm and drop zero ones; C is the scaled inverse
     Cholesky factor of the Gram plus the shift that makes it succeed for any
-    condition number up to 1/u; a pivoted Cholesky of (V C)^T (V C) drops
-    columns whose residual against the others is at most ``droptol`` of
-    their norm or below its rounding floor; two CholeskyQR passes, R_1 and
-    R_2, finish.  Each Gram is summed over the row blocks of
-    ``orthonormal_row_blocks``, which is also how callers regenerate Q.
+    condition number up to 1/u; a pivoted Cholesky of Q_0^T Q_0, Q_0 = V C,
+    drops columns whose residual against the others is at most ``droptol``
+    of their norm or below its rounding floor; CholeskyQR passes finish, R_1
+    and, when eta = ||Q_0^T Q_0 - I||_F exceeds ONE_PASS_MAX_DEVIATION, R_2.
+    ||Q^T Q - I||_2 is at most 5 kappa(Q_0)^2 (m n u + n (n + 1) u) after one
+    pass and 6 (m n u + n (n + 1) u) after two for an m x n Q_0 (Yamamoto,
+    Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015).  Later Grams sum ``dsyrk``
+    over ``orthonormal_row_blocks``, which callers also use to regenerate Q.
 
     Only the drop step pivots, so T is upper triangular in the kept
     columns: without drops Q is the Q factor of V with a positive R
@@ -257,11 +263,11 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     of V whenever none of them was dropped.  Returns (T, kept, steps): T
     has a row per column of V (zero for a zero column), ``kept`` the
     ascending indices of the kept columns, one per column of T, and
-    ``steps`` = (C, R_1, R_2), so T = C R_1^{-1} R_2^{-1}.
+    ``steps`` = (C, R_1) or (C, R_1, R_2), so T = C R_1^{-1} [R_2^{-1}].
     """
-    V = sp.csc_matrix(V, dtype=float)
+    V = sp.csc_matrix(V, dtype=float) if sp.issparse(V) else np.asarray(V, dtype=float)
     num_rows, num_cols = V.shape
-    G = (V.T @ V).toarray()
+    G = (V.T @ V).toarray() if sp.issparse(V) else V.T @ V  # C-ordered: V^T is CSR
     sq_norms = G.diagonal().copy()
     nonzero = np.flatnonzero(sq_norms > 0.0)
     K = nonzero.size
@@ -279,7 +285,6 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     C = np.zeros((num_cols, K))  # a zero row for each zero column
     C[nonzero] = lapack.dtrtri(_cholesky_upper(G), lower=0, overwrite_c=1)[0] * scale[:, None]
     del G
-    V = V.tocsr()
 
     # a column with relative residual r against the others keeps a residual
     # of about r^2 / (r^2 + shift) in the Gram of V C
@@ -287,9 +292,21 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     tol = max(droptol**2 / (droptol**2 + shift), K * u)
     _, piv, rank, _ = lapack.dpstrf(gram, tol=tol, lower=0)
     kept = np.sort(piv[:rank] - 1)
-    # two CholeskyQR passes; the first reuses the Gram the pivoting saw
-    steps = (np.ascontiguousarray(C[:, kept]), _cholesky_upper(gram[np.ix_(kept, kept)]))
+    # R_1 and eta reuse the upper triangle of the Gram the pivoting saw; eta is
+    # summed by rows: no cancellation, and no threaded dot that slows dpotrf
+    gram = gram[np.ix_(kept, kept)]
+    upper = sum(row[i + 1 :] @ row[i + 1 :] for i, row in enumerate(gram))
+    eta_sq = 2.0 * upper + np.sum((gram.diagonal() - 1.0) ** 2)
+    steps = (np.ascontiguousarray(C[:, kept]), _cholesky_upper(gram))
     del C, gram
-    steps += (_cholesky_upper(_gram_upper(V, steps)),)
+    if eta_sq > ONE_PASS_MAX_DEVIATION**2:
+        steps += (_cholesky_upper(_gram_upper(V, steps)),)
     T = functools.reduce(_solve_right_upper, steps[1:], np.array(steps[0], order="F"))
     return T, nonzero[kept], steps
+
+
+def smallest_singular_value(G: np.ndarray, M: np.ndarray) -> float:
+    """sqrt(lambda_min(G^T G, M)) for SPD M = R^T R, as the smallest singular
+    value of G R^{-1} (G^T G would square the condition of G); G is tall."""
+    R = _cholesky_upper(np.array(M, dtype=float))
+    return float(sla.svdvals(_solve_right_upper(np.array(G, dtype=float), R))[-1])

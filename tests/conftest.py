@@ -24,6 +24,20 @@ def ws_small():
         return Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=32, L=1))
 
 
+@pytest.fixture(scope="module")
+def tiny():
+    """Example-1 workspace at the smallest scale that keeps all parts alive."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="cell Peclet")
+        return Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=16, L=3))
+
+
+@pytest.fixture(scope="module")
+def ws_contrast():
+    """Example-5 workspace (contrast 500): its test matrices are ill-conditioned."""
+    return Workspace(ExperimentConfig(example=5, nc=8, n=64, m=3, L=3, eigenproblem=2))
+
+
 def _regenerated(X, steps):
     return np.vstack([block for _, block in orthonormal_row_blocks(X, steps)])
 

@@ -107,8 +107,9 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
 
     bindings = {
         "local_dirichlet_solve": (numerics, test_space, coupling, assembly),
-        "generalized_sym_eig": (trial_space, test_space, coupling),
+        "generalized_sym_eig": (trial_space, test_space),
         "orthonormalize_columns": (test_space, coupling),
+        "smallest_singular_value": (coupling,),
     }
     for name, modules in bindings.items():
         for module in modules:

@@ -18,18 +18,7 @@ from mspg.coupling import (
 )
 from mspg.errors import SolverFailureError
 from mspg.grid import build_fine_mesh, coloring
-from mspg.harness import ExperimentConfig, Workspace
 from mspg.numerics import generalized_sym_eig, orthonormal_row_blocks, orthonormalize_columns
-
-
-@pytest.fixture(scope="module")
-def tiny():
-    """Example-1 workspace at the smallest scale that keeps all parts alive."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="cell Peclet")
-        return Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=16, L=3))
 
 
 def test_identity_spaces_recover_fine_solution(tiny):
@@ -276,11 +265,6 @@ def _online_block(ws, state):
 
 def _relative(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
-
-
-@pytest.fixture(scope="module")
-def ws_contrast():
-    return Workspace(ExperimentConfig(example=5, nc=8, n=64, m=3, L=3, eigenproblem=2))
 
 
 @pytest.mark.parametrize("name", ["tiny", "ws_contrast"])

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mspg import numerics, test_space
 from mspg.assembly import assemble, constant_field
 from mspg.errors import LocalSolverError, SingularMetricError
 from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
@@ -14,7 +15,9 @@ from mspg.numerics import (
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
+    orthonormal_row_blocks,
     orthonormalize_columns,
+    smallest_singular_value,
 )
 
 
@@ -272,6 +275,7 @@ def test_orthonormalize_ill_conditioned_input_stays_orthonormal(kernel_q):
     assert out.shape == (300, 40)
     assert np.abs(out.T @ out - np.eye(40)).max() <= 1e-12
     assert np.linalg.norm(U - out @ (out.T @ U)) <= 1e-6
+    assert len(orthonormalize_columns(V)[2]) == 3  # C, R_1, R_2
 
 
 def test_orthonormalize_returns_the_coefficients_of_its_columns(kernel_q):
@@ -288,6 +292,77 @@ def test_orthonormalize_returns_the_coefficients_of_its_columns(kernel_q):
     assert kept.size == 20 and np.all(np.diff(kept) > 0) and 5 not in kept
     assert np.abs(V @ T - Q).max() <= 1e-13
     assert np.abs(Q.T @ Q - np.eye(20)).max() <= 1e-12
+
+
+def _well_conditioned_or_test_matrix(request, name):
+    """Orthonormal columns plus 1e-3 noise, or the A^T V of a workspace's
+    test matrix as ``test_space.test_basis`` forms it."""
+    if name == "noisy":
+        rng = np.random.default_rng(12)
+        Q = np.linalg.qr(rng.standard_normal((400, 30)))[0]
+        return Q + 1e-3 * rng.standard_normal(Q.shape)
+    ws = request.getfixturevalue(name)
+    V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
+    return (ws.op.A.T @ V).tocsc()
+
+
+@pytest.mark.parametrize(
+    "name, passes, bound", [("noisy", 1, 1e-13), ("tiny", 1, 1e-13), ("ws_contrast", 2, 1e-10)]
+)
+def test_orthonormalize_runs_the_second_pass_only_when_needed(request, name, passes, bound):
+    X = _well_conditioned_or_test_matrix(request, name)
+    _, _, steps = orthonormalize_columns(X)
+    assert len(steps) == 1 + passes
+    Q = np.vstack([block for _, block in orthonormal_row_blocks(X, steps)])
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= bound
+
+
+@pytest.mark.parametrize("name", ["noisy", "tiny"])
+def test_a_forced_second_pass_moves_t_by_rounding_only(request, name, monkeypatch):
+    X = _well_conditioned_or_test_matrix(request, name)
+    T, kept, steps = orthonormalize_columns(X)
+    monkeypatch.setattr(numerics, "ONE_PASS_MAX_DEVIATION", 0.0)
+    T3, kept3, steps3 = orthonormalize_columns(X)
+    assert (len(steps), len(steps3)) == (2, 3)
+    assert np.array_equal(kept, kept3)
+    assert np.linalg.norm(T3 - T) <= 1e-13 * np.linalg.norm(T)
+
+
+@pytest.mark.parametrize("name, grams", [("tiny", 1), ("ws_contrast", 2)])
+def test_a_well_conditioned_test_basis_skips_a_gram_pass(request, name, grams, monkeypatch):
+    # V^T V is a sparse product; every later Gram goes through _gram_upper
+    calls, gram_upper = [], numerics._gram_upper
+    monkeypatch.setattr(numerics, "_gram_upper", lambda *a: calls.append(1) or gram_upper(*a))
+    ws = request.getfixturevalue(name)
+    V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
+    test_space.test_basis(ws.op, V)
+    assert len(calls) == grams
+
+
+def test_orthonormalize_takes_a_dense_block_as_it_is(monkeypatch):
+    rng = np.random.default_rng(13)
+    Y = rng.standard_normal((500, 12))
+    T_sparse, kept_sparse, _ = orthonormalize_columns(sp.csc_matrix(Y))
+    # a dense input is sliced by rows, never stored as a sparse matrix
+    for name in ("csc_matrix", "csr_matrix"):
+        monkeypatch.setattr(numerics.sp, name, None)
+    T, kept, steps = orthonormalize_columns(Y)
+    Q = np.vstack([block for _, block in orthonormal_row_blocks(Y, steps)])
+    assert np.array_equal(kept, kept_sparse)
+    assert np.linalg.norm(T - T_sparse) <= 1e-13 * np.linalg.norm(T_sparse)
+    assert np.abs(Q - Y @ T).max() <= 1e-13
+    assert np.abs(Q.T @ Q - np.eye(12)).max() <= 1e-13
+
+
+def test_smallest_singular_value_does_not_square_the_condition():
+    rng = np.random.default_rng(14)
+    U = np.linalg.qr(rng.standard_normal((60, 6)))[0]
+    W = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    sigma = np.logspace(0.0, -9.0, 6)
+    R = np.triu(rng.standard_normal((6, 6)), 1) + np.diag(rng.uniform(1.0, 2.0, 6))
+    G = U @ np.diag(sigma) @ W.T @ R  # G R^{-1} has singular values sigma
+    assert np.linalg.cond(G) >= 1e9
+    assert abs(smallest_singular_value(G, R.T @ R) - 1e-9) <= 1e-4 * 1e-9
 
 
 def test_column_sparse_places_blocks_in_order():
