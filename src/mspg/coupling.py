@@ -7,6 +7,9 @@ auxiliary variable (``test_space.TestBasis``), so the test block is the
 identity and the squared fine operator is never materialized.  The basis is
 the sparse A^T V with small coefficients T, so every block is a sparse
 product and no dense array has a row per fine dof and a column per function.
+T comes from the block-compressed image of A^T V
+(``test_space.compressed_image``), whose rows number the coarse skeleton's
+plus a few per block; ``Workspace.image_structure`` supplies the blocks.
 """
 
 from __future__ import annotations
@@ -82,14 +85,17 @@ def _solved_state(op, basis, Xi, G_wu, rhs_w) -> SaddleState:
     )
 
 
-def solve_coupled(op: SparseOperator, V, Xi) -> SaddleState:
+def solve_coupled(op: SparseOperator, V, Xi, interiors=(), harmonic_from=None) -> SaddleState:
     """Assemble and solve the reduced saddle system.
 
     ``V`` is any matrix whose columns span the test space and ``Xi`` the
     trial matrix; either may be sparse or dense, and ``Xi`` is held as CSC.
+    ``interiors`` (the coarse block interiors) and ``harmonic_from`` (the
+    first column of V that is A^T-harmonic in each of them) describe where
+    A^T V vanishes, for ``test_space.test_basis``.
     """
     Xi = sp.csc_matrix(Xi, dtype=float)
-    basis = test_basis(op, V)
+    basis = test_basis(op, V, interiors, harmonic_from)
     rhs_w = basis.T.T @ (basis.V.T @ op.f)
     return _solved_state(op, basis, Xi, basis.T.T @ (basis.AtV.T @ Xi), rhs_w)
 

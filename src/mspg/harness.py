@@ -274,6 +274,14 @@ class Workspace:
             self.w1(m), self.w2(), self.w3_selection(L, problem)
         )
 
+    def image_structure(self, m: int):
+        """``(interiors, harmonic_from)`` of the test matrices with m trial
+        functions per node, for ``coupling.solve_coupled``: the block
+        interiors, and the first column after the bubbles; W2 and W3 are
+        adjoint-harmonic in every block, so their image A^T V lives on the
+        coarse skeleton."""
+        return [block.interior for block in self.topology.blocks], self.w1(m).count
+
     # ---- solve ------------------------------------------------------
 
     def run_cell(
@@ -292,7 +300,8 @@ class Workspace:
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m).Xi
         V, _ = self.test_matrix(m, max(Ls[-1], self.config.L), problem)
-        group = coupling.solve_coupled(self.op, V, Xi)
+        structure = self.image_structure(m)
+        group = coupling.solve_coupled(self.op, V, Xi, *structure)
         rows = []
         for L in Ls:
             report = test_space.spectral_report(
@@ -301,7 +310,7 @@ class Workspace:
             n = report.n_w1 + report.n_w2 + report.n_w3
             state = coupling.leading_block(group, n)
             if state is None:
-                state = coupling.solve_coupled(self.op, V[:, :n], Xi)
+                state = coupling.solve_coupled(self.op, V[:, :n], Xi, *structure)
             for it in range(online_iters + 1):
                 if it:
                     state = coupling.online_enrich(state, self.topology)[0]

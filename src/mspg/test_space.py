@@ -7,6 +7,13 @@ count, so it is compressed per edge by one of two eigenproblems posed in
 the squared-adjoint energy on the two blocks sharing the edge.  The test
 basis (``TestBasis``) is the raw sparse columns V with A^T V and the small
 coefficients T that make Q = A^T V T orthonormal; Q is never formed.
+
+Every snapshot but the bubbles is adjoint-harmonic inside each coarse
+block, so A^T V of W2 and W3 lives on the coarse skeleton (the rows outside
+every block interior), and a block interior holds only its own bubbles.
+The orthonormalization therefore sums its Grams over a compressed image of
+A^T V (``compressed_image``): the skeleton rows as they are, and per block
+the small R factor of a QR of its interior rows.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import SparseOperator
@@ -26,6 +34,7 @@ from .numerics import (
     harmonic_extension,
     local_dirichlet_solve,
     orthonormalize_columns,
+    serial_blas,
 )
 from .trial_space import partition_of_unity
 
@@ -312,12 +321,87 @@ class TestBasis:
         return self.T.shape[1]
 
 
-def test_basis(op: SparseOperator, V) -> TestBasis:
+def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_from=None):
+    """A^T V as CSC.  The columns of V from ``harmonic_from`` on are
+    A^T-harmonic in each of the disjoint row sets ``interiors`` (the coarse
+    block interiors; W2 and W3 of ``assemble_test_matrix``), so their image
+    is zero there and is evaluated on the other rows, the coarse skeleton,
+    only.  ``harmonic_from=None`` marks no column."""
+    if harmonic_from is None or not interiors:
+        return (op.A.T @ V).tocsc()
+    skeleton = np.ones(V.shape[0], dtype=bool)
+    skeleton[np.concatenate(interiors)] = False
+    skeleton = np.flatnonzero(skeleton)
+    tail = (op.A[:, skeleton].T @ V[:, harmonic_from:]).tocsc()  # a row per skeleton dof
+    tail = sp.csc_matrix(
+        (tail.data, skeleton[tail.indices], tail.indptr), shape=(V.shape[0], tail.shape[1])
+    )
+    return sp.hstack([(op.A.T @ V[:, :harmonic_from]).tocsc(), tail], format="csc")
+
+
+@dataclass(frozen=True)
+class CompressedImage:
+    """Rows with the Gram of a sparse image Y, for the orthonormalization.
+
+    ``rows`` holds the rows ``plain`` of Y as they are, then, per entry
+    ``(interior, F)`` of ``blocks``, the c x c factor R of the QR
+    Y[interior][:, stored] = F R on the c columns stored in those rows, so
+    ``rows``^T ``rows`` = Y^T Y up to rounding.  ``lift`` maps ``rows`` Z
+    back to the fine rows Y Z.
+    """
+
+    rows: sp.spmatrix
+    plain: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def lift(self, Z: np.ndarray) -> np.ndarray:
+        num_rows = self.plain.size + sum(interior.size for interior, _ in self.blocks)
+        out = np.empty((num_rows, Z.shape[1]))
+        at = self.plain.size
+        out[self.plain] = Z[:at]
+        for interior, F in self.blocks:
+            out[interior] = F @ Z[at : at + F.shape[1]]
+            at += F.shape[1]
+        return out
+
+
+def compressed_image(Y: sp.csc_matrix, interiors=()) -> CompressedImage:
+    """Y with each row set of ``interiors`` that has more rows than columns
+    stored replaced by the R factor of its QR; the small QRs run on one BLAS
+    thread (``serial_blas``).  Without such a set ``rows`` is Y itself."""
+    Y_rows = Y.tocsr()
+    plain = np.ones(Y.shape[0], dtype=bool)
+    blocks, factors = [], []
+    with serial_blas():
+        for interior in interiors:
+            local = Y_rows[interior]
+            stored = np.unique(local.indices)
+            if interior.size <= stored.size:
+                continue
+            F, R = sla.qr(local[:, stored].toarray(), mode="economic", check_finite=False)
+            plain[interior] = False
+            blocks.append((interior, F))
+            factors.append((stored, R.T))  # the rows of R, as columns on ``stored``
+    if not blocks:
+        return CompressedImage(Y, np.arange(Y.shape[0]), ())
+    plain = np.flatnonzero(plain)
+    rows = sp.vstack([Y_rows[plain], column_sparse(Y.shape[1], factors).T], format="csr")
+    return CompressedImage(rows, plain, tuple(blocks))
+
+
+def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestBasis:
     """Basis of the span of the sparse or dense ``V``; a column that adds
-    nothing in the w-norm is dropped by ``orthonormalize_columns``."""
+    nothing in the w-norm is dropped by ``orthonormalize_columns``.
+
+    The kernel sums its Grams over the rows of ``compressed_image``: A^T V
+    (``adjoint_image``) on the coarse skeleton as it is, and on each block
+    of ``interiors`` only the R factor of the block's rows.  There a block
+    holds the image of its own bubbles alone (at most 4m columns) once the
+    columns from ``harmonic_from`` on are marked harmonic.
+    """
     V = sp.csc_matrix(V, dtype=float)
-    AtV = (op.A.T @ V).tocsc()
-    T, kept, _ = orthonormalize_columns(AtV)
+    AtV = adjoint_image(op, V, interiors, harmonic_from)
+    T, kept, _ = orthonormalize_columns(compressed_image(AtV, interiors).rows)
     return TestBasis(V=V, AtV=AtV, T=T, kept=kept)
 
 

@@ -57,23 +57,38 @@ def kernel_q():
 def basis_q(monkeypatch):
     """Records every test-basis orthonormalization made from here on.
 
-    Calling it returns the recorded Q blocks, each regenerated in the
-    kernel's order from the input and steps of its call, side by side, and
-    starts a new record: for a basis grown online, the offline block
-    followed by each online block Q_n.
+    Calling it returns the recorded Q blocks in fine-dof rows, side by side,
+    and starts a new record: each is regenerated in the kernel's order from
+    the input and steps of its call and, where that input is the rows of a
+    ``test_space.compressed_image``, lifted back through the image (skeleton
+    rows as they are, each block interior through its orthonormal factor).
+    For a basis grown online, the offline block comes first, then each
+    online block Q_n.
     """
-    calls, kernel = [], test_space.orthonormalize_columns
+    calls, images = [], {}
+    kernel, compress = test_space.orthonormalize_columns, test_space.compressed_image
+
+    def compressing(*args, **kwargs):
+        image = compress(*args, **kwargs)
+        images[id(image.rows)] = image
+        return image
 
     def recording(X, *args, **kwargs):
         T, kept, steps = kernel(X, *args, **kwargs)
         calls.append((X, steps))
         return T, kept, steps
 
+    monkeypatch.setattr(test_space, "compressed_image", compressing)
     monkeypatch.setattr(test_space, "orthonormalize_columns", recording)
 
     def q():
-        blocks = [_regenerated(X, steps) for X, steps in calls]
+        blocks = []
+        for X, steps in calls:
+            image = images.get(id(X))
+            Q = _regenerated(X, steps)
+            blocks.append(Q if image is None else image.lift(Q))
         calls.clear()
+        images.clear()
         return np.hstack(blocks)
 
     return q

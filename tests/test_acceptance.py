@@ -88,7 +88,7 @@ def test_high_contrast_full_test_space_exactness(basis_q):
     columns = set()
     for problem in (1, 2):
         V, spectra = ws.test_matrix(3, r - 1, problem)
-        state = solve_coupled(ws.op, V, ws.trial(3).Xi)
+        state = solve_coupled(ws.op, V, ws.trial(3).Xi, *ws.image_structure(3))
         Q = basis_q()
         columns.add((spectra.n_w1 + spectra.n_w2 + spectra.n_w3, Q.shape[1]))
         worst_orth = max(worst_orth, float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()))

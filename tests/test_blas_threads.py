@@ -114,6 +114,7 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
     for name, modules in bindings.items():
         for module in modules:
             monkeypatch.setattr(module, name, spy(name, getattr(numerics, name)))
+    monkeypatch.setattr(test_space.sla, "qr", spy("qr", test_space.sla.qr))
 
     cfg = ExperimentConfig(
         example=1, alpha=2.0, nc=8, n=64, m=1, L=3, eigenproblem=2, online_iters=1, infsup=True
@@ -132,6 +133,11 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
     assert "test_basis" in {caller for _, _, caller, _ in orth}
     for _, stage, caller, counts in orth:
         assert stage is None and counts == [2] * len(SETTERS), caller
+    # the per-block QRs of the kernel's input are small per-region kernels
+    qr = [call for call in calls if call[0] == "qr"]
+    assert len(qr) >= len(ws.topology.blocks)
+    for _, _, caller, counts in qr:
+        assert caller == "compressed_image" and counts == [1] * len(SETTERS)
     infsup = [call for call in calls if call[2] == "infsup_estimate"]
     assert infsup and all(counts == [2] * len(SETTERS) for *_, counts in infsup)
 

@@ -228,7 +228,7 @@ def test_online_contraction_rate(ws_small):
 
 def test_online_test_space_stays_orthonormal(tiny, basis_q):
     V, _ = tiny.test_matrix(1, 1, 1)
-    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
+    state = solve_coupled(tiny.op, V, tiny.trial(1).Xi, *tiny.image_structure(1))
     enriched, reps = online_enrich(state, tiny.topology, iterations=2)
     added = sum(rep.added_columns for rep in reps)
     basis = enriched.basis
@@ -240,7 +240,7 @@ def test_online_test_space_stays_orthonormal(tiny, basis_q):
 
 def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
     V, _ = tiny.test_matrix(1, 1, 1)
-    basis = test_space.test_basis(tiny.op, V)
+    basis = test_space.test_basis(tiny.op, V, *tiny.image_structure(1))
     rng = np.random.default_rng(3)
     inside = V @ (basis.T[:, :3] @ rng.standard_normal(3))
     outside = rng.standard_normal(V.shape[0])
@@ -272,12 +272,14 @@ def test_bordered_update_matches_a_full_solve(request, name, basis_q):
     ws = request.getfixturevalue(name)
     m = ws.config.m
     V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
-    state = solve_coupled(ws.op, V, ws.trial(m).Xi)
+    interiors, harmonic_from = ws.image_structure(m)
+    state = solve_coupled(ws.op, V, ws.trial(m).Xi, interiors, harmonic_from)
     new = _online_block(ws, state)
     assert new.shape[1] > 0
     bordered = append_test_columns(state, new)
     bordered_q = basis_q()  # the offline block, then the online block Q_n
-    full = solve_coupled(ws.op, sp.hstack([V, new]), ws.trial(m).Xi)
+    # the online columns are not adjoint-harmonic: no column is marked
+    full = solve_coupled(ws.op, sp.hstack([V, new]), ws.trial(m).Xi, interiors)
     assert bordered.basis.count == full.basis.count > state.basis.count
     for field in ("w_fine", "u_fine", "G_wu", "rhs_w"):
         assert _relative(getattr(bordered, field), getattr(full, field)) <= 1e-10, field
@@ -290,23 +292,48 @@ def test_bordered_update_matches_a_full_solve(request, name, basis_q):
 
 
 @pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
-def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, name, bound):
-    # the kernel's Grams are sums over row blocks of A^T V C^{-1} (then
-    # R_1^{-1}); a budget of about a seventh of the rows changes only their
-    # summation order
+def test_an_unstructured_test_matrix_gets_the_plain_kernel(request, name, bound):
     ws = request.getfixturevalue(name)
     m = ws.config.m
-    AtV = (ws.op.A.T @ ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)[0]).tocsc()
-    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * AtV.shape[1] * AtV.shape[0])
-    T, kept, steps = orthonormalize_columns(AtV)
-    assert len(list(orthonormal_row_blocks(AtV, steps))) == 1
-    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * AtV.shape[1] * (AtV.shape[0] // 7))
-    T_b, kept_b, steps_b = orthonormalize_columns(AtV)
-    blocks = list(orthonormal_row_blocks(AtV, steps_b))
+    interiors, harmonic_from = ws.image_structure(m)
+    # the identity stores more columns than rows in every block: nothing to compress
+    identity = sp.identity(ws.mesh.num_dofs, format="csc")
+    T, kept, _ = orthonormalize_columns((ws.op.A.T @ identity).tocsc())
+    basis = test_space.test_basis(ws.op, identity, interiors)
+    assert np.array_equal(basis.kept, kept) and np.array_equal(basis.T, T)
+    # online columns beside the test matrix, with no column marked harmonic
+    V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    state = solve_coupled(ws.op, V, ws.trial(m).Xi, interiors, harmonic_from)
+    VX = sp.hstack([V, _online_block(ws, state)], format="csc")
+    T, kept, _ = orthonormalize_columns((ws.op.A.T @ VX).tocsc())
+    basis = test_space.test_basis(ws.op, VX, interiors)
+    assert np.array_equal(basis.kept, kept)
+    assert np.abs(basis.T - T).max() <= bound * np.abs(T).max()
+
+
+@pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
+def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, name, bound):
+    # the kernel's Grams are sums over row blocks of its input, the block-
+    # compressed A^T V, times C^{-1} (then R_1^{-1}); a budget of about a
+    # seventh of the rows changes only their summation order
+    ws = request.getfixturevalue(name)
+    m = ws.config.m
+    interiors, harmonic_from = ws.image_structure(m)
+    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)[0]
+    image = test_space.compressed_image(
+        test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
+    )
+    X = image.rows
+    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * X.shape[0])
+    T, kept, steps = orthonormalize_columns(X)
+    assert len(list(orthonormal_row_blocks(X, steps))) == 1
+    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * (X.shape[0] // 7))
+    T_b, kept_b, steps_b = orthonormalize_columns(X)
+    blocks = list(orthonormal_row_blocks(X, steps_b))
     assert len(blocks) >= 7
     assert np.array_equal(kept_b, kept)
     assert np.abs(T_b - T).max() <= 1e-13 * np.abs(T).max()
-    Q = np.vstack([block for _, block in blocks])
+    Q = image.lift(np.vstack([block for _, block in blocks]))  # in fine-dof rows
     assert np.abs(Q.T @ Q - np.eye(kept.size)).max() <= bound
 
 
@@ -387,7 +414,7 @@ def test_w_fine_is_the_adjoint_lift_of_the_test_coefficients(
     # A^T Theta = Q, so the fine test function is w_fine = A^{-T} Q w
     ws = request.getfixturevalue(name)
     V, _ = ws.test_matrix(m, L, problem)
-    state = solve_coupled(ws.op, V, ws.trial(m).Xi)
+    state = solve_coupled(ws.op, V, ws.trial(m).Xi, *ws.image_structure(m))
     lift = spla.splu(ws.op.A.T.tocsc()).solve(basis_q() @ state.w)
     assert _relative(state.w_fine, lift) <= 1e-10
 

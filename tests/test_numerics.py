@@ -295,31 +295,35 @@ def test_orthonormalize_returns_the_coefficients_of_its_columns(kernel_q):
 
 
 def _well_conditioned_or_test_matrix(request, name):
-    """Orthonormal columns plus 1e-3 noise, or the A^T V of a workspace's
-    test matrix as ``test_space.test_basis`` forms it."""
+    """Orthonormal columns plus 1e-3 noise, or the kernel input that
+    ``test_space.test_basis`` forms from a workspace's test matrix, each
+    with the map of a product with it to fine-dof rows."""
     if name == "noisy":
         rng = np.random.default_rng(12)
         Q = np.linalg.qr(rng.standard_normal((400, 30)))[0]
-        return Q + 1e-3 * rng.standard_normal(Q.shape)
+        return Q + 1e-3 * rng.standard_normal(Q.shape), lambda Z: Z
     ws = request.getfixturevalue(name)
     V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
-    return (ws.op.A.T @ V).tocsc()
+    interiors, harmonic_from = ws.image_structure(ws.config.m)
+    AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
+    image = test_space.compressed_image(AtV, interiors)
+    return image.rows, image.lift
 
 
 @pytest.mark.parametrize(
     "name, passes, bound", [("noisy", 1, 1e-13), ("tiny", 1, 1e-13), ("ws_contrast", 2, 1e-10)]
 )
 def test_orthonormalize_runs_the_second_pass_only_when_needed(request, name, passes, bound):
-    X = _well_conditioned_or_test_matrix(request, name)
+    X, lift = _well_conditioned_or_test_matrix(request, name)
     _, _, steps = orthonormalize_columns(X)
     assert len(steps) == 1 + passes
-    Q = np.vstack([block for _, block in orthonormal_row_blocks(X, steps)])
+    Q = lift(np.vstack([block for _, block in orthonormal_row_blocks(X, steps)]))
     assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= bound
 
 
 @pytest.mark.parametrize("name", ["noisy", "tiny"])
 def test_a_forced_second_pass_moves_t_by_rounding_only(request, name, monkeypatch):
-    X = _well_conditioned_or_test_matrix(request, name)
+    X, _ = _well_conditioned_or_test_matrix(request, name)
     T, kept, steps = orthonormalize_columns(X)
     monkeypatch.setattr(numerics, "ONE_PASS_MAX_DEVIATION", 0.0)
     T3, kept3, steps3 = orthonormalize_columns(X)
@@ -335,7 +339,7 @@ def test_a_well_conditioned_test_basis_skips_a_gram_pass(request, name, grams, m
     monkeypatch.setattr(numerics, "_gram_upper", lambda *a: calls.append(1) or gram_upper(*a))
     ws = request.getfixturevalue(name)
     V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
-    test_space.test_basis(ws.op, V)
+    test_space.test_basis(ws.op, V, *ws.image_structure(ws.config.m))
     assert len(calls) == grams
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mspg import test_space
 from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh
-from mspg.numerics import local_dirichlet_solve
+from mspg.numerics import local_dirichlet_solve, orthonormalize_columns
 from mspg.test_space import (
     _edge_energy,
     assemble_test_matrix,
@@ -235,7 +236,7 @@ def test_assembled_test_matrix_orthonormal(ws_small, basis_q):
     V, report = ws_small.test_matrix(1, 2, 2)
     assert V.format == "csc" and V.shape[1] == report.n_w1 + report.n_w2 + report.n_w3
     # the test basis is orthonormal in the natural norm ||A^T w||
-    basis = test_space.test_basis(ws_small.op, V)
+    basis = test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1))
     Q = basis_q()
     gram = Q.T @ Q
     assert abs(gram - np.eye(basis.count)).max() <= 1e-10
@@ -261,7 +262,7 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
         raw[res.edge.region, col : col + res.L] = res.selected
         col += res.L
     rank = np.linalg.matrix_rank(raw, tol=1e-8 * np.linalg.norm(raw))
-    assert test_space.test_basis(ws_small.op, V).count == rank
+    assert test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1)).count == rank
 
 
 @pytest.mark.parametrize("problem", [1, 2])
@@ -287,3 +288,47 @@ def test_w3_columns_are_mode_major(ws_small):
             col = V[:, start + j * E + e].toarray().ravel()
             assert np.array_equal(col[res.edge.region], res.selected[:, j])
             assert not np.delete(col, res.edge.region).any()
+
+
+def _structured_image(ws):
+    """A workspace's test matrix with its structured A^T V and kernel input."""
+    m = ws.config.m
+    V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    interiors, harmonic_from = ws.image_structure(m)
+    AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
+    return V, interiors, harmonic_from, AtV, test_space.compressed_image(AtV, interiors)
+
+
+@pytest.mark.parametrize("name", ["tiny", "ws_contrast"])
+def test_harmonic_columns_have_no_image_in_a_block_interior(request, name):
+    ws = request.getfixturevalue(name)
+    V, interiors, harmonic_from, AtV, _ = _structured_image(ws)
+    basis = test_space.test_basis(ws.op, V, interiors, harmonic_from)
+    assert basis.AtV.nnz == AtV.nnz
+    inside = np.zeros(V.shape[0], dtype=bool)
+    inside[np.concatenate(interiors)] = True
+    # W2 and W3 store nothing on a block interior row; the bubbles do
+    assert basis.AtV[inside][:, harmonic_from:].nnz == 0
+    assert basis.AtV[inside][:, :harmonic_from].nnz > 0
+    # the entries left out are rounding residues of the plain product
+    plain = (ws.op.A.T @ V).tocsc()
+    residue = spla.norm(basis.AtV - plain, axis=0)
+    assert np.all(residue <= 1e-12 * spla.norm(plain, axis=0))
+
+
+@pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
+def test_the_kernel_on_the_compressed_image_matches_the_plain_one(request, name, bound):
+    ws = request.getfixturevalue(name)
+    V, interiors, _, AtV, image = _structured_image(ws)
+    by_rows = AtV.tocsr()
+    skeleton = V.shape[0] - sum(interior.size for interior in interiors)
+    stored = sum(np.unique(by_rows[interior].indices).size for interior in interiors)
+    assert image.rows.shape[0] <= skeleton + stored < V.shape[0]
+    # every block is compressed: it holds its bubbles only
+    assert len(image.blocks) == len(interiors)
+    assert abs(image.rows.T @ image.rows - AtV.T @ AtV).max() <= 1e-13 * abs(AtV.T @ AtV).max()
+    T, kept, _ = orthonormalize_columns(image.rows)
+    T_plain, kept_plain, _ = orthonormalize_columns((ws.op.A.T @ V).tocsc())
+    assert np.array_equal(kept, kept_plain)
+    assert np.abs(T - T_plain).max() <= bound * np.abs(T_plain).max()
+
