@@ -24,6 +24,7 @@ from .assembly import SparseOperator
 from .errors import SolverFailureError
 from .grid import CoarseTopology, coloring
 from .numerics import (
+    coefficient_product,
     column_sparse,
     full_rank_lstsq,
     local_dirichlet_solve,
@@ -95,9 +96,9 @@ def solve_coupled(op: SparseOperator, V, Xi, interiors=(), harmonic_from=None) -
     A^T V vanishes, for ``test_space.test_basis``.
     """
     Xi = sp.csc_matrix(Xi, dtype=float)
-    basis = test_basis(op, V, interiors, harmonic_from)
-    rhs_w = basis.T.T @ (basis.V.T @ op.f)
-    return _solved_state(op, basis, Xi, basis.T.T @ (basis.AtV.T @ Xi), rhs_w)
+    basis, steps = test_basis(op, V, interiors, harmonic_from)
+    rhs_w = coefficient_product(steps, basis.V.T @ op.f)
+    return _solved_state(op, basis, Xi, coefficient_product(steps, basis.AtV.T @ Xi), rhs_w)
 
 
 def leading_block(state: SaddleState, n: int) -> SaddleState | None:

@@ -1,9 +1,10 @@
 """Experiment driver: configuration, cached offline pipeline, report rows.
 
 A ``Workspace`` builds everything that does not depend on the per-cell
-parameters (operator, reference solve, partition of unity, trial
-eigen-combinations, edge spectra) exactly once, so sweeps over trial/test
-counts reuse the expensive local solves.  Rows are emitted in a fixed
+parameters (operator, reference solve, block factors, partition of unity,
+trial eigen-combinations, edge spectra) exactly once, so sweeps over
+trial/test counts reuse the expensive local solves; it holds one LU of
+each coarse block's interior operator for all of them.  Rows are emitted in a fixed
 schema so repeated runs of the same configuration are byte-identical.
 """
 
@@ -166,7 +167,12 @@ class Workspace:
             )
         self.op: SparseOperator = assemble(self.mesh, self.field)
         self.u_ref = solve_fine_reference(self.op)
-        self.chi = trial_space.partition_of_unity(self.topology, self.op.A_nodes)
+        # per-region stages, on one BLAS thread like the lazy ones below
+        with serial_blas():
+            self.block_factors = trial_space.block_factors(self.topology, self.op)
+            self.chi = trial_space.partition_of_unity(
+                self.topology, self.op.A_nodes, self.block_factors
+            )
         self._eigenbases: list[trial_space.TrialEigenbasis] = []
         self._eigen_m = 0
         self._trial: dict[int, trial_space.TrialBasis] = {}
@@ -220,13 +226,15 @@ class Workspace:
     def w1(self, m: int) -> test_space.BubbleSet:
         if m not in self._w1:
             with serial_blas():
-                self._w1[m] = test_space.build_W1(self.topology, self.op, self.trial(m).Xi)
+                self._w1[m] = test_space.build_W1(
+                    self.topology, self.op, self.trial(m).Xi, self.block_factors
+                )
         return self._w1[m]
 
     def w2(self) -> test_space.VertexTraceSet:
         if self._w2 is None:
             with serial_blas():
-                self._w2 = test_space.build_W2(self.topology, self.op)
+                self._w2 = test_space.build_W2(self.topology, self.op, self.block_factors)
         return self._w2
 
     def edge_spectrum(
@@ -241,12 +249,15 @@ class Workspace:
         """
         key, keep = (k, problem), max(L, self.config.L)
         if key not in self._spectrum or self._spectrum[key].L < keep:
-            solver = (
-                test_space.eigenproblem_1 if problem == 1 else test_space.eigenproblem_2
-            )
+            energy = self.config.edge_energy
             with serial_blas():
-                snap = test_space.build_W3_snapshots(self.topology, self.op, k)
-                full = solver(snap, self.op, energy=self.config.edge_energy)
+                snap = test_space.build_W3_snapshots(self.topology, self.op, k, self.block_factors)
+                if problem == 1:
+                    full = test_space.eigenproblem_1(snap, self.op, energy=energy)
+                else:
+                    full = test_space.eigenproblem_2(
+                        snap, self.op, self.block_factors, energy=energy
+                    )
             self._spectrum[key] = test_space.select_prefix(
                 full.edge,
                 problem,

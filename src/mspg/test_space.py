@@ -2,9 +2,25 @@
 spectral reductions of the edge component.
 
 All test snapshots are built from the discrete adjoint (the transpose of
-the assembled stiffness matrix).  The edge component dominates the snapshot
-count, so it is compressed per edge by one of two eigenproblems posed in
-the squared-adjoint energy on the two blocks sharing the edge.  The test
+the assembled stiffness matrix).  Every solve inside a coarse block goes
+through the one factorization of the block's interior operator A_II
+(``trial_space.block_factors``): W1, W2 and the W3 snapshots solve with
+A_II^T, the minimum-energy extensions of eigenproblem 2 with A_II.
+
+The edge component dominates the snapshot count, so it is compressed per
+edge by one of two eigenproblems posed in the squared-adjoint energy
+B = E E^T on the two blocks K1, K2 sharing the edge, with E = A_loc, the
+stiffness matrix restricted to the edge region (``edge_energy="region"``):
+
+* eigenproblem 1: S v = lambda M_e v, with S = Y^T Y for Y = E^T psi (the
+  snapshots psi) and M_e the trace mass matrix of the edge;
+* eigenproblem 2: S_min v = lambda S v, with S_min = (A_e N)(N^T N)^{-1}
+  (A_e N)^T the Gram of the minimum-energy extensions of the edge deltas:
+  N = [N_f; I] spans the null space of the free rows A_f of A_loc, N_f =
+  -diag(A_K1, A_K2)^{-1} A_loc[f, e], and A_e holds the edge rows.
+
+B itself is never formed, so no condition number is squared, except for
+the minimum-energy extension under ``edge_energy="global"``.  The test
 basis (``TestBasis``) is the raw sparse columns V with A^T V and the small
 coefficients T that make Q = A^T V T orthonormal; Q is never formed.
 
@@ -32,7 +48,6 @@ from .numerics import (
     column_sparse,
     generalized_sym_eig,
     harmonic_extension,
-    local_dirichlet_solve,
     orthonormalize_columns,
     serial_blas,
 )
@@ -57,12 +72,15 @@ class BubbleSet:
         return self.columns.shape[1]
 
 
-def build_W1(topology: CoarseTopology, op: SparseOperator, Xi: sp.csc_matrix) -> BubbleSet:
+def build_W1(
+    topology: CoarseTopology, op: SparseOperator, Xi: sp.csc_matrix, factors
+) -> BubbleSet:
     """Adjoint bubbles for every trial column overlapping a block.
 
     The local adjoint is driven by the raw coefficient values of the trial
-    column, the pairing of the global constraint equation.  ``Xi`` stores
-    no zeros, so a column overlaps a block where it stores an entry.
+    column, the pairing of the global constraint equation, and solved with
+    the block's factor (``trial_space.block_factors``) transposed.  ``Xi``
+    stores no zeros, so a column overlaps a block where it stores an entry.
     """
     blocks, block_ids, source_columns = [], [], []
     for block in topology.blocks:
@@ -71,10 +89,7 @@ def build_W1(topology: CoarseTopology, op: SparseOperator, Xi: sp.csc_matrix) ->
         overlapping = np.flatnonzero(Xi_I.getnnz(axis=0))
         if overlapping.size == 0:
             continue
-        At_ii = op.A[I][:, I].T.tocsc()
-        X = local_dirichlet_solve(
-            At_ii, Xi_I[:, overlapping].toarray(), label=f"block {block.index} bubbles"
-        )
+        X = factors[block.index].solve(Xi_I[:, overlapping].toarray(), trans="T")
         blocks.append((I, X))
         block_ids.extend([block.index] * overlapping.size)
         source_columns.extend(overlapping)
@@ -99,10 +114,11 @@ class VertexTraceSet:
         return self.columns.shape[1]
 
 
-def build_W2(topology: CoarseTopology, op: SparseOperator) -> VertexTraceSet:
+def build_W2(topology: CoarseTopology, op: SparseOperator, factors) -> VertexTraceSet:
     """The adjoint multiscale partition of unity on the dofs, restricted to
-    the interior coarse nodes, whose hats vanish on the domain boundary."""
-    chi = partition_of_unity(topology, op.A_nodes.T)
+    the interior coarse nodes, whose hats vanish on the domain boundary;
+    ``factors`` are the block factors of ``trial_space.block_factors``."""
+    chi = partition_of_unity(topology, op.A_nodes, factors, trans="T")
     nodes = topology.interior_coarse_nodes
     columns = chi[:, nodes][topology.mesh.node_of_dof]
     columns.eliminate_zeros()
@@ -127,19 +143,19 @@ class TestSnapshotW3:
 
 
 def build_W3_snapshots(
-    topology: CoarseTopology, op: SparseOperator, k: int
+    topology: CoarseTopology, op: SparseOperator, k: int, factors
 ) -> TestSnapshotW3:
+    """Edge k's snapshots: in each adjacent block, the adjoint-harmonic
+    extension of the edge deltas, solved with the block's factor
+    (``trial_space.block_factors``) transposed."""
     edge = topology.edges[k]
-    ns = edge.interior.size
-    At = op.A.T
+    A_edge = op.A[edge.interior]  # the rows of the edge dofs
     psi = np.vstack(
         [
-            harmonic_extension(
-                At, topology.blocks[kb].interior, edge.interior, label=f"edge {k} block {kb}"
-            )
+            factors[kb].solve(-A_edge[:, topology.blocks[kb].interior].T.toarray(), trans="T")
             for kb in edge.blocks
         ]
-        + [np.eye(ns)]
+        + [np.eye(edge.interior.size)]
     )
     return TestSnapshotW3(edge=edge, columns=psi)
 
@@ -162,21 +178,33 @@ class EdgeSpectralResult:
     lambda_excluded: float
 
 
-def _edge_energy(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> sp.csr_matrix:
-    """Squared-adjoint energy on the edge region.
+def _edge_operator(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> sp.csr_matrix:
+    """The rows E of the stiffness matrix on the edge region whose
+    squared-adjoint energy is B = E E^T, so psi^T B psi = ||E^T psi||^2.
 
-    ``region`` squares the entrywise restriction of the stiffness matrix to
-    the region dofs (the residual rows outside the region are ignored);
-    ``global`` takes the principal submatrix of the full squared operator,
-    the localization the online enrichment solves use.
+    ``region`` restricts the columns to the region dofs too (the residual
+    rows outside the region are ignored); ``global`` keeps every column, so
+    B is the principal submatrix of the full squared operator, the
+    localization the online enrichment solves use.
     """
     if mode == "region":
-        A_loc = op.A[edge.region][:, edge.region]
-        return (A_loc @ A_loc.T).tocsr()
+        return op.A[edge.region][:, edge.region]
     if mode == "global":
-        A_rows = op.A[edge.region, :]
-        return (A_rows @ A_rows.T).tocsr()
+        return op.A[edge.region, :]
     raise ValueError(f"unknown edge energy mode {mode!r}")
+
+
+def _edge_energy(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> sp.csr_matrix:
+    """The squared-adjoint energy B = E E^T of ``_edge_operator``; formed
+    for the minimum-energy extension of eigenproblem 2 under ``global``."""
+    E = _edge_operator(op, edge, mode)
+    return (E @ E.T).tocsr()
+
+
+def _snapshot_energy(E: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
+    """psi^T B psi for B = E E^T, as Y^T Y with Y = E^T psi."""
+    Y = E.T @ psi
+    return Y.T @ Y
 
 
 def select_prefix(edge, problem, values, snapshot_combos, L):
@@ -206,8 +234,7 @@ def eigenproblem_1(
     """
     edge = snapshots.edge
     psi = snapshots.columns
-    B = _edge_energy(op, edge, mode=energy)
-    S = psi.T @ (B @ psi)
+    S = _snapshot_energy(_edge_operator(op, edge, energy), psi)
     ns = psi.shape[1]
     h = op.mesh.h
     M_edge = (h / 6.0) * (
@@ -220,28 +247,63 @@ def eigenproblem_1(
     return select_prefix(edge, 1, pairs.values, psi @ pairs.vectors, ns)
 
 
+def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndarray:
+    """ext^T B ext for the minimum-energy extensions ext of the edge deltas
+    in B = A_loc A_loc^T, without forming B.
+
+    Minimizing ||A_loc^T v|| over v with edge values c leaves the part of
+    A_e^T c orthogonal to the range of A_f^T (A_f, A_e the rows of the free
+    and edge dofs), so the Gram is (A_e N)(N^T N)^{-1}(A_e N)^T for a basis
+    N of null(A_f) (the null-space method; Golub and Van Loan, Matrix
+    Computations, 6.2).  The block interiors do not couple, so A_f has the
+    interior block diag(A_K1, A_K2), and N = [N_f; I] with N_f =
+    -diag(A_K1, A_K2)^{-1} A_loc[f, e] takes one forward solve with each
+    block's factor.  N^T N = I + N_f^T N_f is well conditioned, and no
+    product squares the condition of A_loc as B does.
+    """
+    nf = edge.region.size - edge.interior.size
+    A_fe = A_loc[:nf, nf:]
+    N_f, at = [], 0
+    for kb in edge.blocks:
+        size = factors[kb].K.shape[0]
+        N_f.append(factors[kb].solve(-A_fe[at : at + size].toarray()))
+        at += size
+    N_f = np.vstack(N_f)
+    AeN = A_loc[nf:, :nf] @ N_f + A_loc[nf:, nf:].toarray()
+    NtN = N_f.T @ N_f + np.eye(N_f.shape[1])
+    return AeN @ np.linalg.solve(NtN, AeN.T)
+
+
 def eigenproblem_2(
-    snapshots: TestSnapshotW3, op: SparseOperator, energy: str = "region"
+    snapshots: TestSnapshotW3, op: SparseOperator, factors, energy: str = "region"
 ) -> EdgeSpectralResult:
     """Edge reduction against the snapshot energy itself, with every mode
     selected.
 
     The left-hand side uses the minimum-energy extensions of the snapshot
     traces over the edge region, so every eigenvalue lies in [0, 1]; values
-    close to 1 signal that the remaining snapshots add almost nothing.  The
-    energy B is SPD, so the minimum-energy extension of an edge delta is
-    its B-harmonic extension; the edge dofs are the last rows of ``region``.
+    close to 1 signal that the remaining snapshots add almost nothing.
+    Both sides are Grams in the squared-adjoint energy B = E E^T
+    (``_edge_operator``): S = Y^T Y with Y = E^T psi, and under ``region``
+    the left side from the block ``factors`` (``_min_energy_gram``).  Under
+    ``global`` B is SPD and formed, and the minimum-energy extension of an
+    edge delta is its B-harmonic extension; the edge dofs are the last rows
+    of ``region``.
     """
     edge = snapshots.edge
     psi = snapshots.columns
     ns = psi.shape[1]
-    B = _edge_energy(op, edge, mode=energy)
-    free = np.arange(edge.region.size - ns)
-    ext = np.vstack(
-        [harmonic_extension(B, free, edge.edge_local, label=f"edge {edge.index}"), np.eye(ns)]
-    )
-    S_min = ext.T @ (B @ ext)
-    S = psi.T @ (B @ psi)
+    E = _edge_operator(op, edge, energy)
+    if energy == "region":
+        S_min = _min_energy_gram(E, edge, factors)
+    else:
+        B = _edge_energy(op, edge, mode=energy)
+        free = np.arange(edge.region.size - ns)
+        ext = np.vstack(
+            [harmonic_extension(B, free, edge.edge_local, label=f"edge {edge.index}"), np.eye(ns)]
+        )
+        S_min = ext.T @ (B @ ext)
+    S = _snapshot_energy(E, psi)
     try:
         pairs = generalized_sym_eig(S_min, S)
     except SingularMetricError as exc:
@@ -389,7 +451,7 @@ def compressed_image(Y: sp.csc_matrix, interiors=()) -> CompressedImage:
     return CompressedImage(rows, plain, tuple(blocks))
 
 
-def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestBasis:
+def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None):
     """Basis of the span of the sparse or dense ``V``; a column that adds
     nothing in the w-norm is dropped by ``orthonormalize_columns``.
 
@@ -397,12 +459,14 @@ def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestB
     (``adjoint_image``) on the coarse skeleton as it is, and on each block
     of ``interiors`` only the R factor of the block's rows.  There a block
     holds the image of its own bubbles alone (at most 4m columns) once the
-    columns from ``harmonic_from`` on are marked harmonic.
+    columns from ``harmonic_from`` on are marked harmonic.  Returns the
+    ``TestBasis`` and the kernel's ``steps``, for products with T^T in the
+    kernel's order (``numerics.coefficient_product``).
     """
     V = sp.csc_matrix(V, dtype=float)
     AtV = adjoint_image(op, V, interiors, harmonic_from)
-    T, kept, _ = orthonormalize_columns(compressed_image(AtV, interiors).rows)
-    return TestBasis(V=V, AtV=AtV, T=T, kept=kept)
+    T, kept, steps = orthonormalize_columns(compressed_image(AtV, interiors).rows)
+    return TestBasis(V=V, AtV=AtV, T=T, kept=kept), steps
 
 
 def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:

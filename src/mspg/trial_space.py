@@ -5,7 +5,8 @@ For every coarse node the snapshot space collects the discrete harmonic
 extensions of nodal deltas on the neighborhood boundary (skipping nodes on
 the domain boundary, which carry no dofs).  A generalized eigenproblem in
 the squared-operator metric picks the m smoothest combinations, which are
-then localized by a partition of unity.
+then localized by a partition of unity, extended into each coarse block
+through the one factorization of its interior operator (``block_factors``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 from .assembly import SparseOperator
 from .errors import SingularMetricError
 from .grid import CoarseTopology, hat_values
-from .numerics import column_sparse, generalized_sym_eig, harmonic_extension
+from .numerics import CheckedFactor, column_sparse, generalized_sym_eig, harmonic_extension
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,34 @@ def trial_eigenbasis(
     )
 
 
-def partition_of_unity(topology: CoarseTopology, K: sp.spmatrix) -> sp.csc_matrix:
+def block_factors(topology: CoarseTopology, op: SparseOperator) -> tuple[CheckedFactor, ...]:
+    """One checked LU of every coarse block's interior operator A_II, in
+    block order; every block-local solve goes through it.
+
+    The block interiors do not couple to each other, and a block's matrix
+    is the same in node and dof numbering (``Block.interior`` lists the
+    dofs of ``interior_nodes`` in their order), so the factor serves the
+    solves on ``op.A_nodes`` as well as those on ``op.A``; solves with A_II^T
+    (``trans="T"``) serve the adjoint ones.
+    """
+    return tuple(
+        CheckedFactor(op.A[block.interior][:, block.interior], label=f"block {block.index}")
+        for block in topology.blocks
+    )
+
+
+def partition_of_unity(
+    topology: CoarseTopology, A_nodes: sp.spmatrix, factors, trans: str = "N"
+) -> sp.csc_matrix:
     """One column per coarse node, summing to 1 at every lattice node.
 
-    The coarse hat traces on the block boundaries are extended harmonically
-    w.r.t. the node operator ``K`` (``op.A_nodes``; its transpose gives the
-    adjoint-harmonic hats of the test space) into each block.  Columns live
-    on all lattice nodes: hats of boundary coarse nodes are nonzero on the
-    domain boundary, where the trial functions they multiply vanish anyway.
+    The coarse hat traces on the block boundaries are extended into each
+    block harmonically w.r.t. the node operator ``A_nodes``, or w.r.t. its
+    transpose with ``trans="T"`` (the adjoint-harmonic hats of the test
+    space), through the block's ``factors`` entry (``block_factors``).
+    Columns live on all lattice nodes: hats of boundary coarse nodes are
+    nonzero on the domain boundary, where the trial functions they multiply
+    vanish anyway.
     """
     mesh = topology.mesh
     nc = topology.nc
@@ -132,15 +153,15 @@ def partition_of_unity(topology: CoarseTopology, K: sp.spmatrix) -> sp.csc_matri
     for block in topology.blocks:
         I, J = block.ij
         corners = [b * (nc + 1) + a for b in (J, J + 1) for a in (I, I + 1)]
-        bx, by = mesh.node_coords(block.boundary_nodes)
+        inner, frame = block.interior_nodes, block.boundary_nodes
+        bx, by = mesh.node_coords(frame)
         traces = np.stack([hat_values(topology, l, bx, by) for l in corners], axis=1)
-        X = harmonic_extension(
-            K, block.interior_nodes, block.boundary_nodes, traces, label=f"block {block.index}"
-        )
+        K_ib = A_nodes[inner][:, frame] if trans == "N" else A_nodes[frame][:, inner].T
+        X = factors[block.index].solve(-(K_ib @ traces), trans=trans)
         for k, l in enumerate(corners):
-            cols[l][0].append(block.boundary_nodes)
+            cols[l][0].append(frame)
             cols[l][1].append(traces[:, k])
-            cols[l][0].append(block.interior_nodes)
+            cols[l][0].append(inner)
             cols[l][1].append(X[:, k])
 
     blocks = []

@@ -74,20 +74,26 @@ def test_serial_blas_does_nothing_without_a_library(monkeypatch):
         assert thread_counts() == [2] * len(SETTERS)
 
 
-# the lazily built per-region stages, by (file, function)
+# the per-region stages, by (file, function): the constructor's block
+# factors and partition of unity, and the lazily built ones
 STAGES = {
+    ("harness.py", "__init__"),
     ("harness.py", "trial"),
     ("harness.py", "w1"),
     ("harness.py", "w2"),
     ("harness.py", "edge_spectrum"),
     ("coupling.py", "_online_columns"),
 }
+# global kernels called from a stage: the constructor's fine reference solve
+GLOBAL = {("assembly.py", "solve_fine_reference")}
 
 
 def calling_stage():
     frame = sys._getframe(2)
     while frame is not None:
         key = (Path(frame.f_code.co_filename).name, frame.f_code.co_name)
+        if key in GLOBAL:
+            return None
         if key in STAGES:
             return key[1]
         frame = frame.f_back
@@ -106,7 +112,7 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
         return spied
 
     bindings = {
-        "local_dirichlet_solve": (numerics, test_space, coupling, assembly),
+        "local_dirichlet_solve": (numerics, coupling, assembly),
         "generalized_sym_eig": (trial_space, test_space),
         "orthonormalize_columns": (test_space, coupling),
         "smallest_singular_value": (coupling,),
@@ -115,6 +121,9 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
         for module in modules:
             monkeypatch.setattr(module, name, spy(name, getattr(numerics, name)))
     monkeypatch.setattr(test_space.sla, "qr", spy("qr", test_space.sla.qr))
+    factor = numerics.CheckedFactor
+    monkeypatch.setattr(factor, "__init__", spy("factor", factor.__init__))
+    monkeypatch.setattr(factor, "solve", spy("solve", factor.solve))
 
     cfg = ExperimentConfig(
         example=1, alpha=2.0, nc=8, n=64, m=1, L=3, eigenproblem=2, online_iters=1, infsup=True
@@ -140,6 +149,11 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
         assert caller == "compressed_image" and counts == [1] * len(SETTERS)
     infsup = [call for call in calls if call[2] == "infsup_estimate"]
     assert infsup and all(counts == [2] * len(SETTERS) for *_, counts in infsup)
+    # the constructor factors every block interior once, on one thread
+    factors = [call for call in calls if call[:2] == ("factor", "__init__")]
+    assert len(factors) == len(ws.topology.blocks)
+    reference = [call for call in calls if call[2] == "solve_fine_reference"]
+    assert reference and all(counts == [2] * len(SETTERS) for *_, counts in reference)
 
 
 def test_blas_threads_are_set_in_numerics_only():

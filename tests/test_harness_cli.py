@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from mspg import trial_space
 from mspg.cli import build_parser, main
 from mspg.errors import ConfigError
 from mspg.fields import example_4
-from mspg.grid import build_fine_mesh
+from mspg.grid import build_coarse_topology, build_fine_mesh
 from mspg.harness import (
     ExperimentConfig,
     cell_peclet,
@@ -146,6 +147,74 @@ def test_sweep_orthonormalizes_once_per_trial_count_and_eigenproblem(tmp_path, m
     assert main(argv) == 0
     assert len(out.read_text().splitlines()) == 1 + 4
     assert len(calls) == 2
+
+
+def test_sweep_factors_each_block_interior_once(monkeypatch):
+    # W1 for every m, W2, the partition of unity and every edge's snapshots
+    # and extensions under both eigenproblems solve with the Workspace's
+    # block factors; a one-block (corner) neighborhood's trial snapshots
+    # solve on that block's interior too, with a one-shot factor of their own
+    from mspg import harness, numerics
+
+    factored = []  # the matrix of every factorization made
+
+    class Recording(numerics.CheckedFactor):
+        def __init__(self, K, label=""):
+            super().__init__(K, label)
+            factored.append(self.K)
+
+    monkeypatch.setattr(numerics, "CheckedFactor", Recording)
+    monkeypatch.setattr(trial_space, "CheckedFactor", Recording)
+    workspaces = []
+    real_workspace = harness.Workspace
+
+    def recording_workspace(config):
+        workspaces.append(real_workspace(config))
+        return workspaces[-1]
+
+    monkeypatch.setattr(harness, "Workspace", recording_workspace)
+    config = small_config(n=32, online_iters=1)
+    rows = sweep_experiment(config, [1, 2], [1, 3], [1, 2])
+    assert len(rows) == 2 * 2 * 2 * 2
+    (ws,) = workspaces
+    A = ws.op.A
+
+    def same(K, J):
+        return K.shape == J.shape and (K != J).nnz == 0
+
+    corners = [nb.blocks[0] for nb in ws.topology.neighborhoods if len(nb.blocks) == 1]
+    for block in ws.topology.blocks:
+        A_ii = A[block.interior][:, block.interior]
+        count = sum(same(K, A_ii) or same(K, A_ii.T) for K in factored)
+        assert count == 1 + corners.count(block.index), block.index
+    assert len(ws.block_factors) == len(ws.topology.blocks)
+
+
+def test_cli_singular_block_interior_exits_3(monkeypatch, capsys):
+    # the interior operator of block 5 loses its interior couplings in the
+    # row of its first dof (the global operator stays regular): the block
+    # factorization fails with a LocalSolverError naming the block
+    from dataclasses import replace
+
+    from mspg import harness
+    from mspg.errors import LocalSolverError
+
+    real_assemble = harness.assemble
+
+    def singular_block(mesh, field):
+        op = real_assemble(mesh, field)
+        interior = build_coarse_topology(mesh, 4).blocks[5].interior
+        A = op.A.tolil()
+        A[interior[0], interior] = 0.0
+        return replace(op, A=A.tocsr())
+
+    monkeypatch.setattr(harness, "assemble", singular_block)
+    with pytest.raises(LocalSolverError, match=r"\(block 5\)"):
+        harness.Workspace(small_config())
+    code = main(["run", "--example", "1", "--alpha", "2", "--coarse", "4", "--fine", "16"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "block 5" in err and "singular" in err
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from mspg.assembly import assemble, constant_field
 from mspg.errors import LocalSolverError, SingularMetricError
 from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.numerics import (
+    CheckedFactor,
     column_sparse,
     generalized_sym_eig,
     harmonic_extension,
@@ -108,6 +109,25 @@ def test_local_solve_singular():
         local_dirichlet_solve(np.zeros((3, 3)), np.ones(3))
 
 
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_checked_factor_serves_the_matrix_and_its_transpose(trans):
+    rng = np.random.default_rng(4)
+    K = sp.random(40, 40, density=0.1, random_state=4, format="csr") + sp.eye(40) * 4.0
+    factor = CheckedFactor(K, label="block 7")
+    dense = K.toarray() if trans == "N" else K.toarray().T
+    for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+        assert np.allclose(factor.solve(rhs, trans=trans), np.linalg.solve(dense, rhs), atol=1e-12)
+    with pytest.raises(LocalSolverError, match=r"\(block 7\)") as err:
+        factor.solve(rng.standard_normal(40), trans=trans, tol=1e-30)
+    assert err.value.residual > 1e-30
+
+
+def test_checked_factor_of_a_singular_matrix_names_its_label():
+    K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(LocalSolverError, match=r"singular.*\(block 3\)|\(block 3\).*singular"):
+        CheckedFactor(K, label="block 3")
+
+
 def _laplace_block():
     mesh = build_fine_mesh(16)
     block = build_coarse_topology(mesh, 2).blocks[3]
@@ -166,11 +186,11 @@ def test_vertex_traces_are_adjoint_harmonic_hats(ws_small):
 
 def test_local_solves_go_through_the_checked_kernel():
     # a hand-rolled factorization would skip the residual check, the
-    # refinement step and the typed error of local_dirichlet_solve
+    # refinement step and the typed error of CheckedFactor
     src = Path(__file__).resolve().parents[1] / "src" / "mspg"
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert sum(text.count("splu(") for text in texts.values()) == 1
-    assert "splu(" in inspect.getsource(local_dirichlet_solve)
+    assert "splu(" in inspect.getsource(CheckedFactor)
     assert not any("cho_factor" in text for text in texts.values())
     # dense factorizations live in the orthonormalization kernel only
     for name, text in texts.items():

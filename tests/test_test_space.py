@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from mspg import test_space
 from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh
-from mspg.numerics import local_dirichlet_solve, orthonormalize_columns
+from mspg.numerics import orthonormalize_columns
 from mspg.test_space import (
     _edge_energy,
     assemble_test_matrix,
@@ -17,12 +17,12 @@ from mspg.test_space import (
     eigenproblem_2,
     select_prefix,
 )
-from mspg.trial_space import partition_of_unity
+from mspg.trial_space import block_factors, partition_of_unity
 
 
 def test_bubble_count_interior_block(ws_small):
     m = 2
-    w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(m).Xi)
+    w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(m).Xi, ws_small.block_factors)
     interior_blocks = [
         b.index for b in ws_small.topology.blocks if 0 < b.ij[0] < 3 and 0 < b.ij[1] < 3
     ]
@@ -42,21 +42,21 @@ def test_bubbles_from_the_sparse_trial_matrix_match_the_dense_loop(ws_small, m):
         I = block.interior
         overlapping = np.flatnonzero(np.any(dense[I, :] != 0.0, axis=0))
         if overlapping.size:
-            X = local_dirichlet_solve(op.A[I][:, I].T.tocsc(), dense[I][:, overlapping])
+            X = ws_small.block_factors[block.index].solve(dense[I][:, overlapping], trans="T")
             for j, col in enumerate(overlapping):
                 full = np.zeros(op.A.shape[0])
                 full[I] = X[:, j]
                 blocks.append(full)
                 block_ids.append(block.index)
                 source_columns.append(col)
-    w1 = build_W1(topo, op, Xi)
+    w1 = build_W1(topo, op, Xi, ws_small.block_factors)
     assert np.array_equal(w1.block_ids, block_ids)
     assert np.array_equal(w1.source_columns, source_columns)
     assert np.array_equal(w1.columns.toarray(), np.column_stack(blocks))
 
 
 def test_bubble_zero_sources_skipped(ws_small):
-    w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(1).Xi)
+    w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(1).Xi, ws_small.block_factors)
     Xi = ws_small.trial(1).Xi.toarray()
     for k in range(w1.count):
         block = ws_small.topology.blocks[int(w1.block_ids[k])]
@@ -65,7 +65,7 @@ def test_bubble_zero_sources_skipped(ws_small):
 
 def test_bubble_adjoint_residual(ws_small):
     op = ws_small.op
-    w1 = build_W1(ws_small.topology, op, ws_small.trial(1).Xi)
+    w1 = build_W1(ws_small.topology, op, ws_small.trial(1).Xi, ws_small.block_factors)
     Xi = ws_small.trial(1).Xi.toarray()
     cols = w1.columns.toarray()
     At = op.A.T
@@ -78,7 +78,7 @@ def test_bubble_adjoint_residual(ws_small):
 
 
 def test_bubble_support(ws_small):
-    w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(1).Xi)
+    w1 = build_W1(ws_small.topology, ws_small.op, ws_small.trial(1).Xi, ws_small.block_factors)
     cols = w1.columns.toarray()
     for k in range(0, w1.count, 5):
         block = ws_small.topology.blocks[int(w1.block_ids[k])]
@@ -88,7 +88,7 @@ def test_bubble_support(ws_small):
 
 def test_vertex_trace_count_and_values(ws_small):
     topo = ws_small.topology
-    w2 = build_W2(topo, ws_small.op)
+    w2 = build_W2(topo, ws_small.op, ws_small.block_factors)
     assert w2.count == (topo.nc - 1) ** 2
     mesh = topo.mesh
     cols = w2.columns.toarray()
@@ -114,8 +114,9 @@ def test_vertex_traces_equal_partition_for_pure_diffusion():
     mesh = build_fine_mesh(16)
     topo = build_coarse_topology(mesh, 4)
     op = assemble(mesh, constant_field(kappa=1.0))
-    w2 = build_W2(topo, op)
-    chi = partition_of_unity(topo, op.A_nodes)
+    factors = block_factors(topo, op)
+    w2 = build_W2(topo, op, factors)
+    chi = partition_of_unity(topo, op.A_nodes, factors)
     chi_dofs = chi.toarray()[mesh.node_of_dof, :]
     cols = w2.columns.toarray()
     for j, node in enumerate(w2.node_ids):
@@ -124,7 +125,7 @@ def test_vertex_traces_equal_partition_for_pure_diffusion():
 
 def test_edge_snapshot_count_and_delta(ws_small):
     topo = ws_small.topology
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0, ws_small.block_factors)
     r = topo.r
     assert snap.count == r - 1
     edge = snap.edge
@@ -136,7 +137,7 @@ def test_edge_snapshot_count_and_delta(ws_small):
 
 def test_edge_snapshot_support_and_residual(ws_small):
     op = ws_small.op
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 3)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 3, ws_small.block_factors)
     edge = snap.edge
     full = np.zeros((op.A.shape[0], snap.count))
     full[edge.region, :] = snap.columns
@@ -150,7 +151,7 @@ def test_edge_snapshot_support_and_residual(ws_small):
 
 
 def test_eigenproblem_1_nonnegative_and_full_selection(ws_small):
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 1)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 1, ws_small.block_factors)
     res = eigenproblem_1(snap, ws_small.op)
     assert res.eigenvalues.min() >= -1e-9 * max(res.eigenvalues.max(), 1.0)
     assert res.selected.shape[1] == snap.count
@@ -165,7 +166,7 @@ def test_eigenproblem_1_grows_under_refinement():
         mesh = build_fine_mesh(n)
         topo = build_coarse_topology(mesh, 4)
         op = assemble(mesh, constant_field(kappa=1.0, b=(1.0, 0.5)))
-        snap = build_W3_snapshots(topo, op, 5)
+        snap = build_W3_snapshots(topo, op, 5, block_factors(topo, op))
         res = eigenproblem_1(snap, op)
         tops.append(res.eigenvalues.max())
     assert tops[1] > tops[0]
@@ -183,28 +184,67 @@ def _prefix(full, L):
 
 
 def test_eigenproblem_2_lambda_monotone_in_L(ws_small):
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 2)
-    full = eigenproblem_2(snap, ws_small.op)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 2, ws_small.block_factors)
+    full = eigenproblem_2(snap, ws_small.op, ws_small.block_factors)
     lams = [_prefix(full, L).lambda_excluded for L in range(1, snap.count + 1)]
     assert all(lams[i + 1] >= lams[i] for i in range(len(lams) - 2))
     assert lams[-1] == np.inf
 
 
 def test_selection_nesting(ws_small):
-    full = eigenproblem_2(build_W3_snapshots(ws_small.topology, ws_small.op, 4), ws_small.op)
+    factors = ws_small.block_factors
+    full = eigenproblem_2(
+        build_W3_snapshots(ws_small.topology, ws_small.op, 4, factors), ws_small.op, factors
+    )
     res1, res3 = _prefix(full, 1), _prefix(full, 3)
     assert np.allclose(res3.selected[:, :1], res1.selected)
 
 
 def test_eigenproblem_L_out_of_range(ws_small):
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0, ws_small.block_factors)
     full = eigenproblem_1(snap, ws_small.op)
     assert full.L == snap.count and full.lambda_excluded == np.inf
     with pytest.raises(ValueError):
         _prefix(full, snap.count + 1)
 
 
-@pytest.mark.parametrize("energy", ["region", "global"])
+def _min_energy_oracle(op, edge, psi):
+    """(ext^T B ext, psi^T B psi) with B = A_loc A_loc^T formed: the edge rows
+    of ext carry the identity and its free rows solve B_ff x = -B_fe,
+    factored by splu."""
+    A_loc = op.A[edge.region][:, edge.region]
+    B = (A_loc @ A_loc.T).tocsr()
+    ns = edge.edge_local.size
+    free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
+    ext = np.zeros((B.shape[0], ns))
+    ext[edge.edge_local] = np.eye(ns)
+    ext[free] = spla.splu(B[free][:, free].tocsc()).solve(-B[free][:, edge.edge_local].toarray())
+    return ext.T @ (B @ ext), psi.T @ (B @ psi)
+
+
+@pytest.mark.parametrize("workspace, rel", [("ws_small", 1e-12), ("ws_contrast", 1e-8)])
+def test_eigenproblem_2_region_grams_match_the_minimum_energy_formula(
+    request, monkeypatch, workspace, rel
+):
+    # eigenproblem 2 never forms B under the default energy; the two Grams it
+    # hands to the eigensolver are those of the formed-B formula
+    ws = request.getfixturevalue(workspace)
+    grams = []
+    kernel = test_space.generalized_sym_eig
+
+    def recording(S_min, S):
+        grams.append((S_min, S))
+        return kernel(S_min, S)
+
+    monkeypatch.setattr(test_space, "generalized_sym_eig", recording)
+    for edge in ws.topology.edges:
+        snap = build_W3_snapshots(ws.topology, ws.op, edge.index, ws.block_factors)
+        eigenproblem_2(snap, ws.op, ws.block_factors)
+        for got, oracle in zip(grams[-1], _min_energy_oracle(ws.op, edge, snap.columns)):
+            assert np.linalg.norm(got - oracle) <= rel * np.linalg.norm(oracle), edge.index
+
+
+@pytest.mark.parametrize("energy", ["global"])
 def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
     ws_small, monkeypatch, energy
 ):
@@ -220,8 +260,8 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
 
     monkeypatch.setattr(test_space, "harmonic_extension", recording)
     for edge in ws_small.topology.edges:
-        snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index)
-        eigenproblem_2(snap, ws_small.op, energy=energy)
+        snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index, ws_small.block_factors)
+        eigenproblem_2(snap, ws_small.op, ws_small.block_factors, energy=energy)
         B = _edge_energy(ws_small.op, edge, mode=energy)
         ns = edge.edge_local.size
         free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
@@ -236,7 +276,7 @@ def test_assembled_test_matrix_orthonormal(ws_small, basis_q):
     V, report = ws_small.test_matrix(1, 2, 2)
     assert V.format == "csc" and V.shape[1] == report.n_w1 + report.n_w2 + report.n_w3
     # the test basis is orthonormal in the natural norm ||A^T w||
-    basis = test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1))
+    basis, _ = test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1))
     Q = basis_q()
     gram = Q.T @ Q
     assert abs(gram - np.eye(basis.count)).max() <= 1e-10
@@ -262,7 +302,8 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
         raw[res.edge.region, col : col + res.L] = res.selected
         col += res.L
     rank = np.linalg.matrix_rank(raw, tol=1e-8 * np.linalg.norm(raw))
-    assert test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1)).count == rank
+    basis, _ = test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1))
+    assert basis.count == rank
 
 
 @pytest.mark.parametrize("problem", [1, 2])
@@ -303,7 +344,7 @@ def _structured_image(ws):
 def test_harmonic_columns_have_no_image_in_a_block_interior(request, name):
     ws = request.getfixturevalue(name)
     V, interiors, harmonic_from, AtV, _ = _structured_image(ws)
-    basis = test_space.test_basis(ws.op, V, interiors, harmonic_from)
+    basis, _ = test_space.test_basis(ws.op, V, interiors, harmonic_from)
     assert basis.AtV.nnz == AtV.nnz
     inside = np.zeros(V.shape[0], dtype=bool)
     inside[np.concatenate(interiors)] = True

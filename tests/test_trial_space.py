@@ -7,6 +7,7 @@ from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
 from mspg.trial_space import (
     TrialSnapshotSet,
+    block_factors,
     partition_of_unity,
     trial_eigenbasis,
     trial_snapshots,
@@ -126,7 +127,7 @@ def test_partition_of_unity_pure_diffusion_is_hat(laplace32):
     # constant kappa, no convection: the bilinear hats solve the local
     # problems exactly, so the multiscale partition equals them everywhere
     topo, op = laplace32
-    chi = partition_of_unity(topo, op.A_nodes)
+    chi = partition_of_unity(topo, op.A_nodes, block_factors(topo, op))
     assert np.abs(chi.toarray() - bilinear_hats(topo)).max() <= 1e-9
 
 
