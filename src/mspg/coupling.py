@@ -98,7 +98,9 @@ def solve_coupled(op: SparseOperator, V, Xi, interiors=(), harmonic_from=None) -
     Xi = sp.csc_matrix(Xi, dtype=float)
     basis, steps = test_basis(op, V, interiors, harmonic_from)
     rhs_w = coefficient_product(steps, basis.V.T @ op.f)
-    return _solved_state(op, basis, Xi, coefficient_product(steps, basis.AtV.T @ Xi), rhs_w)
+    G_wu = coefficient_product(steps, basis.AtV.T @ Xi)
+    del steps
+    return _solved_state(op, basis, Xi, G_wu, rhs_w)
 
 
 def leading_block(state: SaddleState, n: int) -> SaddleState | None:

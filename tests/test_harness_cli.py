@@ -159,8 +159,8 @@ def test_sweep_factors_each_block_interior_once(monkeypatch):
     factored = []  # the matrix of every factorization made
 
     class Recording(numerics.CheckedFactor):
-        def __init__(self, K, label=""):
-            super().__init__(K, label)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             factored.append(self.K)
 
     monkeypatch.setattr(numerics, "CheckedFactor", Recording)

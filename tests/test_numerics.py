@@ -109,11 +109,12 @@ def test_local_solve_singular():
         local_dirichlet_solve(np.zeros((3, 3)), np.ones(3))
 
 
+@pytest.mark.parametrize("held", [True, False])
 @pytest.mark.parametrize("trans", ["N", "T"])
-def test_checked_factor_serves_the_matrix_and_its_transpose(trans):
+def test_checked_factor_serves_the_matrix_and_its_transpose(trans, held):
     rng = np.random.default_rng(4)
     K = sp.random(40, 40, density=0.1, random_state=4, format="csr") + sp.eye(40) * 4.0
-    factor = CheckedFactor(K, label="block 7")
+    factor = CheckedFactor(K, label="block 7", held=held)
     dense = K.toarray() if trans == "N" else K.toarray().T
     for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
         assert np.allclose(factor.solve(rhs, trans=trans), np.linalg.solve(dense, rhs), atol=1e-12)
@@ -122,10 +123,11 @@ def test_checked_factor_serves_the_matrix_and_its_transpose(trans):
     assert err.value.residual > 1e-30
 
 
-def test_checked_factor_of_a_singular_matrix_names_its_label():
+@pytest.mark.parametrize("held", [True, False])
+def test_checked_factor_of_a_singular_matrix_names_its_label(held):
     K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(LocalSolverError, match=r"singular.*\(block 3\)|\(block 3\).*singular"):
-        CheckedFactor(K, label="block 3")
+    with pytest.raises(LocalSolverError, match=r"\(block 3\): .*singular"):
+        CheckedFactor(K, label="block 3", held=held)
 
 
 def _laplace_block():
@@ -186,11 +188,14 @@ def test_vertex_traces_are_adjoint_harmonic_hats(ws_small):
 
 def test_local_solves_go_through_the_checked_kernel():
     # a hand-rolled factorization would skip the residual check, the
-    # refinement step and the typed error of CheckedFactor
+    # refinement step and the typed error of CheckedFactor, whose two SuperLU
+    # drivers (LU for a one-shot factor, exact incomplete LU for a held one)
+    # are the package's only factorization calls
     src = Path(__file__).resolve().parents[1] / "src" / "mspg"
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
-    assert sum(text.count("splu(") for text in texts.values()) == 1
-    assert "splu(" in inspect.getsource(CheckedFactor)
+    for call in ("splu(", "spilu("):
+        assert sum(text.count(call) for text in texts.values()) == 1, call
+        assert call in inspect.getsource(CheckedFactor), call
     assert not any("cho_factor" in text for text in texts.values())
     # dense factorizations live in the orthonormalization kernel only
     for name, text in texts.items():
