@@ -44,6 +44,7 @@ from .fields import (
     synthetic_channel_raster,
 )
 from .numerics import (
+    CheckedFactor,
     EigenPairs,
     generalized_sym_eig,
     harmonic_extension,
@@ -61,6 +62,7 @@ from .test_space import (
 from .trial_space import (
     TrialBasis,
     assemble_trial_matrix,
+    block_factors,
     partition_of_unity,
     trial_eigenbasis,
     trial_snapshots,

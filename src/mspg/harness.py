@@ -3,9 +3,10 @@
 A ``Workspace`` builds everything that does not depend on the per-cell
 parameters (operator, reference solve, block factors, partition of unity,
 trial eigen-combinations, edge spectra) exactly once, so sweeps over
-trial/test counts reuse the expensive local solves; it holds one LU of
-each coarse block's interior operator for all of them.  Rows are emitted in a fixed
-schema so repeated runs of the same configuration are byte-identical.
+trial/test counts reuse the expensive local solves; one LU of each coarse
+block's interior operator serves all of its block-local solves.  Rows are
+emitted in a fixed schema so repeated runs of the same configuration are
+byte-identical.
 """
 
 from __future__ import annotations

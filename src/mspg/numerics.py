@@ -3,9 +3,9 @@
 Every direct sparse solve goes through ``CheckedFactor``, the one place
 the package factors a matrix with SuperLU, whose solves check their
 residual; a factor made once serves many solves with its matrix or its
-transpose, and ``local_dirichlet_solve`` is its one-shot use.  The other kernels
-keep no state of their own and operate on plain numpy / scipy.sparse
-inputs.  What they do share is the BLAS thread pool of the
+transpose, and ``local_dirichlet_solve`` is its one-shot use.  The other
+kernels keep no state of their own and operate on plain numpy /
+scipy.sparse inputs.  What they do share is the BLAS thread pool of the
 process: ``serial_blas`` narrows it to one thread around the per-region
 stages, whose small dense kernels run slower on more threads, and the
 global kernels run at the count the process started with.
@@ -104,10 +104,10 @@ class CheckedFactor:
 
     The package's direct factorization: SuperLU with partial pivoting of a
     sparse or dense K, made once and reused by every solve with K
-    (``trans="N"``) or K^T (``trans="T"``).  When the first
-    relative residual of a solve misses ``tol``, one step of iterative
-    refinement with the same factors is taken before the check, so a solve
-    that meets the bound at once is left untouched.  A singular K or a
+    (``trans="N"``) or K^T (``trans="T"``).  When the first relative
+    residual of a solve misses ``tol``, one step of iterative refinement
+    with the same factors is taken before the check, so a solve that meets
+    the bound at once is left untouched.  A singular K or a
     missed residual is a ``LocalSolverError`` naming ``label``, with the
     achieved residual when there is one.
 

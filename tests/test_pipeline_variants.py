@@ -27,6 +27,27 @@ def test_full_selection_exactness_every_example(example):
     assert lo >= -1e-10 and hi <= 1.0 + 1e-10
 
 
+def test_full_space_gap_solves_on_the_compressed_image(monkeypatch):
+    # the validate check runs the solve a report row runs: with the block
+    # interiors and the first harmonic column of the workspace
+    from mspg import coupling
+
+    ws = build(example=1, nc=4, n=16, L=3)
+    calls = []
+    solve = coupling.solve_coupled
+
+    def recording(op, V, Xi, *structure):
+        calls.append(structure)
+        return solve(op, V, Xi, *structure)
+
+    monkeypatch.setattr(coupling, "solve_coupled", recording)
+    full_space_gap(ws)
+    interiors, harmonic_from = ws.image_structure(1)
+    ((got_interiors, got_harmonic_from),) = calls
+    assert got_harmonic_from == harmonic_from
+    assert all(np.array_equal(a, b) for a, b in zip(got_interiors, interiors, strict=True))
+
+
 def test_minimal_coarse_grid_runs():
     # nc=2: the center neighborhood covers the whole domain, so it carries
     # no snapshots; the corner/edge nodes still produce a trial space
