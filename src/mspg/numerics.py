@@ -275,7 +275,7 @@ def coefficient_product(steps, Z) -> np.ndarray:
     the order of the condition of V, and its product cancels digits that
     this order keeps: on a 3969 x 1601 test image of condition 3e8, the
     smallest singular value of Q^T Xi, exactly 1, came out 1 - 4e-12 this
-    way and 1 - 2e-10 through T."""
+    way and 1 - 4e-11 to 1 - 2e-10 through T."""
     rows = Z.T if Z.ndim == 2 else Z[None, :]
     product = np.vstack([block for _, block in orthonormal_row_blocks(rows, steps)]).T
     return product if Z.ndim == 2 else product[:, 0]

@@ -451,7 +451,9 @@ def compressed_image(Y: sp.csc_matrix, interiors=()) -> CompressedImage:
     return CompressedImage(rows, plain, tuple(blocks))
 
 
-def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None):
+def test_basis(
+    op: SparseOperator, V, interiors=(), harmonic_from=None
+) -> tuple[TestBasis, tuple]:
     """Basis of the span of the sparse or dense ``V``; a column that adds
     nothing in the w-norm is dropped by ``orthonormalize_columns``.
 

@@ -259,9 +259,10 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
         return extensions[-1]
 
     monkeypatch.setattr(test_space, "harmonic_extension", recording)
+    factors = ws_small.block_factors
     for edge in ws_small.topology.edges:
-        snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index, ws_small.block_factors)
-        eigenproblem_2(snap, ws_small.op, ws_small.block_factors, energy=energy)
+        snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index, factors)
+        eigenproblem_2(snap, ws_small.op, factors, energy=energy)
         B = _edge_energy(ws_small.op, edge, mode=energy)
         ns = edge.edge_local.size
         free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
