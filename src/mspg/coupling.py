@@ -99,7 +99,7 @@ def solve_coupled(op: SparseOperator, V, Xi, interiors=(), harmonic_from=None) -
     basis, steps = test_basis(op, V, interiors, harmonic_from)
     rhs_w = coefficient_product(steps, basis.V.T @ op.f)
     G_wu = coefficient_product(steps, basis.AtV.T @ Xi)
-    del steps
+    del steps  # three K x k arrays, not needed past the blocks
     return _solved_state(op, basis, Xi, G_wu, rhs_w)
 
 
