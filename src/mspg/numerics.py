@@ -111,17 +111,18 @@ class CheckedFactor:
     missed residual is a ``LocalSolverError`` naming ``label``, with the
     achieved residual when there is one.
 
-    SuperLU's LU driver reserves storage for L and U of about 700 bytes per
-    stored entry of K and keeps it with the factor: 256 KB for a 49-dof
-    coarse block whose L and U hold 730 entries, 38 MB for a 6,241-dof one.
-    A ``held`` factor is therefore made by SuperLU's incomplete-LU driver
-    with nothing dropped (drop tolerance 0, the basic drop rule, partial
-    pivoting), which grows its storage from nnz(K) as L and U fill in: an
-    exact LU in 14 KB for that 49-dof block.  It is ordered by minimum
-    degree on K^T + K, which suits the structurally symmetric block
-    operators (29% less fill than COLAMD on a 1,521-dof block).  That driver
-    factors 20-40% slower than the LU driver on large matrices, so a factor
-    used for one solve takes the LU driver with COLAMD.
+    SuperLU's LU routine (``splu``) reserves storage for L and U of about
+    700 bytes per stored entry of K and keeps it with the factor: 256 KB
+    for a 49-dof coarse block whose L and U hold 730 entries, 38 MB for a
+    6,241-dof one.  A ``held`` factor is therefore made by SuperLU's
+    incomplete-LU routine (``spilu``) with nothing dropped (drop tolerance
+    0, the basic drop rule, partial pivoting), which grows its storage from
+    nnz(K) as L and U fill in: an exact LU in 14 KB for that 49-dof block.
+    It is ordered by minimum degree on K^T + K, which suits the structurally
+    symmetric block operators (29% less fill than COLAMD on a 1,521-dof
+    block).  That routine factors 20-40% slower than ``splu`` on large
+    matrices, so a factor used for one solve comes from ``splu`` with
+    COLAMD.
     """
 
     def __init__(self, K, label: str = "", held: bool = True):

@@ -189,7 +189,7 @@ def test_vertex_traces_are_adjoint_harmonic_hats(ws_small):
 def test_local_solves_go_through_the_checked_kernel():
     # a hand-rolled factorization would skip the residual check, the
     # refinement step and the typed error of CheckedFactor, whose two SuperLU
-    # drivers (LU for a one-shot factor, exact incomplete LU for a held one)
+    # routines (LU for a one-shot factor, exact incomplete LU for a held one)
     # are the package's only factorization calls
     src = Path(__file__).resolve().parents[1] / "src" / "mspg"
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
