@@ -10,6 +10,10 @@ product and no dense array has a row per fine dof and a column per function.
 T comes from the block-compressed image of A^T V
 (``test_space.compressed_image``), whose rows number the coarse skeleton's
 plus a few per block; ``Workspace.image_structure`` supplies the blocks.
+T is held as the kernel's factors C, R_1[, R_2] and applied in the kernel's
+order: G_wu and rhs_w through ``numerics.coefficient_product``, the fine
+test function w_fine = V (T w) through ``numerics.apply_coefficients``.
+Only the online loop forms T, once, to grow it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from .assembly import SparseOperator
 from .errors import SolverFailureError
 from .grid import CoarseTopology, coloring
 from .numerics import (
+    apply_coefficients,
     coefficient_product,
     column_sparse,
     full_rank_lstsq,
     local_dirichlet_solve,
-    orthonormal_row_blocks,
     orthonormalize_columns,
     serial_blas,
     smallest_singular_value,
@@ -81,7 +85,7 @@ def _solved_state(op, basis, Xi, G_wu, rhs_w) -> SaddleState:
         rhs_w=rhs_w,
         w=w,
         u=u,
-        w_fine=basis.V @ (basis.T @ w),
+        w_fine=basis.V @ apply_coefficients(basis.steps, w),
         u_fine=Xi @ u,
     )
 
@@ -96,10 +100,9 @@ def solve_coupled(op: SparseOperator, V, Xi, interiors=(), harmonic_from=None) -
     A^T V vanishes, for ``test_space.test_basis``.
     """
     Xi = sp.csc_matrix(Xi, dtype=float)
-    basis, steps = test_basis(op, V, interiors, harmonic_from)
-    rhs_w = coefficient_product(steps, basis.V.T @ op.f)
-    G_wu = coefficient_product(steps, basis.AtV.T @ Xi)
-    del steps  # three K x k arrays, not needed past the blocks
+    basis = test_basis(op, V, interiors, harmonic_from)
+    rhs_w = coefficient_product(basis.steps, basis.V.T @ op.f)
+    G_wu = coefficient_product(basis.steps, basis.AtV.T @ Xi)
     return _solved_state(op, basis, Xi, G_wu, rhs_w)
 
 
@@ -108,10 +111,12 @@ def leading_block(state: SaddleState, n: int) -> SaddleState | None:
 
     The orthonormalization keeps its columns in order with T upper
     triangular, so when none of the first n columns was dropped Q[:, :n] =
-    A^T V[:, :n] T[:n, :n] is their basis; the blocks G_wu and rhs_w are
-    then the leading n rows of the state's, views like T[:n, :n], and only
-    the small system is solved again.  A dropped one may have depended on
-    later columns only, so then the result is None and the span needs its
+    A^T V[:, :n] T[:n, :n] is their basis.  T[:n, :n] = C[:n, :n] R_1[:n,
+    :n]^{-1} [R_2[:n, :n]^{-1}], as every factor is upper triangular, so the
+    leading block's steps are views of the state's leading factors, and its
+    G_wu and rhs_w views of the state's leading rows: nothing is copied, and
+    only the small system is solved again.  A dropped one may have depended
+    on later columns only, so then the result is None and the span needs its
     own ``solve_coupled``.  All columns give ``state`` itself.
     """
     basis = state.basis
@@ -119,7 +124,9 @@ def leading_block(state: SaddleState, n: int) -> SaddleState | None:
         return state
     if np.searchsorted(basis.kept, n) != n:
         return None
-    lead = TestBasis(basis.V[:, :n], basis.AtV[:, :n], basis.T[:n, :n], basis.kept[:n])
+    C, *factors = basis.steps
+    steps = (C[:n, :n], *(R[:n, :n] for R in factors))
+    lead = TestBasis(basis.V[:, :n], basis.AtV[:, :n], steps, basis.kept[:n])
     return _solved_state(state.op, lead, state.Xi, state.G_wu[:n], state.rhs_w[:n])
 
 
@@ -129,14 +136,16 @@ def append_test_columns(state: SaddleState, new) -> SaddleState:
     The basis grows by the part of span(new) outside the test span
     (``test_space.extend_test_basis``), and G_wu and rhs_w by its rows, so
     for k new columns the update costs O(N K k).  Columns in the test span
-    add nothing and return ``state`` itself.
+    add nothing and return ``state`` itself.  The grown basis holds its T
+    explicitly.
     """
     op, old = state.op, state.basis.count
     basis = extend_test_basis(state.basis, op, new)
     if basis is state.basis:
         return state
-    G_wu = np.vstack([state.G_wu, basis.T[:, old:].T @ (basis.AtV.T @ state.Xi)])
-    rhs_w = np.concatenate([state.rhs_w, basis.T[:, old:].T @ (basis.V.T @ op.f)])
+    (T,) = basis.steps
+    G_wu = np.vstack([state.G_wu, T[:, old:].T @ (basis.AtV.T @ state.Xi)])
+    rhs_w = np.concatenate([state.rhs_w, T[:, old:].T @ (basis.V.T @ op.f)])
     return _solved_state(op, basis, state.Xi, G_wu, rhs_w)
 
 
@@ -159,11 +168,12 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
 
 def projection_error(Xi, u_ref: np.ndarray) -> float:
     """Best-approximation error of the trial span in percent, in the
-    Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense)."""
-    _, _, steps = orthonormalize_columns(Xi)
-    coefficients = sum(Q.T @ u_ref[rows] for rows, Q in orthonormal_row_blocks(Xi, steps))
-    projection = np.concatenate([Q @ coefficients for _, Q in orthonormal_row_blocks(Xi, steps)])
-    return _percent_of(u_ref, u_ref - projection)
+    Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense):
+    the projection Xi T (T^T Xi^T u) with T applied in the kernel's order,
+    for the Q = Xi T of ``orthonormalize_columns``."""
+    _, steps = orthonormalize_columns(Xi)
+    coefficients = coefficient_product(steps, Xi.T @ u_ref)
+    return _percent_of(u_ref, u_ref - Xi @ apply_coefficients(steps, coefficients))
 
 
 def error_report(

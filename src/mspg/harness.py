@@ -198,7 +198,9 @@ class Workspace:
                 m_max, bases = max(m, self.config.m), []
                 with serial_blas():
                     for node in range(self.topology.num_coarse_nodes):
-                        snap = trial_space.trial_snapshots(self.topology, self.op, node)
+                        snap = trial_space.trial_snapshots(
+                            self.topology, self.op, node, self.block_factors
+                        )
                         if snap.count:
                             bases.append(
                                 trial_space.trial_eigenbasis(

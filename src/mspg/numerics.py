@@ -174,13 +174,13 @@ def local_dirichlet_solve(A_local, rhs, tol: float = 1e-10, label: str = ""):
     return CheckedFactor(A_local, label, held=False).solve(rhs, tol=tol)
 
 
-def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
+def harmonic_extension(K, interior, boundary, traces=None, label: str = "", factor=None):
     """Interior values of the K-harmonic extension of boundary traces.
 
-    Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``; with
-    ``traces=None`` g is the identity, one column per boundary delta.  For
-    a K_II factored once, such as a coarse block interior's, solve through
-    its ``CheckedFactor``.  A CSC ``K`` (such as the transpose of a CSR
+    Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``, or
+    through ``factor``, a ``CheckedFactor`` of K_II made once (such as a
+    coarse block interior's); with ``traces=None`` g is the identity, one
+    column per boundary delta.  A CSC ``K`` (such as the transpose of a CSR
     operator) is sliced by columns first, so no call scans all of ``K``.
     """
     if K.format == "csc":
@@ -189,6 +189,8 @@ def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
         K_I = K[interior]
         K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
     rhs = -(K_ib.toarray() if traces is None else K_ib @ traces)
+    if factor is not None:
+        return factor.solve(rhs)
     return local_dirichlet_solve(K_ii, rhs, label=label)
 
 
@@ -253,19 +255,44 @@ def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return blas.dtrsm(1.0, R, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
 
+def _row_step(width: int) -> int:
+    """Rows of one row block of a product with ``width`` columns."""
+    return max(1, ROW_BLOCK_BYTES // (8 * max(width, 1)))
+
+
 def orthonormal_row_blocks(V, steps):
     """Row blocks ``(rows, V[rows] C R_1^{-1} ...)`` of the Q that
     ``orthonormalize_columns`` made of V with ``steps`` = (C, R_1[, R_2]), in
     the kernel's order of operations; a prefix of ``steps`` gives its
     intermediate factors.  ``rows`` is a slice; C and each block C-ordered."""
     V, (C, *factors) = (V.tocsr() if sp.issparse(V) else V), steps
-    step = max(1, ROW_BLOCK_BYTES // (8 * max(C.shape[1], 1)))
+    step = _row_step(C.shape[1])
     for start in range(0, V.shape[0], step):
         rows = slice(start, start + step)
         block = V[rows] @ C
         for R in factors:
             block = _solve_right_upper(block, R)
         yield rows, block
+
+
+def form_coefficients(steps) -> np.ndarray:
+    """The K x K T = C R_1^{-1} [R_2^{-1}] of ``steps`` = (C, R_1[, R_2]),
+    Fortran-ordered; a one-factor ``steps`` = (T,) is T itself.  Only the
+    online loop, which grows T, needs it formed: every other product with T
+    goes through ``apply_coefficients`` or ``coefficient_product``."""
+    if len(steps) == 1:
+        return steps[0]
+    return functools.reduce(_solve_right_upper, steps[1:], np.array(steps[0], order="F"))
+
+
+def apply_coefficients(steps, w) -> np.ndarray:
+    """T w for the T = C R_1^{-1} [R_2^{-1}] of ``steps`` and a vector or
+    matrix w, in the kernel's order: R_2^{-1} first, then R_1^{-1}, then C
+    (``coefficient_product`` says why the formed T would lose digits)."""
+    C, *factors = steps
+    for R in reversed(factors):
+        w = sla.solve_triangular(R, w, check_finite=False)
+    return C @ w
 
 
 def coefficient_product(steps, Z) -> np.ndarray:
@@ -278,16 +305,25 @@ def coefficient_product(steps, Z) -> np.ndarray:
     smallest singular value of Q^T Xi, exactly 1, came out 1 - 4e-12 this
     way and 1 - 4e-11 to 1 - 2e-10 through T."""
     rows = Z.T if Z.ndim == 2 else Z[None, :]
-    product = np.vstack([block for _, block in orthonormal_row_blocks(rows, steps)]).T
+    blocks = [block for _, block in orthonormal_row_blocks(rows, steps)]
+    product = (np.vstack(blocks) if blocks else np.zeros((0, steps[0].shape[1]))).T
     return product if Z.ndim == 2 else product[:, 0]
 
 
-def _gram_upper(V, steps) -> np.ndarray:
-    """Upper triangle of X^T X, by ``dsyrk`` over the row blocks of X."""
-    gram = np.zeros((steps[0].shape[1],) * 2, order="F")
-    for _, block in orthonormal_row_blocks(V, steps):
+def _gram_pass(blocks, width: int) -> np.ndarray:
+    """Upper triangle of X^T X, by ``dsyrk`` over the row blocks of X: one
+    Gram pass of the kernel, whether its blocks are streamed or held."""
+    gram = np.zeros((width, width), order="F")
+    for block in blocks:
         gram = blas.dsyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
     return gram
+
+
+def _deviation_sq(gram: np.ndarray) -> float:
+    """eta^2 = ||G - I||_F^2 from the upper triangle of a Gram G, summed by
+    columns: no cancellation, and no threaded dot that slows dpotrf."""
+    upper = sum(col[:j] @ col[:j] for j, col in enumerate(gram.T))
+    return 2.0 * upper + np.sum((gram.diagonal() - 1.0) ** 2)
 
 
 def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
@@ -299,8 +335,8 @@ def _cholesky_upper(gram: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize_columns(V, droptol: float = DROPTOL):
-    """Coefficients T of a Euclidean orthonormal basis Q = V T of the column
-    span of a sparse or dense V.
+    """Factors of the coefficients T of a Euclidean orthonormal basis
+    Q = V T of the column span of a sparse or dense V.
 
     Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto and
     Yanagisawa, SIAM J. Sci. Comput. 2020) on the Gram V^T V: scale the
@@ -313,15 +349,21 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     ||Q^T Q - I||_2 is at most 5 kappa(Q_0)^2 (m n u + n (n + 1) u) after one
     pass and 6 (m n u + n (n + 1) u) after two for an m x n Q_0 (Yamamoto,
     Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015).  Later Grams sum ``dsyrk``
-    over ``orthonormal_row_blocks``, which callers also use to regenerate Q.
+    over ``orthonormal_row_blocks``, which callers also use to regenerate Q;
+    when V C fits in one row block (ROW_BLOCK_BYTES) and no column was
+    dropped, the second pass solves the V C of the first Gram pass in place
+    instead of forming it again.
 
     Only the drop step pivots, so T is upper triangular in the kept
     columns: without drops Q is the Q factor of V with a positive R
     diagonal, and Q[:, :n] = V[:, :n] T[:n, :n] spans the first n columns
-    of V whenever none of them was dropped.  Returns (T, kept, steps): T
-    has a row per column of V (zero for a zero column), ``kept`` the
-    ascending indices of the kept columns, one per column of T, and
-    ``steps`` = (C, R_1) or (C, R_1, R_2), so T = C R_1^{-1} [R_2^{-1}].
+    of V whenever none of them was dropped; the leading n x n blocks of C,
+    R_1 and R_2 are then the factors of T[:n, :n].  Returns (kept, steps):
+    ``kept`` holds the ascending indices of the kept columns, and ``steps``
+    = (C, R_1) or (C, R_1, R_2), so T = C R_1^{-1} [R_2^{-1}], with a row per
+    column of V (zero for a zero column) and a column per kept one.  T is
+    not formed (``form_coefficients``): products with it go through
+    ``apply_coefficients`` and ``coefficient_product``.
     """
     V = sp.csc_matrix(V, dtype=float) if sp.issparse(V) else np.asarray(V, dtype=float)
     num_rows, num_cols = V.shape
@@ -330,8 +372,9 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     nonzero = np.flatnonzero(sq_norms > 0.0)
     K = nonzero.size
     if K == 0:
-        return np.zeros((num_cols, 0)), nonzero, (np.zeros((num_cols, 0)),)
-    G = G[np.ix_(nonzero, nonzero)]
+        return nonzero, (np.zeros((num_cols, 0)),)
+    if K < num_cols:
+        G = G[np.ix_(nonzero, nonzero)]
     scale = 1.0 / np.sqrt(sq_norms[nonzero])
     G *= scale[:, None]
     G *= scale[None, :]
@@ -340,27 +383,43 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     # ||G||_1 bounds ||V||_2^2 of the scaled V; the shift follows the 2020 paper
     shift = 11.0 * (num_rows * K + K * (K + 1)) * u * np.abs(G).sum(axis=0).max()
     G[np.diag_indices(K)] += shift
-    C = np.zeros((num_cols, K))  # a zero row for each zero column
-    C[nonzero] = lapack.dtrtri(_cholesky_upper(G), lower=0, overwrite_c=1)[0] * scale[:, None]
+    C = lapack.dtrtri(_cholesky_upper(G), lower=0, overwrite_c=1)[0]
     del G
+    C = np.multiply(C, scale[:, None], order="C")
+    if K < num_cols:
+        padded = np.zeros((num_cols, K))  # a zero row for each zero column
+        padded[nonzero] = C
+        C = padded
 
+    # V C in one row block is held for a second pass; larger ones stream
+    V = V.tocsr() if sp.issparse(V) else V
+    VC = V @ C if num_rows <= _row_step(K) else None
+    gram = _gram_pass(
+        [VC] if VC is not None else (block for _, block in orthonormal_row_blocks(V, (C,))), K
+    )
+    # R_1 and eta reuse the upper triangle of the Gram the pivoting sees, and
+    # V C is dropped before the pivoting unless eta asks for a second pass
+    two_passes = _deviation_sq(gram) > ONE_PASS_MAX_DEVIATION**2
+    VC = VC if two_passes else None
     # a column with relative residual r against the others keeps a residual
     # of about r^2 / (r^2 + shift) in the Gram of V C
-    gram = _gram_upper(V, (C,))
     tol = max(droptol**2 / (droptol**2 + shift), K * u)
     _, piv, rank, _ = lapack.dpstrf(gram, tol=tol, lower=0)
-    kept = np.sort(piv[:rank] - 1)
-    # R_1 and eta reuse the upper triangle of the Gram the pivoting saw; eta is
-    # summed by rows: no cancellation, and no threaded dot that slows dpotrf
-    gram = gram[np.ix_(kept, kept)]
-    upper = sum(row[i + 1 :] @ row[i + 1 :] for i, row in enumerate(gram))
-    eta_sq = 2.0 * upper + np.sum((gram.diagonal() - 1.0) ** 2)
-    steps = (np.ascontiguousarray(C[:, kept]), _cholesky_upper(gram))
+    kept = np.arange(K)
+    if rank < K:
+        kept = np.sort(piv[:rank] - 1)
+        gram, C = gram[np.ix_(kept, kept)], np.ascontiguousarray(C[:, kept])
+        two_passes = _deviation_sq(gram) > ONE_PASS_MAX_DEVIATION**2
+        VC = None  # a second pass forms V C of the kept columns afresh
+    steps = (C, _cholesky_upper(gram))
     del C, gram
-    if eta_sq > ONE_PASS_MAX_DEVIATION**2:
-        steps += (_cholesky_upper(_gram_upper(V, steps)),)
-    T = functools.reduce(_solve_right_upper, steps[1:], np.array(steps[0], order="F"))
-    return T, nonzero[kept], steps
+    if two_passes:
+        if VC is not None:
+            blocks = [_solve_right_upper(VC, steps[1])]
+        else:
+            blocks = (block for _, block in orthonormal_row_blocks(V, steps))
+        steps += (_cholesky_upper(_gram_pass(blocks, rank)),)
+    return nonzero[kept], steps
 
 
 def smallest_singular_value(G: np.ndarray, M: np.ndarray) -> float:

@@ -21,8 +21,9 @@ stiffness matrix restricted to the edge region (``edge_energy="region"``):
 
 B itself is never formed, so no condition number is squared, except for
 the minimum-energy extension under ``edge_energy="global"``.  The test
-basis (``TestBasis``) is the raw sparse columns V with A^T V and the small
-coefficients T that make Q = A^T V T orthonormal; Q is never formed.
+basis (``TestBasis``) is the raw sparse columns V with A^T V and the
+factors of the small coefficients T that make Q = A^T V T orthonormal;
+offline neither T nor Q is formed.
 
 Every snapshot but the bubbles is adjoint-harmonic inside each coarse
 block, so A^T V of W2 and W3 lives on the coarse skeleton (the rows outside
@@ -45,7 +46,10 @@ from .errors import SingularMetricError
 from .grid import CoarseEdge, CoarseTopology
 from .numerics import (
     DROPTOL,
+    apply_coefficients,
+    coefficient_product,
     column_sparse,
+    form_coefficients,
     generalized_sym_eig,
     harmonic_extension,
     orthonormalize_columns,
@@ -368,19 +372,24 @@ class TestBasis:
     """Test functions Theta = V T, orthonormal in the natural norm ||A^T w||
     of the auxiliary variable: Q = A^T V T has orthonormal columns, so the
     test block of the saddle system is the identity.  ``V`` (raw columns)
-    and ``AtV`` = A^T V are CSC, ``T`` has a row per column of V, and Q is
-    never held: products with it go through ``AtV`` and ``T``.  ``kept``
-    holds the ascending indices of the columns of V kept, one per column of T.
+    and ``AtV`` = A^T V are CSC, and T = C R_1^{-1} [R_2^{-1}] is held as the
+    factors ``steps`` = (C, R_1[, R_2]) of ``numerics.orthonormalize_columns``
+    (a one-factor ``steps`` = (T,) is an explicit T, as the online loop grows
+    it), with a row per column of V.  Neither T nor Q is formed: products
+    with them go through ``AtV`` and the steps, in the kernel's order
+    (``numerics.apply_coefficients``, ``numerics.coefficient_product``).
+    ``kept`` holds the ascending indices of the columns of V kept, one per
+    column of T.
     """
 
     V: sp.csc_matrix
     AtV: sp.csc_matrix
-    T: np.ndarray
+    steps: tuple
     kept: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.T.shape[1]
+        return self.kept.size
 
 
 def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_from=None):
@@ -451,9 +460,7 @@ def compressed_image(Y: sp.csc_matrix, interiors=()) -> CompressedImage:
     return CompressedImage(rows, plain, tuple(blocks))
 
 
-def test_basis(
-    op: SparseOperator, V, interiors=(), harmonic_from=None
-) -> tuple[TestBasis, tuple]:
+def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestBasis:
     """Basis of the span of the sparse or dense ``V``; a column that adds
     nothing in the w-norm is dropped by ``orthonormalize_columns``.
 
@@ -461,25 +468,26 @@ def test_basis(
     (``adjoint_image``) on the coarse skeleton as it is, and on each block
     of ``interiors`` only the R factor of the block's rows.  There a block
     holds the image of its own bubbles alone (at most 4m columns) once the
-    columns from ``harmonic_from`` on are marked harmonic.  Returns the
-    ``TestBasis`` and the kernel's ``steps``, for products with T^T in the
-    kernel's order (``numerics.coefficient_product``).
+    columns from ``harmonic_from`` on are marked harmonic.  The basis holds
+    the kernel's ``steps``; T is not formed.
     """
     V = sp.csc_matrix(V, dtype=float)
     AtV = adjoint_image(op, V, interiors, harmonic_from)
-    T, kept, steps = orthonormalize_columns(compressed_image(AtV, interiors).rows)
-    return TestBasis(V=V, AtV=AtV, T=T, kept=kept), steps
+    kept, steps = orthonormalize_columns(compressed_image(AtV, interiors).rows)
+    return TestBasis(V=V, AtV=AtV, steps=steps, kept=kept)
 
 
 def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     """The basis grown by the part of span(``new``) outside its span.
 
     Y = A^T new is projected against Q twice, through Q^T Y = T^T ((A^T V)^T
-    Y) and (A^T V)(T S), accumulating the coefficients S; a column whose
-    residual is at most DROPTOL of ||A^T x|| adds nothing and is dropped,
-    and the rest are orthonormalized among themselves, Q_n = Y T_n.  Then
-    Q_n = A^T (X - V T S) T_n for the kept columns X, so V and A^T V grow
-    by X and A^T X, and T by the block column [-T S T_n; T_n].  A ``new``
+    Y) and (A^T V)(T S) in the kernel's order, accumulating the coefficients
+    S; a column whose residual is at most DROPTOL of ||A^T x|| adds nothing
+    and is dropped, and the rest are orthonormalized among themselves, Q_n =
+    Y T_n.  Then Q_n = A^T (X - V T S) T_n for the kept columns X, so V and
+    A^T V grow by X and A^T X, and T by the block column [-T S T_n; T_n]:
+    the first extension forms the offline T (``form_coefficients``), and the
+    grown basis holds the explicit T alone, ``steps`` = (T,).  A ``new``
     that adds nothing returns ``basis`` itself.
     """
     new = sp.csc_matrix(new, dtype=float)
@@ -488,16 +496,17 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     norms = np.linalg.norm(Y, axis=0)
     S = np.zeros((basis.count, Y.shape[1]))
     for _ in range(2):
-        C = basis.T.T @ (basis.AtV.T @ Y)
-        Y -= basis.AtV @ (basis.T @ C)
+        C = coefficient_product(basis.steps, basis.AtV.T @ Y)
+        Y -= basis.AtV @ apply_coefficients(basis.steps, C)
         S += C
     keep = np.linalg.norm(Y, axis=0) > DROPTOL * norms
-    T_n, kept_n, _ = orthonormalize_columns(Y[:, keep])
-    if not T_n.shape[1]:
+    kept_n, steps_n = orthonormalize_columns(Y[:, keep])
+    if not kept_n.size:
         return basis
+    T, T_n = form_coefficients(basis.steps), form_coefficients(steps_n)
     T = np.block(
-        [[basis.T, -basis.T @ (S[:, keep] @ T_n)], [np.zeros((T_n.shape[0], basis.count)), T_n]]
+        [[T, -T @ (S[:, keep] @ T_n)], [np.zeros((T_n.shape[0], basis.count)), T_n]]
     )
     V = sp.hstack([basis.V, new[:, keep]], format="csc")
     AtV = sp.hstack([basis.AtV, AtX[:, keep]], format="csc")
-    return TestBasis(V, AtV, T, np.concatenate([basis.kept, basis.V.shape[1] + kept_n]))
+    return TestBasis(V, AtV, (T,), np.concatenate([basis.kept, basis.V.shape[1] + kept_n]))

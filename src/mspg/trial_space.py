@@ -6,7 +6,8 @@ extensions of nodal deltas on the neighborhood boundary (skipping nodes on
 the domain boundary, which carry no dofs).  A generalized eigenproblem in
 the squared-operator metric picks the m smoothest combinations, which are
 then localized by a partition of unity, extended into each coarse block
-through the one factorization of its interior operator (``block_factors``).
+through the one factorization of its interior operator (``block_factors``),
+which also serves the snapshots of the one-block (corner) neighborhoods.
 """
 
 from __future__ import annotations
@@ -43,10 +44,20 @@ class TrialSnapshotSet:
         return self.columns.shape[1]
 
 
-def trial_snapshots(topology: CoarseTopology, op: SparseOperator, l: int) -> TrialSnapshotSet:
-    """Solve the boundary-delta problems of neighborhood ``l`` in one sweep."""
+def trial_snapshots(
+    topology: CoarseTopology, op: SparseOperator, l: int, factors=()
+) -> TrialSnapshotSet:
+    """Solve the boundary-delta problems of neighborhood ``l`` in one sweep.
+
+    The interior of a one-block (corner) neighborhood is its block's
+    interior in the same dof order (both list the block's box of nodes), so
+    with the ``block_factors`` given it is solved through the block's factor.
+    """
     nb = topology.neighborhoods[l]
-    X = harmonic_extension(op.A, nb.interior, nb.boundary, label=f"neighborhood {l}")
+    factor = factors[nb.blocks[0]] if factors and len(nb.blocks) == 1 else None
+    X = harmonic_extension(
+        op.A, nb.interior, nb.boundary, label=f"neighborhood {l}", factor=factor
+    )
     columns = np.vstack([X, np.eye(nb.boundary.size)])
     return TrialSnapshotSet(
         node=l,

@@ -45,10 +45,10 @@ def _regenerated(X, steps):
 @pytest.fixture
 def kernel_q():
     """Q of ``orthonormalize_columns`` on X, regenerated from its row blocks
-    in the kernel's order (the kernel itself returns coefficients only)."""
+    in the kernel's order (the kernel itself returns factors only)."""
 
     def q(X, droptol=DROPTOL):
-        return _regenerated(X, orthonormalize_columns(X, droptol=droptol)[2])
+        return _regenerated(X, orthonormalize_columns(X, droptol=droptol)[1])
 
     return q
 
@@ -74,9 +74,9 @@ def basis_q(monkeypatch):
         return image
 
     def recording(X, *args, **kwargs):
-        T, kept, steps = kernel(X, *args, **kwargs)
+        kept, steps = kernel(X, *args, **kwargs)
         calls.append((X, steps))
-        return T, kept, steps
+        return kept, steps
 
     monkeypatch.setattr(test_space, "compressed_image", compressing)
     monkeypatch.setattr(test_space, "orthonormalize_columns", recording)

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from mspg import coupling, numerics, test_space
 from mspg.assembly import assemble, constant_field
+from mspg.harness import run_experiment, sweep_experiment
 from mspg.coupling import (
     append_test_columns,
     error_report,
@@ -18,7 +19,14 @@ from mspg.coupling import (
 )
 from mspg.errors import SolverFailureError
 from mspg.grid import build_fine_mesh, coloring
-from mspg.numerics import generalized_sym_eig, orthonormal_row_blocks, orthonormalize_columns
+from mspg.numerics import (
+    apply_coefficients,
+    coefficient_product,
+    form_coefficients,
+    generalized_sym_eig,
+    orthonormal_row_blocks,
+    orthonormalize_columns,
+)
 
 
 def test_identity_spaces_recover_fine_solution(tiny):
@@ -80,7 +88,7 @@ def test_reduced_blocks_symmetric(tiny):
     V, _ = tiny.test_matrix(1, 2, 2)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     # the test block by its definition, from the test functions V T
-    Y = tiny.op.A.T @ (state.basis.V @ state.basis.T)
+    Y = tiny.op.A.T @ (state.basis.V @ form_coefficients(state.basis.steps))
     G_ww = Y.T @ Y
     assert abs(G_ww - G_ww.T).max() <= 1e-10 * abs(G_ww).max()
     assert abs(G_ww - np.eye(state.basis.count)).max() <= 1e-10
@@ -144,7 +152,7 @@ def _lifted_infsup(op, V, Xi):
     transposed operator and project it onto the test span A^T Theta, taken
     through a Householder QR of A^T Theta for a Euclidean orthonormal Theta
     (no Gram of A^T Theta, whose condition would square)."""
-    _, _, steps = orthonormalize_columns(V)
+    _, steps = orthonormalize_columns(V)
     Theta = np.vstack([block for _, block in orthonormal_row_blocks(V, steps)])
     Z = spla.splu(op.A.T.tocsc()).solve(Xi.toarray())
     W = op.A.T @ Z
@@ -235,20 +243,20 @@ def test_online_test_space_stays_orthonormal(tiny, basis_q):
     Q = basis_q()  # the offline block, then every online block Q_n
     assert added > 0 and Q.shape[1] == state.basis.count + added
     assert abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
-    assert _relative(tiny.op.A.T @ (basis.V @ basis.T), Q) <= 1e-10
+    assert _relative(tiny.op.A.T @ (basis.V @ form_coefficients(basis.steps)), Q) <= 1e-10
 
 
 def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
     V, _ = tiny.test_matrix(1, 1, 1)
-    basis, _ = test_space.test_basis(tiny.op, V, *tiny.image_structure(1))
+    basis = test_space.test_basis(tiny.op, V, *tiny.image_structure(1))
     rng = np.random.default_rng(3)
-    inside = V @ (basis.T[:, :3] @ rng.standard_normal(3))
+    inside = V @ (form_coefficients(basis.steps)[:, :3] @ rng.standard_normal(3))
     outside = rng.standard_normal(V.shape[0])
     ext = test_space.extend_test_basis(basis, tiny.op, np.column_stack([inside, outside]))
     assert ext.count == basis.count + 1 and ext.V.shape[1] == V.shape[1] + 1
     Q = basis_q()
     assert abs(Q.T @ Q - np.eye(ext.count)).max() <= 1e-12
-    assert _relative(tiny.op.A.T @ (ext.V @ ext.T), Q) <= 1e-10
+    assert _relative(tiny.op.A.T @ (ext.V @ form_coefficients(ext.steps)), Q) <= 1e-10
     # the kept column spans the part of A^T outside that lies outside A^T Theta
     y = tiny.op.A.T @ outside
     Q_0 = Q[:, : basis.count]
@@ -298,17 +306,19 @@ def test_an_unstructured_test_matrix_gets_the_plain_kernel(request, name, bound)
     interiors, harmonic_from = ws.image_structure(m)
     # the identity stores more columns than rows in every block: nothing to compress
     identity = sp.identity(ws.mesh.num_dofs, format="csc")
-    T, kept, _ = orthonormalize_columns((ws.op.A.T @ identity).tocsc())
-    basis, _ = test_space.test_basis(ws.op, identity, interiors)
-    assert np.array_equal(basis.kept, kept) and np.array_equal(basis.T, T)
+    kept, steps = orthonormalize_columns((ws.op.A.T @ identity).tocsc())
+    basis = test_space.test_basis(ws.op, identity, interiors)
+    assert np.array_equal(basis.kept, kept)
+    assert all(np.array_equal(a, b) for a, b in zip(basis.steps, steps, strict=True))
     # online columns beside the test matrix, with no column marked harmonic
     V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
     state = solve_coupled(ws.op, V, ws.trial(m).Xi, interiors, harmonic_from)
     VX = sp.hstack([V, _online_block(ws, state)], format="csc")
-    T, kept, _ = orthonormalize_columns((ws.op.A.T @ VX).tocsc())
-    basis, _ = test_space.test_basis(ws.op, VX, interiors)
+    kept, steps = orthonormalize_columns((ws.op.A.T @ VX).tocsc())
+    basis = test_space.test_basis(ws.op, VX, interiors)
     assert np.array_equal(basis.kept, kept)
-    assert np.abs(basis.T - T).max() <= bound * np.abs(T).max()
+    T = form_coefficients(steps)
+    assert np.abs(form_coefficients(basis.steps) - T).max() <= bound * np.abs(T).max()
 
 
 @pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
@@ -325,16 +335,117 @@ def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, 
     )
     X = image.rows
     monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * X.shape[0])
-    T, kept, steps = orthonormalize_columns(X)
+    kept, steps = orthonormalize_columns(X)
     assert len(list(orthonormal_row_blocks(X, steps))) == 1
     monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * (X.shape[0] // 7))
-    T_b, kept_b, steps_b = orthonormalize_columns(X)
+    kept_b, steps_b = orthonormalize_columns(X)
     blocks = list(orthonormal_row_blocks(X, steps_b))
     assert len(blocks) >= 7
     assert np.array_equal(kept_b, kept)
+    T, T_b = form_coefficients(steps), form_coefficients(steps_b)
     assert np.abs(T_b - T).max() <= 1e-13 * np.abs(T).max()
     Q = image.lift(np.vstack([block for _, block in blocks]))  # in fine-dof rows
     assert np.abs(Q.T @ Q - np.eye(kept.size)).max() <= bound
+
+
+def test_the_held_second_pass_matches_the_streamed_one(ws_contrast, monkeypatch):
+    # the compressed image of example 5 takes two CholeskyQR passes, and its
+    # V C fits in one row block, so the second pass solves the V C of the
+    # first in place; streamed over row blocks, the same pass differs in the
+    # summation order of its Gram only
+    ws = ws_contrast
+    V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)[0]
+    interiors, harmonic_from = ws.image_structure(ws.config.m)
+    X = test_space.compressed_image(
+        test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
+    ).rows
+    assert 8 * X.shape[0] * X.shape[1] <= numerics.ROW_BLOCK_BYTES
+    kept, steps = orthonormalize_columns(X)
+    assert len(steps) == 3
+    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * (X.shape[0] // 2))
+    blocks = [block for _, block in orthonormal_row_blocks(X, steps[:2])]
+    assert len(blocks) >= 2
+    R_2 = numerics._cholesky_upper(numerics._gram_pass(blocks, kept.size))
+    assert np.abs(R_2 - steps[2]).max() <= 1e-13 * np.abs(steps[2]).max()
+    kept_s, steps_s = orthonormalize_columns(X)  # every pass streamed
+    assert np.array_equal(kept_s, kept) and len(steps_s) == 3
+    T, T_s = form_coefficients(steps), form_coefficients(steps_s)
+    assert np.abs(T_s - T).max() <= 1e-13 * np.abs(T).max()
+
+
+@pytest.mark.parametrize("name", ["tiny", "ws_contrast"])
+def test_the_kernel_order_products_match_the_formed_t(request, name):
+    # T = C R_1^{-1} [R_2^{-1}] applied factor by factor, for the full basis
+    # and for a leading block, whose steps are views of the leading factors
+    ws = request.getfixturevalue(name)
+    m, problem = ws.config.m, ws.config.eigenproblem
+    group = solve_coupled(
+        ws.op, ws.test_matrix(m, ws.topology.r - 1, problem)[0], ws.trial(m).Xi,
+        *ws.image_structure(m),
+    )
+    n = ws.test_matrix(m, 1, problem)[0].shape[1]
+    cell = coupling.leading_block(group, n)
+    assert cell is not None and cell.basis.count == n < group.basis.count
+    rng = np.random.default_rng(6)
+    for state in (group, cell):
+        steps = state.basis.steps
+        T = form_coefficients(steps)
+        for w in (state.w, rng.standard_normal((state.basis.count, 3))):
+            assert _relative(apply_coefficients(steps, w), T @ w) <= 1e-13
+        Z = rng.standard_normal((T.shape[0], 3))
+        assert _relative(coefficient_product(steps, Z), T.T @ Z) <= 1e-13
+    T = form_coefficients(group.basis.steps)
+    assert _relative(form_coefficients(cell.basis.steps), T[:n, :n]) <= 1e-13
+    assert not T[n:, :n].any()  # T is upper triangular
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_projection_error_matches_the_row_block_formula(ws_contrast, m):
+    # Q = Xi T regenerated row block by row block, as the projection was
+    # formed before it went through the kernel-order products
+    Xi, u = ws_contrast.trial(m).Xi, ws_contrast.u_ref
+    _, steps = orthonormalize_columns(Xi)
+    coefficients = sum(Q.T @ u[rows] for rows, Q in orthonormal_row_blocks(Xi, steps))
+    projection = np.concatenate([Q @ coefficients for _, Q in orthonormal_row_blocks(Xi, steps)])
+    expected = 100.0 * np.linalg.norm(u - projection) / np.linalg.norm(u)
+    assert projection_error(Xi, u) == pytest.approx(expected, rel=1e-13)
+
+
+def _forming_spy(monkeypatch):
+    """(rows, columns) of every T formed from a kernel's factors from here
+    on; an explicit one-factor T is not formed."""
+    shapes, form = [], numerics.form_coefficients
+
+    def spying(steps):
+        if len(steps) > 1:
+            shapes.append((steps[0].shape[0], steps[-1].shape[1]))
+        return form(steps)
+
+    for module in (numerics, test_space, coupling):
+        if hasattr(module, "form_coefficients"):
+            monkeypatch.setattr(module, "form_coefficients", spying)
+    return shapes
+
+
+def test_no_t_is_formed_offline(tiny, ws_contrast, monkeypatch):
+    shapes = _forming_spy(monkeypatch)
+    assert len(run_experiment(dataclasses.replace(tiny.config, online_iters=0))) == 1
+    assert shapes == []
+    rows = sweep_experiment(ws_contrast.config, [3], [1, 3], [1, 2], online_iters=0)
+    assert len(rows) == 4 and shapes == []
+
+
+def test_the_online_loop_forms_t_once_per_cell(tiny, monkeypatch):
+    # the first extension forms the cell's offline T, and every later one
+    # grows the explicit T; the other forms are the online blocks' own T_n
+    shapes = _forming_spy(monkeypatch)
+    sizes = [tiny.test_matrix(1, L, 1)[0].shape[1] for L in (1, 3)]
+    rows = tiny.run_cell(1, [1, 3], 1, online_iters=1)
+    assert [row.online_iter for row in rows] == [0, 1, 0, 1]
+    offline = [shape for shape in shapes if shape[0] in sizes]
+    assert offline == [(n, n) for n in sizes]
+    assert len(shapes) > len(offline)
+    assert all(max(shape) < sizes[0] for shape in shapes if shape not in offline)
 
 
 def test_no_array_with_a_row_per_fine_dof_is_held(tiny):
@@ -390,7 +501,7 @@ def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
     V, _ = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     coefficients = np.random.default_rng(4).standard_normal(state.basis.count)
-    column = V @ (state.basis.T @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
+    column = V @ (form_coefficients(state.basis.steps) @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
     assert append_test_columns(state, column[:, None]) is state
 
 
@@ -432,7 +543,7 @@ def test_leading_block_matches_the_solve_on_its_own_test_matrix(request, name):
         cell = coupling.leading_block(group, V.shape[1])
         own = solve_coupled(ws.op, V, Xi)
         assert cell is not None and cell.basis.count == own.basis.count
-        assert np.shares_memory(cell.basis.T, group.basis.T)
+        assert all(map(np.shares_memory, cell.basis.steps, group.basis.steps))
         rep_cell, rep_own = error_report(cell, ws.u_ref, proj), error_report(own, ws.u_ref, proj)
         for field in ("err_ms_pct", "w_norm"):
             assert getattr(rep_cell, field) == pytest.approx(getattr(rep_own, field), rel=1e-10)
@@ -468,10 +579,10 @@ def test_a_dropped_leading_column_takes_its_own_solve(tiny, monkeypatch):
 def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
     Xi = tiny.trial(1).Xi
     group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
-    held = lambda: (group.basis.AtV.toarray(), group.basis.T, group.G_wu, group.rhs_w)
+    held = lambda: (group.basis.AtV.toarray(), *group.basis.steps, group.G_wu, group.rhs_w)
     before = [a.copy() for a in held()]
     cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
-    assert np.shares_memory(cell.basis.T, group.basis.T)
+    assert all(map(np.shares_memory, cell.basis.steps, group.basis.steps))
     enriched, reports = online_enrich(cell, tiny.topology, iterations=2)
     assert sum(rep.added_columns for rep in reports) > 0
     after = held()

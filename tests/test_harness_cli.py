@@ -150,10 +150,10 @@ def test_sweep_orthonormalizes_once_per_trial_count_and_eigenproblem(tmp_path, m
 
 
 def test_sweep_factors_each_block_interior_once(monkeypatch):
-    # W1 for every m, W2, the partition of unity and every edge's snapshots
-    # and extensions under both eigenproblems solve with the Workspace's
-    # block factors; a one-block (corner) neighborhood's trial snapshots
-    # solve on that block's interior too, with a one-shot factor of their own
+    # W1 for every m, W2, the partition of unity, the trial snapshots of the
+    # one-block (corner) neighborhoods, whose interior is their block's, and
+    # every edge's snapshots and extensions under both eigenproblems solve
+    # with the Workspace's block factors
     from mspg import harness, numerics
 
     factored = []  # the matrix of every factorization made
@@ -182,11 +182,10 @@ def test_sweep_factors_each_block_interior_once(monkeypatch):
     def same(K, J):
         return K.shape == J.shape and (K != J).nnz == 0
 
-    corners = [nb.blocks[0] for nb in ws.topology.neighborhoods if len(nb.blocks) == 1]
     for block in ws.topology.blocks:
         A_ii = A[block.interior][:, block.interior]
         count = sum(same(K, A_ii) or same(K, A_ii.T) for K in factored)
-        assert count == 1 + corners.count(block.index), block.index
+        assert count == 1, block.index
     assert len(ws.block_factors) == len(ws.topology.blocks)
 
 

@@ -13,6 +13,7 @@ from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.numerics import (
     CheckedFactor,
     column_sparse,
+    form_coefficients,
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
@@ -268,7 +269,7 @@ def test_orthonormalize_keeps_small_residual_column(kernel_q):
     # the kept column carries the residual direction, not rounding noise
     assert np.linalg.norm(out.T @ outside) > 1.0 - 1e-6
     # a coarser droptol drops the same column
-    assert orthonormalize_columns(V, droptol=1e-6)[0].shape[1] == 8
+    assert orthonormalize_columns(V, droptol=1e-6)[0].size == 8
 
 
 def test_orthonormalize_drops_rounding_level_residual_column(kernel_q):
@@ -285,7 +286,8 @@ def test_orthonormalize_drops_zero_columns(kernel_q):
     out = kernel_q(np.column_stack([a, np.zeros(12), b]))
     assert out.shape == (12, 2)
     zero = sp.csc_matrix((12, 3))
-    T, kept, _ = orthonormalize_columns(zero)
+    kept, steps = orthonormalize_columns(zero)
+    T = form_coefficients(steps)
     assert kernel_q(zero).shape == (12, 0) and T.shape == (3, 0) and kept.size == 0
 
 
@@ -300,7 +302,7 @@ def test_orthonormalize_ill_conditioned_input_stays_orthonormal(kernel_q):
     assert out.shape == (300, 40)
     assert np.abs(out.T @ out - np.eye(40)).max() <= 1e-12
     assert np.linalg.norm(U - out @ (out.T @ U)) <= 1e-6
-    assert len(orthonormalize_columns(V)[2]) == 3  # C, R_1, R_2
+    assert len(orthonormalize_columns(V)[1]) == 3  # C, R_1, R_2
 
 
 def test_orthonormalize_returns_the_coefficients_of_its_columns(kernel_q):
@@ -308,7 +310,8 @@ def test_orthonormalize_returns_the_coefficients_of_its_columns(kernel_q):
     S = sp.random(120, 20, density=0.1, format="csc", random_state=rng)
     zero, dependent = sp.csc_matrix((120, 1)), S[:, [2]] - 3.0 * S[:, [9]]
     V = sp.hstack([S[:, :5], zero, S[:, 5:], dependent], format="csc")
-    T, kept, _ = orthonormalize_columns(V)
+    kept, steps = orthonormalize_columns(V)
+    T = form_coefficients(steps)
     Q = kernel_q(V)
     assert Q.shape == (120, 20) and T.shape == (22, 20)
     assert not T[5].any()  # the zero column contributes nothing
@@ -340,7 +343,7 @@ def _well_conditioned_or_test_matrix(request, name):
 )
 def test_orthonormalize_runs_the_second_pass_only_when_needed(request, name, passes, bound):
     X, lift = _well_conditioned_or_test_matrix(request, name)
-    _, _, steps = orthonormalize_columns(X)
+    _, steps = orthonormalize_columns(X)
     assert len(steps) == 1 + passes
     Q = lift(np.vstack([block for _, block in orthonormal_row_blocks(X, steps)]))
     assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= bound
@@ -349,19 +352,21 @@ def test_orthonormalize_runs_the_second_pass_only_when_needed(request, name, pas
 @pytest.mark.parametrize("name", ["noisy", "tiny"])
 def test_a_forced_second_pass_moves_t_by_rounding_only(request, name, monkeypatch):
     X, _ = _well_conditioned_or_test_matrix(request, name)
-    T, kept, steps = orthonormalize_columns(X)
+    kept, steps = orthonormalize_columns(X)
     monkeypatch.setattr(numerics, "ONE_PASS_MAX_DEVIATION", 0.0)
-    T3, kept3, steps3 = orthonormalize_columns(X)
+    kept3, steps3 = orthonormalize_columns(X)
     assert (len(steps), len(steps3)) == (2, 3)
     assert np.array_equal(kept, kept3)
+    T, T3 = form_coefficients(steps), form_coefficients(steps3)
     assert np.linalg.norm(T3 - T) <= 1e-13 * np.linalg.norm(T)
 
 
 @pytest.mark.parametrize("name, grams", [("tiny", 1), ("ws_contrast", 2)])
 def test_a_well_conditioned_test_basis_skips_a_gram_pass(request, name, grams, monkeypatch):
-    # V^T V is a sparse product; every later Gram goes through _gram_upper
-    calls, gram_upper = [], numerics._gram_upper
-    monkeypatch.setattr(numerics, "_gram_upper", lambda *a: calls.append(1) or gram_upper(*a))
+    # V^T V is a sparse product; every later Gram pass, of a held V C or of
+    # streamed row blocks, goes through _gram_pass
+    calls, gram_pass = [], numerics._gram_pass
+    monkeypatch.setattr(numerics, "_gram_pass", lambda *a: calls.append(1) or gram_pass(*a))
     ws = request.getfixturevalue(name)
     V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
     test_space.test_basis(ws.op, V, *ws.image_structure(ws.config.m))
@@ -371,11 +376,13 @@ def test_a_well_conditioned_test_basis_skips_a_gram_pass(request, name, grams, m
 def test_orthonormalize_takes_a_dense_block_as_it_is(monkeypatch):
     rng = np.random.default_rng(13)
     Y = rng.standard_normal((500, 12))
-    T_sparse, kept_sparse, _ = orthonormalize_columns(sp.csc_matrix(Y))
+    kept_sparse, steps_sparse = orthonormalize_columns(sp.csc_matrix(Y))
+    T_sparse = form_coefficients(steps_sparse)
     # a dense input is sliced by rows, never stored as a sparse matrix
     for name in ("csc_matrix", "csr_matrix"):
         monkeypatch.setattr(numerics.sp, name, None)
-    T, kept, steps = orthonormalize_columns(Y)
+    kept, steps = orthonormalize_columns(Y)
+    T = form_coefficients(steps)
     Q = np.vstack([block for _, block in orthonormal_row_blocks(Y, steps)])
     assert np.array_equal(kept, kept_sparse)
     assert np.linalg.norm(T - T_sparse) <= 1e-13 * np.linalg.norm(T_sparse)

@@ -168,7 +168,7 @@ def dense_trial_matrix(ws, m):
     chi = ws.chi.toarray()
     columns = []
     for node in range(topo.num_coarse_nodes):
-        snap = trial_snapshots(topo, op, node)
+        snap = trial_snapshots(topo, op, node, ws.block_factors)
         if snap.count == 0:
             continue
         basis = trial_eigenbasis(snap, op, min(m, snap.count))
@@ -199,9 +199,9 @@ def test_sweep_builds_each_trial_snapshot_set_once(monkeypatch):
     calls, workspaces = [], []
     build = trial_space.trial_snapshots
 
-    def counting(topology, op, node):
+    def counting(topology, op, node, *factors):
         calls.append(node)
-        return build(topology, op, node)
+        return build(topology, op, node, *factors)
 
     class Recorded(Workspace):
         def __init__(self, config):
@@ -240,3 +240,15 @@ def test_reduction_nesting(ws_small):
 def test_projection_error_monotone_in_m(ws_small):
     errs = [ws_small.projection_error(m) for m in (1, 2, 3)]
     assert errs[0] >= errs[1] >= errs[2]
+
+
+def test_corner_snapshots_solve_through_the_block_factor(ws_small):
+    # a one-block neighborhood's interior is its block's, in the same order
+    topo, op = ws_small.topology, ws_small.op
+    corners = [nb for nb in topo.neighborhoods if len(nb.blocks) == 1]
+    assert len(corners) == 4
+    for nb in corners:
+        assert np.array_equal(nb.interior, topo.blocks[nb.blocks[0]].interior)
+        held = trial_snapshots(topo, op, nb.node, ws_small.block_factors)
+        own = trial_snapshots(topo, op, nb.node)
+        assert np.abs(held.columns - own.columns).max() <= 1e-13 * np.abs(own.columns).max()
