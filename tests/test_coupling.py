@@ -501,7 +501,8 @@ def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
     V, _ = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     coefficients = np.random.default_rng(4).standard_normal(state.basis.count)
-    column = V @ (form_coefficients(state.basis.steps) @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
+    T = form_coefficients(state.basis.steps)
+    column = V @ (T @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
     assert append_test_columns(state, column[:, None]) is state
 
 
