@@ -18,6 +18,7 @@ from .coupling import (
     online_enrich,
     projection_error,
     solve_coupled,
+    start_online,
 )
 from .grid import (
     CoarseTopology,

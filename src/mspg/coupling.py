@@ -18,7 +18,7 @@ Only the online loop forms T, once, to grow it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,16 +28,17 @@ from .assembly import SparseOperator
 from .errors import SolverFailureError
 from .grid import CoarseTopology, coloring
 from .numerics import (
+    HELD_FACTOR_BYTES,
+    CheckedFactor,
     apply_coefficients,
     coefficient_product,
     column_sparse,
     full_rank_lstsq,
-    local_dirichlet_solve,
     orthonormalize_columns,
     serial_blas,
     smallest_singular_value,
 )
-from .test_space import TestBasis, extend_test_basis, test_basis
+from .test_space import TestBasis, extend_test_basis, growable_basis, test_basis
 
 # a local residual below RESIDUAL_FLOOR times the load norm gets no online
 # column at all
@@ -222,9 +223,57 @@ class OnlineSweepReport:
     residual_norm: float
 
 
-def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor):
+class OnlineFactors:
+    """The factors of the neighbourhood systems A_I A_I^T of one online loop
+    of ``sweeps`` sweeps, made once per node.
+
+    A_I A_I^T is symmetric positive definite, so it is factored in
+    symmetric mode (``CheckedFactor`` with ``spd``).  While a later sweep of
+    the loop will solve with a node's system again, its factor is made by
+    the held routine and kept, as long as the kept factors' bytes stay
+    within HELD_FACTOR_BYTES; the last sweep makes the rest one-shot and
+    drops each factor after its solve, so nothing is held once the loop
+    ends.  The systems are sliced from one A A^T, formed when a sweep first
+    needs a factor and dropped when it ends.
+    """
+
+    def __init__(self, op: SparseOperator, sweeps: int):
+        self.op = op
+        self.sweeps_left = sweeps
+        self.held: dict[int, CheckedFactor] = {}
+        self.held_bytes = 0
+        self._gram = None
+
+    def solve(self, node: int, I: np.ndarray, r_I: np.ndarray) -> np.ndarray:
+        """x with A_I A_I^T x = r_I for the interior I of ``node``."""
+        last = self.sweeps_left <= 1
+        factor = self.held.pop(node, None) if last else self.held.get(node)
+        if factor is None:
+            if self._gram is None:
+                self._gram = (self.op.A @ self.op.A.T).tocsr()
+            hold = not last and self.held_bytes < HELD_FACTOR_BYTES
+            K = self._gram[I][:, I]
+            factor = CheckedFactor(K, f"node {node} online", held=hold, spd=True)
+            if hold and self.held_bytes + factor.nbytes <= HELD_FACTOR_BYTES:
+                self.held[node] = factor
+                self.held_bytes += factor.nbytes
+        elif last:
+            self.held_bytes -= factor.nbytes
+        return factor.solve(r_I)
+
+    def end_sweep(self) -> None:
+        """Drop A A^T, and after the loop's last sweep every factor."""
+        self.sweeps_left -= 1
+        self._gram = None
+        if self.sweeps_left <= 0:
+            self.held.clear()
+            self.held_bytes = 0
+
+
+def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor, factors):
     """Local squared-operator solves against the residual, one CSC column
-    per node, on one BLAS thread (``serial_blas``)."""
+    per node, through the loop's ``OnlineFactors``, on one BLAS thread
+    (``serial_blas``)."""
     op = state.op
     blocks = []
     with serial_blas():
@@ -233,20 +282,41 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
             r_I = r[I]
             if np.linalg.norm(r_I) <= floor:
                 continue
-            A_I = op.A[I, :]
-            x = local_dirichlet_solve((A_I @ A_I.T).tocsc(), r_I, label=f"node {node} online")
-            blocks.append((I, x[:, None]))
+            blocks.append((I, factors.solve(int(node), I, r_I)[:, None]))
     return column_sparse(op.A.shape[0], blocks)
 
 
-def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int = 1):
+def start_online(state: SaddleState, topology: CoarseTopology, sweeps: int):
+    """``(state, factors)`` for an online loop of ``sweeps`` sweeps from
+    ``state``: the same solve with its T formed in storage with room for
+    every column the loop can add, at most one per node and sweep
+    (``test_space.growable_basis``), so the loop grows T in place and the
+    kernel's factors of ``state`` are released with it, and the loop's
+    ``OnlineFactors``."""
+    room = sweeps * sum(len(nodes) for nodes in coloring(topology))
+    state = replace(state, basis=growable_basis(state.basis, room))
+    return state, OnlineFactors(state.op, sweeps)
+
+
+def online_enrich(
+    state: SaddleState,
+    topology: CoarseTopology,
+    iterations: int = 1,
+    factors: OnlineFactors | None = None,
+):
     """Grow the test space from local residuals and re-solve.
 
     One iteration sweeps the four parity classes of coarse nodes; within a
     class the neighborhood interiors are disjoint, so the local solves are
     independent.  The coupled system is re-solved after every class, by
     ``append_test_columns``, so later classes see the updated residual.
+    Without ``factors`` the call is a loop of its own (``start_online``).
+    A caller that sweeps one call at a time starts the loop once, for all
+    its sweeps, and passes the loop's ``factors`` to every call, so each
+    node is factored once and T grows in place throughout.
     """
+    if factors is None:
+        state, factors = start_online(state, topology, iterations)
     op = state.op
     classes = coloring(topology)
     floor = RESIDUAL_FLOOR * max(np.linalg.norm(op.f), 1.0)
@@ -254,10 +324,11 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, iterations: int 
     for it in range(1, iterations + 1):
         added = 0
         for nodes in classes:
-            new = _online_columns(state, topology, nodes, residual_full(state), floor)
+            new = _online_columns(state, topology, nodes, residual_full(state), floor, factors)
             before = state.basis.count
             state = append_test_columns(state, new)
             added += state.basis.count - before
+        factors.end_sweep()
         residual_norm = float(np.linalg.norm(residual_full(state)))
         reports.append(OnlineSweepReport(it, added, residual_norm))
     return state, reports

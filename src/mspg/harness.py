@@ -309,7 +309,10 @@ class Workspace:
         so the test basis is built once, for the largest L and ``config.L``,
         and every L reads its solve off the leading block
         (``coupling.leading_block``).  Only an L whose leading columns lost
-        one to the orthonormalization solves on its own test matrix.
+        one to the orthonormalization solves on its own test matrix.  The
+        group's solve is released before the last L's online sweeps, and
+        each L's sweeps are one online loop (``coupling.start_online``):
+        every neighbourhood is factored once per cell, and T grows in place.
         """
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m).Xi
@@ -317,7 +320,7 @@ class Workspace:
         structure = self.image_structure(m)
         group = coupling.solve_coupled(self.op, V, Xi, *structure)
         rows = []
-        for L in Ls:
+        for i, L in enumerate(Ls):
             report = test_space.spectral_report(
                 self.w1(m), self.w2(), self.w3_selection(L, problem)
             )
@@ -325,9 +328,13 @@ class Workspace:
             state = coupling.leading_block(group, n)
             if state is None:
                 state = coupling.solve_coupled(self.op, V[:, :n], Xi, *structure)
+            if i == len(Ls) - 1:
+                group = None  # no later L reads it: release its solve
+            if online_iters:
+                state, factors = coupling.start_online(state, self.topology, online_iters)
             for it in range(online_iters + 1):
                 if it:
-                    state = coupling.online_enrich(state, self.topology)[0]
+                    state = coupling.online_enrich(state, self.topology, factors=factors)[0]
                 infsup = coupling.infsup_estimate(state) if self.config.infsup else None
                 err = coupling.error_report(
                     state,

@@ -102,14 +102,15 @@ def generalized_sym_eig(S: np.ndarray, T: np.ndarray) -> EigenPairs:
 class CheckedFactor:
     """Sparse LU of a square matrix K whose solves are checked.
 
-    The package's direct factorization: SuperLU with partial pivoting of a
-    sparse or dense K, made once and reused by every solve with K
-    (``trans="N"``) or K^T (``trans="T"``).  When the first relative
-    residual of a solve misses ``tol``, one step of iterative refinement
-    with the same factors is taken before the check, so a solve that meets
-    the bound at once is left untouched.  A singular K or a
-    missed residual is a ``LocalSolverError`` naming ``label``, with the
-    achieved residual when there is one.
+    The package's direct factorization: SuperLU with partial pivoting (or,
+    for an ``spd`` K, diagonal pivots) of a sparse or dense K, made once
+    and reused by every solve with K (``trans="N"``) or K^T
+    (``trans="T"``).  When the first relative residual of a solve misses
+    ``tol``, one step of iterative refinement with the same factors is
+    taken before the check, so a solve that meets the bound at once is
+    left untouched.  A singular K or a missed residual is a
+    ``LocalSolverError`` naming ``label``, with the achieved residual when
+    there is one.
 
     SuperLU's LU routine (``splu``) reserves storage for L and U of about
     700 bytes per stored entry of K and keeps it with the factor: 256 KB
@@ -123,25 +124,43 @@ class CheckedFactor:
     block).  That routine factors 20-40% slower than ``splu`` on large
     matrices, so a factor used for one solve comes from ``splu`` with
     COLAMD.
+
+    An ``spd`` K (symmetric positive definite, such as a neighbourhood's
+    A_I A_I^T) is factored by either routine in SuperLU's symmetric mode:
+    minimum degree on K^T + K, diagonal pivots only.  On a 1,521-dof
+    neighbourhood that took 4.8-5.1 ms against 11.6-12.2 ms for COLAMD with
+    partial pivoting, with about as many entries in L and U.
     """
 
-    def __init__(self, K, label: str = "", held: bool = True):
+    def __init__(self, K, label: str = "", held: bool = True, spd: bool = False):
         self.K = sp.csc_matrix(K, dtype=float)
         self.label = label
+        if spd:
+            pivoting = dict(
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        elif held:
+            pivoting = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1.0)
+        else:
+            pivoting = {}
         try:
             if held:
                 self._lu = spla.spilu(
-                    self.K,
-                    drop_tol=0.0,
-                    fill_factor=1.0,
-                    drop_rule="basic",
-                    diag_pivot_thresh=1.0,
-                    permc_spec="MMD_AT_PLUS_A",
+                    self.K, drop_tol=0.0, fill_factor=1.0, drop_rule="basic", **pivoting
                 )
             else:
-                self._lu = spla.splu(self.K)
+                self._lu = spla.splu(self.K, **pivoting)
         except RuntimeError as exc:
             raise LocalSolverError(f"local solve failed{self._where}: {exc}") from exc
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held, estimated as K plus an 8-byte value and a 4-byte row
+        index per entry of L and U."""
+        K = self.K
+        return K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + 12 * self._lu.nnz
 
     @property
     def _where(self) -> str:
@@ -178,10 +197,11 @@ def harmonic_extension(K, interior, boundary, traces=None, label: str = "", fact
     """Interior values of the K-harmonic extension of boundary traces.
 
     Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``, or
-    through ``factor``, a ``CheckedFactor`` of K_II made once (such as a
-    coarse block interior's); with ``traces=None`` g is the identity, one
-    column per boundary delta.  A CSC ``K`` (such as the transpose of a CSR
-    operator) is sliced by columns first, so no call scans all of ``K``.
+    through ``factor``, a ``CheckedFactor`` of K_II (such as a coarse block
+    interior's, made once, or an SPD one); with ``traces=None`` g is the
+    identity, one column per boundary delta.  A CSC ``K`` (such as the
+    transpose of a CSR operator) is sliced by columns first, so no call
+    scans all of ``K``.
     """
     if K.format == "csc":
         K_ii, K_ib = K[:, interior][interior], K[:, boundary][interior]
@@ -222,6 +242,10 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
 DROPTOL = 1e-10
 # bytes of one row block of an orthonormal Q, the most of Q ever held
 ROW_BLOCK_BYTES = 32 * 2**20
+# bytes of the neighbourhood factors an online loop may hold for its later
+# sweeps (``coupling.OnlineFactors``): all of them at n=200 (about 200 MB),
+# a part at n=400 (about 1 GB)
+HELD_FACTOR_BYTES = 256 * 2**20
 # eta = ||Q_0^T Q_0 - I||_F <= 1/11 gives kappa(Q_0)^2 <= (1+eta)/(1-eta) <= 6/5,
 # where one CholeskyQR pass meets the CholeskyQR2 bound (``orthonormalize_columns``)
 ONE_PASS_MAX_DEVIATION = 1.0 / 11.0
@@ -275,14 +299,23 @@ def orthonormal_row_blocks(V, steps):
         yield rows, block
 
 
-def form_coefficients(steps) -> np.ndarray:
+def form_coefficients(steps, out=None) -> np.ndarray:
     """The K x K T = C R_1^{-1} [R_2^{-1}] of ``steps`` = (C, R_1[, R_2]),
-    Fortran-ordered; a one-factor ``steps`` = (T,) is T itself.  Only the
+    Fortran-ordered; a one-factor ``steps`` = (T,) is T itself.  With
+    ``out``, a Fortran-ordered array with at least T's rows and columns, T
+    is formed in place in the leading rows of its leading columns, which
+    are returned; the rows below T's must be zero, and stay zero.  Only the
     online loop, which grows T, needs it formed: every other product with T
     goes through ``apply_coefficients`` or ``coefficient_product``."""
-    if len(steps) == 1:
-        return steps[0]
-    return functools.reduce(_solve_right_upper, steps[1:], np.array(steps[0], order="F"))
+    C, *factors = steps
+    if out is None:
+        if not factors:
+            return C
+        out = np.array(C, order="F")
+    else:
+        out = out[:, : C.shape[1]]
+        out[: C.shape[0]] = C
+    return functools.reduce(_solve_right_upper, factors, out)
 
 
 def apply_coefficients(steps, w) -> np.ndarray:

@@ -35,7 +35,7 @@ the small R factor of a QR of its interior rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,6 +46,7 @@ from .errors import SingularMetricError
 from .grid import CoarseEdge, CoarseTopology
 from .numerics import (
     DROPTOL,
+    CheckedFactor,
     apply_coefficients,
     coefficient_product,
     column_sparse,
@@ -303,9 +304,8 @@ def eigenproblem_2(
     else:
         B = _edge_energy(op, edge, mode=energy)
         free = np.arange(edge.region.size - ns)
-        ext = np.vstack(
-            [harmonic_extension(B, free, edge.edge_local, label=f"edge {edge.index}"), np.eye(ns)]
-        )
+        B_ff = CheckedFactor(B[free][:, free], f"edge {edge.index}", held=False, spd=True)
+        ext = np.vstack([harmonic_extension(B, free, edge.edge_local, factor=B_ff), np.eye(ns)])
         S_min = ext.T @ (B @ ext)
     S = _snapshot_energy(E, psi)
     try:
@@ -379,17 +379,31 @@ class TestBasis:
     with them go through ``AtV`` and the steps, in the kernel's order
     (``numerics.apply_coefficients``, ``numerics.coefficient_product``).
     ``kept`` holds the ascending indices of the columns of V kept, one per
-    column of T.
+    column of T.  A basis grown online holds its T as the leading block of
+    ``growth``, which it shares with the bases grown before and after it.
     """
 
     V: sp.csc_matrix
     AtV: sp.csc_matrix
     steps: tuple
     kept: np.ndarray
+    growth: CoefficientGrowth | None = field(default=None, repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return self.kept.size
+
+
+@dataclass(eq=False)
+class CoefficientGrowth:
+    """Fortran-ordered storage in which the online loop grows T by block
+    columns, zero where nothing was written.  Each basis grown in it holds
+    the leading rows x columns block as its T; ``count`` is the column count
+    of the newest, the only one that may grow in place, so no earlier
+    basis's T ever changes."""
+
+    array: np.ndarray
+    count: int
 
 
 def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_from=None):
@@ -477,6 +491,17 @@ def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestB
     return TestBasis(V=V, AtV=AtV, steps=steps, kept=kept)
 
 
+def growable_basis(basis: TestBasis, room: int) -> TestBasis:
+    """``basis`` with its T formed (``form_coefficients``) in new
+    ``CoefficientGrowth`` storage with ``room`` spare rows and columns, as
+    the storage's newest basis; it holds the explicit T alone, ``steps`` =
+    (T,), so the kernel's factors of ``basis`` can be released."""
+    rows, count = basis.V.shape[1], basis.count
+    growth = CoefficientGrowth(np.zeros((rows + room, count + room), order="F"), count)
+    T = form_coefficients(basis.steps, out=growth.array)[:rows]
+    return TestBasis(basis.V, basis.AtV, (T,), basis.kept, growth)
+
+
 def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     """The basis grown by the part of span(``new``) outside its span.
 
@@ -485,10 +510,12 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     S; a column whose residual is at most DROPTOL of ||A^T x|| adds nothing
     and is dropped, and the rest are orthonormalized among themselves, Q_n =
     Y T_n.  Then Q_n = A^T (X - V T S) T_n for the kept columns X, so V and
-    A^T V grow by X and A^T X, and T by the block column [-T S T_n; T_n]:
-    the first extension forms the offline T (``form_coefficients``), and the
-    grown basis holds the explicit T alone, ``steps`` = (T,).  A ``new``
-    that adds nothing returns ``basis`` itself.
+    A^T V grow by X and A^T X, and T by the block column [-T S T_n; T_n].
+    The block column is written in place when ``basis`` is the newest basis
+    of its ``CoefficientGrowth`` and the storage has room (``growable_basis``
+    makes such storage); otherwise T moves to new storage that fits the
+    grown T exactly.  The grown basis holds the explicit T alone, ``steps``
+    = (T,).  A ``new`` that adds nothing returns ``basis`` itself.
     """
     new = sp.csc_matrix(new, dtype=float)
     AtX = (op.A.T @ new).tocsc()
@@ -503,10 +530,22 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     kept_n, steps_n = orthonormalize_columns(Y[:, keep])
     if not kept_n.size:
         return basis
-    T, T_n = form_coefficients(basis.steps), form_coefficients(steps_n)
-    T = np.block(
-        [[T, -T @ (S[:, keep] @ T_n)], [np.zeros((T_n.shape[0], basis.count)), T_n]]
-    )
+    T_n = form_coefficients(steps_n)
+    rows, count = basis.V.shape[1], basis.count
+    rows_new, count_new = rows + T_n.shape[0], count + T_n.shape[1]
+    growth = basis.growth
+    if (
+        growth is None
+        or growth.count != count
+        or rows_new > growth.array.shape[0]
+        or count_new > growth.array.shape[1]
+    ):
+        growth = growable_basis(basis, max(T_n.shape)).growth
+    T = growth.array[:rows, :count]
+    growth.array[:rows, count:count_new] = -T @ (S[:, keep] @ T_n)
+    growth.array[rows:rows_new, count:count_new] = T_n
+    growth.count = count_new
     V = sp.hstack([basis.V, new[:, keep]], format="csc")
     AtV = sp.hstack([basis.AtV, AtX[:, keep]], format="csc")
-    return TestBasis(V, AtV, (T,), np.concatenate([basis.kept, basis.V.shape[1] + kept_n]))
+    kept = np.concatenate([basis.kept, rows + kept_n])
+    return TestBasis(V, AtV, (growth.array[:rows_new, :count_new],), kept, growth)

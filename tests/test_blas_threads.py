@@ -112,7 +112,7 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
         return spied
 
     bindings = {
-        "local_dirichlet_solve": (numerics, coupling, assembly),
+        "local_dirichlet_solve": (numerics, assembly),
         "generalized_sym_eig": (trial_space, test_space),
         "orthonormalize_columns": (test_space, coupling),
         "smallest_singular_value": (coupling,),

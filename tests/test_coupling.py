@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -267,8 +269,8 @@ def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
 
 def _online_block(ws, state):
     """The first parity class's raw online columns, as the loop forms them."""
-    nodes = coloring(ws.topology)[0]
-    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0)
+    nodes, factors = coloring(ws.topology)[0], coupling.OnlineFactors(ws.op, 1)
+    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0, factors)
 
 
 def _relative(a, b):
@@ -416,10 +418,10 @@ def _forming_spy(monkeypatch):
     on; an explicit one-factor T is not formed."""
     shapes, form = [], numerics.form_coefficients
 
-    def spying(steps):
+    def spying(steps, out=None):
         if len(steps) > 1:
             shapes.append((steps[0].shape[0], steps[-1].shape[1]))
-        return form(steps)
+        return form(steps, out)
 
     for module in (numerics, test_space, coupling):
         if hasattr(module, "form_coefficients"):
@@ -588,3 +590,133 @@ def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
     assert sum(rep.added_columns for rep in reports) > 0
     after = held()
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def _factor_spy(monkeypatch):
+    """(label, held, weak reference) of every online factor made from here
+    on; the workspace's block factors are made elsewhere."""
+    made = []
+
+    class Spying(numerics.CheckedFactor):
+        def __init__(self, K, label="", held=True, spd=False):
+            super().__init__(K, label, held, spd)
+            made.append((label, held, weakref.ref(self)))
+
+    monkeypatch.setattr(coupling, "CheckedFactor", Spying)
+    return made
+
+
+def _all_released(made):
+    gc.collect()
+    return all(ref() is None for _, _, ref in made)
+
+
+def test_a_cell_factors_each_online_node_once(tiny, monkeypatch):
+    made = _factor_spy(monkeypatch)
+    held_after = []  # (sweeps left, factors held) after every local solve
+    solve = coupling.OnlineFactors.solve
+
+    def solving(factors, *args):
+        x = solve(factors, *args)
+        held_after.append((factors.sweeps_left, len(factors.held)))
+        return x
+
+    monkeypatch.setattr(coupling.OnlineFactors, "solve", solving)
+    rows = tiny.run_cell(1, 1, 1, online_iters=2)
+    assert [row.online_iter for row in rows] == [0, 1, 2]
+    labels = [label for label, _, _ in made]
+    assert labels and len(set(labels)) == len(labels)
+    # held for the second sweep, which drops each one after its solve
+    assert all(held for _, held, _ in made)
+    nodes = len(labels)
+    assert held_after == [(2, k) for k in range(1, nodes + 1)] + [
+        (1, k) for k in range(nodes - 1, -1, -1)
+    ]
+    assert _all_released(made)
+
+
+def test_a_one_sweep_cell_holds_no_factor(tiny, monkeypatch):
+    made = _factor_spy(monkeypatch)
+    ends = []
+    end_sweep = coupling.OnlineFactors.end_sweep
+
+    def ending(factors):
+        end_sweep(factors)
+        ends.append((factors.held.copy(), factors.held_bytes))
+
+    monkeypatch.setattr(coupling.OnlineFactors, "end_sweep", ending)
+    tiny.run_cell(1, 1, 1, online_iters=1)
+    assert made and not any(held for _, held, _ in made)
+    assert ends == [({}, 0)]
+    assert _all_released(made)
+
+
+def test_a_zero_byte_budget_refactors_every_sweep(tiny, monkeypatch):
+    cached = tiny.run_cell(1, 1, 1, online_iters=2)
+    made = _factor_spy(monkeypatch)
+    monkeypatch.setattr(coupling, "HELD_FACTOR_BYTES", 0)
+    rows = tiny.run_cell(1, 1, 1, online_iters=2)
+    labels = [label for label, _, _ in made]
+    assert len(labels) == 2 * len(set(labels)) > 0
+    assert not any(held for _, held, _ in made)
+    # the factors come from the one-shot routine instead of the held one:
+    # the same solves up to rounding
+    for row, ref in zip(rows, cached, strict=True):
+        for field in dataclasses.fields(row):
+            a, b = getattr(row, field.name), getattr(ref, field.name)
+            assert a == (pytest.approx(b, rel=1e-12) if isinstance(a, float) else b), field.name
+
+
+def _grown_by_blocks(basis, op, new):
+    """T of ``basis`` extended by ``new`` as one np.block of the formed T and
+    the block column [-T S T_n; T_n] (``test_space.extend_test_basis``)."""
+    Y = (op.A.T @ sp.csc_matrix(new)).toarray()
+    norms = np.linalg.norm(Y, axis=0)
+    S = np.zeros((basis.count, Y.shape[1]))
+    for _ in range(2):
+        C = coefficient_product(basis.steps, basis.AtV.T @ Y)
+        Y -= basis.AtV @ apply_coefficients(basis.steps, C)
+        S += C
+    keep = np.linalg.norm(Y, axis=0) > numerics.DROPTOL * norms
+    T, T_n = form_coefficients(basis.steps), form_coefficients(orthonormalize_columns(Y[:, keep])[1])
+    zero = np.zeros((T_n.shape[0], basis.count))
+    return np.block([[T, -T @ (S[:, keep] @ T_n)], [zero, T_n]])
+
+
+def test_t_grown_in_place_matches_the_block_construction(tiny, monkeypatch):
+    grown, extend = [], test_space.extend_test_basis
+
+    def checking(basis, op, new):
+        ext = extend(basis, op, new)
+        (T,) = ext.steps
+        grown.append(_relative(T, _grown_by_blocks(basis, op, new)))
+        return ext
+
+    monkeypatch.setattr(coupling, "extend_test_basis", checking)
+    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1)[0], tiny.trial(1).Xi)
+    online_enrich(state, tiny.topology, iterations=1)
+    assert len(grown) == len(coloring(tiny.topology))
+    assert max(grown) <= 1e-15
+
+
+def test_extending_an_earlier_basis_leaves_later_ones_unchanged(tiny):
+    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1)[0], tiny.trial(1).Xi)
+    state = coupling.start_online(state, tiny.topology, 1)[0]
+    first = append_test_columns(state, _online_block(tiny, state))
+    nodes = coloring(tiny.topology)[1]
+    factors = coupling.OnlineFactors(tiny.op, 1)
+    news = [
+        coupling._online_columns(first, tiny.topology, nodes, r, 0.0, factors)
+        for r in (residual_full(first), residual_full(state))
+    ]
+    second = append_test_columns(first, news[0])
+    # the newest basis of its storage grows in place
+    assert np.shares_memory(second.basis.steps[0], first.basis.steps[0])
+    held = lambda s: (s.basis.steps[0], s.G_wu, s.rhs_w)
+    before = [a.copy() for a in held(second)]
+    # ``first`` is no longer the newest: extending it again must copy
+    again = append_test_columns(first, news[1])
+    assert not np.shares_memory(again.basis.steps[0], second.basis.steps[0])
+    assert all(np.array_equal(a, b) for a, b in zip(held(second), before, strict=True))
+    (T,) = again.basis.steps
+    assert _relative(T, _grown_by_blocks(first.basis, tiny.op, news[1])) <= 1e-15

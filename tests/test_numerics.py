@@ -110,25 +110,42 @@ def test_local_solve_singular():
         local_dirichlet_solve(np.zeros((3, 3)), np.ones(3))
 
 
-@pytest.mark.parametrize("held", [True, False])
-@pytest.mark.parametrize("trans", ["N", "T"])
-def test_checked_factor_serves_the_matrix_and_its_transpose(trans, held):
-    rng = np.random.default_rng(4)
+# both routines, with partial pivoting and in symmetric mode
+ROUTINES = pytest.mark.parametrize(
+    "held, spd",
+    [(True, False), (False, False), (True, True), (False, True)],
+    ids=["True", "False", "True-spd", "False-spd"],
+)
+
+
+def _factor_test_matrix(spd):
     K = sp.random(40, 40, density=0.1, random_state=4, format="csr") + sp.eye(40) * 4.0
-    factor = CheckedFactor(K, label="block 7", held=held)
-    dense = K.toarray() if trans == "N" else K.toarray().T
+    return (K @ K.T).tocsr() if spd else K
+
+
+@ROUTINES
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_checked_factor_serves_the_matrix_and_its_transpose(trans, held, spd):
+    rng = np.random.default_rng(4)
+    K = _factor_test_matrix(spd)
+    factor = CheckedFactor(K, label="block 7", held=held, spd=spd)
+    if spd:  # symmetric mode pivots on the diagonal: rows follow the columns
+        assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+    dense = K if trans == "N" else K.T
     for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
-        assert np.allclose(factor.solve(rhs, trans=trans), np.linalg.solve(dense, rhs), atol=1e-12)
+        expected = spla.spsolve(dense.tocsc(), rhs)
+        assert np.allclose(factor.solve(rhs, trans=trans), expected, atol=1e-12)
     with pytest.raises(LocalSolverError, match=r"\(block 7\)") as err:
         factor.solve(rng.standard_normal(40), trans=trans, tol=1e-30)
     assert err.value.residual > 1e-30
 
 
-@pytest.mark.parametrize("held", [True, False])
-def test_checked_factor_of_a_singular_matrix_names_its_label(held):
+@ROUTINES
+def test_checked_factor_of_a_singular_matrix_names_its_label(held, spd):
+    # symmetric and positive semidefinite: the symmetric mode's pivot is 0
     K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(LocalSolverError, match=r"\(block 3\): .*singular"):
-        CheckedFactor(K, label="block 3", held=held)
+        CheckedFactor(K, label="block 3", held=held, spd=spd)
 
 
 def _laplace_block():
@@ -494,4 +511,32 @@ def test_local_solve_refines_once_when_the_residual_misses():
     assert np.array_equal(local_dirichlet_solve(A, b, tol=first), x0)
     with pytest.raises(LocalSolverError) as err:
         local_dirichlet_solve(A, b, tol=1e-30)
+    assert err.value.residual > 1e-30
+
+
+def _badly_scaled(spd):
+    """A sparse system whose first LU residual, with either routine and
+    either pivoting, one refinement step cuts by more than half."""
+    rng = np.random.default_rng(0)
+    A = sp.random(200, 200, density=0.05, random_state=0, format="csc")
+    A = (A + sp.diags(10.0 ** rng.uniform(-6, 6, 200))).tocsc()
+    if spd:
+        B = sp.random(200, 200, density=0.05, random_state=1, format="csc")
+        D = sp.diags(10.0 ** np.random.default_rng(1).uniform(-5, 5, 200))
+        A = (D @ (B @ B.T + sp.eye(200)) @ D).tocsc()
+    return A, rng.standard_normal(200)
+
+
+@ROUTINES
+def test_checked_factor_refines_once_when_the_residual_misses(held, spd):
+    A, b = _badly_scaled(spd)
+    factor = CheckedFactor(A, held=held, spd=spd)
+    x0 = factor.solve(b, tol=np.inf)  # no bound: the first solve as it is
+    first = np.linalg.norm(A @ x0 - b) / np.linalg.norm(b)
+    x = factor.solve(b, tol=0.5 * first)
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 0.5 * first
+    # a solve that meets the bound at once is not refined
+    assert np.array_equal(factor.solve(b, tol=first), x0)
+    with pytest.raises(LocalSolverError) as err:
+        factor.solve(b, tol=1e-30)
     assert err.value.residual > 1e-30

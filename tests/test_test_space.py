@@ -250,7 +250,7 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
 ):
     # the extension eigenproblem 2 forms through the checked kernel is the
     # minimum-energy formula: the edge rows carry the identity and the free
-    # rows solve B_ff x = -B_fe, factored by splu
+    # rows solve B_ff x = -B_fe, factored by splu in symmetric mode (B_ff is SPD)
     extensions = []
     kernel = test_space.harmonic_extension
 
@@ -269,7 +269,13 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
         oracle = np.zeros((B.shape[0], ns))
         oracle[edge.edge_local] = np.eye(ns)
         B_ff = B[free][:, free]
-        oracle[free] = spla.splu(B_ff.tocsc()).solve(-(B[free][:, edge.edge_local] @ np.eye(ns)))
+        lu = spla.splu(
+            B_ff.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+        oracle[free] = lu.solve(-(B[free][:, edge.edge_local] @ np.eye(ns)))
         assert np.array_equal(np.vstack([extensions[-1], np.eye(ns)]), oracle)
 
 
