@@ -18,7 +18,6 @@ from .coupling import (
     online_enrich,
     projection_error,
     solve_coupled,
-    start_online,
 )
 from .grid import (
     CoarseTopology,

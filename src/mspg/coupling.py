@@ -13,7 +13,8 @@ plus a few per block; ``Workspace.image_structure`` supplies the blocks.
 T is held as the kernel's factors C, R_1[, R_2] and applied in the kernel's
 order: G_wu and rhs_w through ``numerics.coefficient_product``, the fine
 test function w_fine = V (T w) through ``numerics.apply_coefficients``.
-Only the online loop forms T, once, to grow it.
+Only the online loop forms T: ``online_enrich``, a generator that owns the
+storage T grows in and the neighbourhood factors it reuses between sweeps.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from .numerics import (
     apply_coefficients,
     coefficient_product,
     column_sparse,
+    form_coefficients,
     full_rank_lstsq,
     orthonormalize_columns,
     serial_blas,
     smallest_singular_value,
 )
-from .test_space import TestBasis, extend_test_basis, growable_basis, test_basis
+from .test_space import TestBasis, extend_test_basis, test_basis
 
 # a local residual below RESIDUAL_FLOOR times the load norm gets no online
 # column at all
@@ -131,17 +133,17 @@ def leading_block(state: SaddleState, n: int) -> SaddleState | None:
     return _solved_state(state.op, lead, state.Xi, state.G_wu[:n], state.rhs_w[:n])
 
 
-def append_test_columns(state: SaddleState, new) -> SaddleState:
+def append_test_columns(state: SaddleState, new, out: np.ndarray) -> SaddleState:
     """Re-solve after appending the raw test columns ``new``.
 
-    The basis grows by the part of span(new) outside the test span
-    (``test_space.extend_test_basis``), and G_wu and rhs_w by its rows, so
-    for k new columns the update costs O(N K k).  Columns in the test span
-    add nothing and return ``state`` itself.  The grown basis holds its T
-    explicitly.
+    The basis grows by the part of span(new) outside the test span, its T
+    in the storage ``out`` (``test_space.extend_test_basis``), and G_wu and
+    rhs_w by its rows, so for k new columns the update costs O(N K k).
+    Columns in the test span add nothing and return ``state`` itself.  The
+    grown basis holds its T explicitly.
     """
     op, old = state.op, state.basis.count
-    basis = extend_test_basis(state.basis, op, new)
+    basis = extend_test_basis(state.basis, op, new, out)
     if basis is state.basis:
         return state
     (T,) = basis.steps
@@ -216,64 +218,11 @@ def residual_full(state: SaddleState) -> np.ndarray:
     return op.A @ (op.A.T @ state.w_fine + state.u_fine) - op.f
 
 
-@dataclass(frozen=True)
-class OnlineSweepReport:
-    iteration: int
-    added_columns: int
-    residual_norm: float
-
-
-class OnlineFactors:
-    """The factors of the neighbourhood systems A_I A_I^T of one online loop
-    of ``sweeps`` sweeps, made once per node.
-
-    A_I A_I^T is symmetric positive definite, so it is factored in
-    symmetric mode (``CheckedFactor`` with ``spd``).  While a later sweep of
-    the loop will solve with a node's system again, its factor is made by
-    the held routine and kept, as long as the kept factors' bytes stay
-    within HELD_FACTOR_BYTES; the last sweep makes the rest one-shot and
-    drops each factor after its solve, so nothing is held once the loop
-    ends.  The systems are sliced from one A A^T, formed when a sweep first
-    needs a factor and dropped when it ends.
-    """
-
-    def __init__(self, op: SparseOperator, sweeps: int):
-        self.op = op
-        self.sweeps_left = sweeps
-        self.held: dict[int, CheckedFactor] = {}
-        self.held_bytes = 0
-        self._gram = None
-
-    def solve(self, node: int, I: np.ndarray, r_I: np.ndarray) -> np.ndarray:
-        """x with A_I A_I^T x = r_I for the interior I of ``node``."""
-        last = self.sweeps_left <= 1
-        factor = self.held.pop(node, None) if last else self.held.get(node)
-        if factor is None:
-            if self._gram is None:
-                self._gram = (self.op.A @ self.op.A.T).tocsr()
-            hold = not last and self.held_bytes < HELD_FACTOR_BYTES
-            K = self._gram[I][:, I]
-            factor = CheckedFactor(K, f"node {node} online", held=hold, spd=True)
-            if hold and self.held_bytes + factor.nbytes <= HELD_FACTOR_BYTES:
-                self.held[node] = factor
-                self.held_bytes += factor.nbytes
-        elif last:
-            self.held_bytes -= factor.nbytes
-        return factor.solve(r_I)
-
-    def end_sweep(self) -> None:
-        """Drop A A^T, and after the loop's last sweep every factor."""
-        self.sweeps_left -= 1
-        self._gram = None
-        if self.sweeps_left <= 0:
-            self.held.clear()
-            self.held_bytes = 0
-
-
-def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor, factors):
+def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor, factor):
     """Local squared-operator solves against the residual, one CSC column
-    per node, through the loop's ``OnlineFactors``, on one BLAS thread
-    (``serial_blas``)."""
+    per node, on one BLAS thread (``serial_blas``); ``factor(node, I)`` is
+    the node's factor of A_I A_I^T for its interior I.  A factor the loop
+    does not hold dies with its solve."""
     op = state.op
     blocks = []
     with serial_blas():
@@ -282,53 +231,68 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
             r_I = r[I]
             if np.linalg.norm(r_I) <= floor:
                 continue
-            blocks.append((I, factors.solve(int(node), I, r_I)[:, None]))
+            blocks.append((I, factor(int(node), I).solve(r_I)[:, None]))
     return column_sparse(op.A.shape[0], blocks)
 
 
-def start_online(state: SaddleState, topology: CoarseTopology, sweeps: int):
-    """``(state, factors)`` for an online loop of ``sweeps`` sweeps from
-    ``state``: the same solve with its T formed in storage with room for
-    every column the loop can add, at most one per node and sweep
-    (``test_space.growable_basis``), so the loop grows T in place and the
-    kernel's factors of ``state`` are released with it, and the loop's
-    ``OnlineFactors``."""
-    room = sweeps * sum(len(nodes) for nodes in coloring(topology))
-    state = replace(state, basis=growable_basis(state.basis, room))
-    return state, OnlineFactors(state.op, sweeps)
+def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
+    """Grow the test space from local residuals and re-solve: a generator
+    that yields the cell's state, then the state after each of ``sweeps``
+    sweeps (with none, ``state`` as it is).
 
-
-def online_enrich(
-    state: SaddleState,
-    topology: CoarseTopology,
-    iterations: int = 1,
-    factors: OnlineFactors | None = None,
-):
-    """Grow the test space from local residuals and re-solve.
-
-    One iteration sweeps the four parity classes of coarse nodes; within a
+    One sweep visits the four parity classes of coarse nodes; within a
     class the neighborhood interiors are disjoint, so the local solves are
     independent.  The coupled system is re-solved after every class, by
     ``append_test_columns``, so later classes see the updated residual.
-    Without ``factors`` the call is a loop of its own (``start_online``).
-    A caller that sweeps one call at a time starts the loop once, for all
-    its sweeps, and passes the loop's ``factors`` to every call, so each
-    node is factored once and T grows in place throughout.
+
+    The first yield holds T, formed once (``numerics.form_coefficients``)
+    into storage with room for every column the loop can add, at most one
+    per node and sweep, instead of the kernel's factors of ``state``: a
+    caller that rebinds to it releases them before any node is factored.
+    Each class writes its block column beside T, so no yielded T changes.
+
+    The systems A_I A_I^T of the neighbourhood interiors I are sliced from
+    one A A^T per sweep and factored in symmetric mode, once per node and
+    loop: by the held routine and kept while a later sweep will reuse them
+    and their ``nbytes`` stay within HELD_FACTOR_BYTES, one-shot in the
+    last sweep, which drops each after its solve.  No A A^T, and after the
+    last sweep no factor, is alive at a yield.
     """
-    if factors is None:
-        state, factors = start_online(state, topology, iterations)
-    op = state.op
+    if not sweeps:
+        yield state
+        return
     classes = coloring(topology)
+    rows, count = state.basis.V.shape[1], state.basis.count
+    room = sweeps * sum(len(nodes) for nodes in classes)
+    storage = np.zeros((rows + room, count + room), order="F")
+    T = form_coefficients(state.basis.steps, out=storage)[:rows]
+    state = replace(state, basis=replace(state.basis, steps=(T,)))
+    yield state
+    op = state.op
     floor = RESIDUAL_FLOOR * max(np.linalg.norm(op.f), 1.0)
-    reports = []
-    for it in range(1, iterations + 1):
-        added = 0
+    held: dict[int, CheckedFactor] = {}
+    held_bytes, gram = 0, None
+
+    def factor(node: int, I: np.ndarray) -> CheckedFactor:
+        nonlocal held_bytes, gram
+        found = held.pop(node, None) if last else held.get(node)
+        if found is not None:
+            return found
+        if gram is None:
+            gram = (op.A @ op.A.T).tocsr()
+        hold = not last and held_bytes < HELD_FACTOR_BYTES
+        made = CheckedFactor(gram[I][:, I], f"node {node} online", held=hold, spd=True)
+        if hold and held_bytes + made.nbytes <= HELD_FACTOR_BYTES:
+            held[node] = made
+            held_bytes += made.nbytes
+        return made
+
+    for sweep in range(1, sweeps + 1):
+        last = sweep == sweeps
         for nodes in classes:
-            new = _online_columns(state, topology, nodes, residual_full(state), floor, factors)
-            before = state.basis.count
-            state = append_test_columns(state, new)
-            added += state.basis.count - before
-        factors.end_sweep()
-        residual_norm = float(np.linalg.norm(residual_full(state)))
-        reports.append(OnlineSweepReport(it, added, residual_norm))
-    return state, reports
+            new = _online_columns(state, topology, nodes, residual_full(state), floor, factor)
+            state = append_test_columns(state, new, storage)
+        gram = None
+        if last:
+            held.clear()
+        yield state

@@ -311,8 +311,9 @@ class Workspace:
         (``coupling.leading_block``).  Only an L whose leading columns lost
         one to the orthonormalization solves on its own test matrix.  The
         group's solve is released before the last L's online sweeps, and
-        each L's sweeps are one online loop (``coupling.start_online``):
-        every neighbourhood is factored once per cell, and T grows in place.
+        each L's rows come from one online loop (``coupling.online_enrich``),
+        whose first yield releases the cell's offline solve: every
+        neighbourhood is factored once per cell, and T grows in place.
         """
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m).Xi
@@ -330,11 +331,7 @@ class Workspace:
                 state = coupling.solve_coupled(self.op, V[:, :n], Xi, *structure)
             if i == len(Ls) - 1:
                 group = None  # no later L reads it: release its solve
-            if online_iters:
-                state, factors = coupling.start_online(state, self.topology, online_iters)
-            for it in range(online_iters + 1):
-                if it:
-                    state = coupling.online_enrich(state, self.topology, factors=factors)[0]
+            for it, state in enumerate(coupling.online_enrich(state, self.topology, online_iters)):
                 infsup = coupling.infsup_estimate(state) if self.config.infsup else None
                 err = coupling.error_report(
                     state,

@@ -243,8 +243,11 @@ DROPTOL = 1e-10
 # bytes of one row block of an orthonormal Q, the most of Q ever held
 ROW_BLOCK_BYTES = 32 * 2**20
 # bytes of the neighbourhood factors an online loop may hold for its later
-# sweeps (``coupling.OnlineFactors``): all of them at n=200 (about 200 MB),
-# a part at n=400 (about 1 GB)
+# sweeps (``coupling.online_enrich``), by the ``CheckedFactor.nbytes``
+# estimate: all of them at n=200 (about 200 MB), a part at n=400 (about 1 GB).
+# The cap bounds the estimate, not the heap: SuperLU's per-supernode arrays
+# and permutations are not counted, and the 200.2 MB held at n=200 take
+# 234.3 MB of heap (+17%)
 HELD_FACTOR_BYTES = 256 * 2**20
 # eta = ||Q_0^T Q_0 - I||_F <= 1/11 gives kappa(Q_0)^2 <= (1+eta)/(1-eta) <= 6/5,
 # where one CholeskyQR pass meets the CholeskyQR2 bound (``orthonormalize_columns``)

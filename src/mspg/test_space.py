@@ -23,7 +23,9 @@ B itself is never formed, so no condition number is squared, except for
 the minimum-energy extension under ``edge_energy="global"``.  The test
 basis (``TestBasis``) is the raw sparse columns V with A^T V and the
 factors of the small coefficients T that make Q = A^T V T orthonormal;
-offline neither T nor Q is formed.
+offline neither T nor Q is formed.  The online loop
+(``coupling.online_enrich``) grows a basis by ``extend_test_basis``, which
+writes each new block column of T into the loop's storage.
 
 Every snapshot but the bubbles is adjoint-harmonic inside each coarse
 block, so A^T V of W2 and W3 lives on the coarse skeleton (the rows outside
@@ -35,7 +37,7 @@ the small R factor of a QR of its interior rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -379,31 +381,17 @@ class TestBasis:
     with them go through ``AtV`` and the steps, in the kernel's order
     (``numerics.apply_coefficients``, ``numerics.coefficient_product``).
     ``kept`` holds the ascending indices of the columns of V kept, one per
-    column of T.  A basis grown online holds its T as the leading block of
-    ``growth``, which it shares with the bases grown before and after it.
+    column of T.
     """
 
     V: sp.csc_matrix
     AtV: sp.csc_matrix
     steps: tuple
     kept: np.ndarray
-    growth: CoefficientGrowth | None = field(default=None, repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return self.kept.size
-
-
-@dataclass(eq=False)
-class CoefficientGrowth:
-    """Fortran-ordered storage in which the online loop grows T by block
-    columns, zero where nothing was written.  Each basis grown in it holds
-    the leading rows x columns block as its T; ``count`` is the column count
-    of the newest, the only one that may grow in place, so no earlier
-    basis's T ever changes."""
-
-    array: np.ndarray
-    count: int
 
 
 def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_from=None):
@@ -491,18 +479,7 @@ def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestB
     return TestBasis(V=V, AtV=AtV, steps=steps, kept=kept)
 
 
-def growable_basis(basis: TestBasis, room: int) -> TestBasis:
-    """``basis`` with its T formed (``form_coefficients``) in new
-    ``CoefficientGrowth`` storage with ``room`` spare rows and columns, as
-    the storage's newest basis; it holds the explicit T alone, ``steps`` =
-    (T,), so the kernel's factors of ``basis`` can be released."""
-    rows, count = basis.V.shape[1], basis.count
-    growth = CoefficientGrowth(np.zeros((rows + room, count + room), order="F"), count)
-    T = form_coefficients(basis.steps, out=growth.array)[:rows]
-    return TestBasis(basis.V, basis.AtV, (T,), basis.kept, growth)
-
-
-def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
+def extend_test_basis(basis: TestBasis, op: SparseOperator, new, out: np.ndarray) -> TestBasis:
     """The basis grown by the part of span(``new``) outside its span.
 
     Y = A^T new is projected against Q twice, through Q^T Y = T^T ((A^T V)^T
@@ -511,11 +488,12 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     and is dropped, and the rest are orthonormalized among themselves, Q_n =
     Y T_n.  Then Q_n = A^T (X - V T S) T_n for the kept columns X, so V and
     A^T V grow by X and A^T X, and T by the block column [-T S T_n; T_n].
-    The block column is written in place when ``basis`` is the newest basis
-    of its ``CoefficientGrowth`` and the storage has room (``growable_basis``
-    makes such storage); otherwise T moves to new storage that fits the
-    grown T exactly.  The grown basis holds the explicit T alone, ``steps``
-    = (T,).  A ``new`` that adds nothing returns ``basis`` itself.
+    ``out`` is the Fortran-ordered storage of the online loop
+    (``coupling.online_enrich``): its leading block is ``basis``'s T, it is
+    zero below T, and it has room for the block column, which is written in
+    place beside T.  The grown basis holds the new leading block as its
+    explicit T alone, ``steps`` = (T,).  A ``new`` that adds nothing returns
+    ``basis`` itself and leaves ``out`` as it is.
     """
     new = sp.csc_matrix(new, dtype=float)
     AtX = (op.A.T @ new).tocsc()
@@ -533,19 +511,9 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     T_n = form_coefficients(steps_n)
     rows, count = basis.V.shape[1], basis.count
     rows_new, count_new = rows + T_n.shape[0], count + T_n.shape[1]
-    growth = basis.growth
-    if (
-        growth is None
-        or growth.count != count
-        or rows_new > growth.array.shape[0]
-        or count_new > growth.array.shape[1]
-    ):
-        growth = growable_basis(basis, max(T_n.shape)).growth
-    T = growth.array[:rows, :count]
-    growth.array[:rows, count:count_new] = -T @ (S[:, keep] @ T_n)
-    growth.array[rows:rows_new, count:count_new] = T_n
-    growth.count = count_new
+    out[:rows, count:count_new] = -out[:rows, :count] @ (S[:, keep] @ T_n)
+    out[rows:rows_new, count:count_new] = T_n
     V = sp.hstack([basis.V, new[:, keep]], format="csc")
     AtV = sp.hstack([basis.AtV, AtX[:, keep]], format="csc")
     kept = np.concatenate([basis.kept, rows + kept_n])
-    return TestBasis(V, AtV, (growth.array[:rows_new, :count_new],), kept, growth)
+    return TestBasis(V, AtV, (out[:rows_new, :count_new],), kept)

@@ -206,8 +206,8 @@ def test_online_enrichment_converges(tiny):
     proj = tiny.projection_error(1)
     errs = [error_report(state, tiny.u_ref, proj).err_ms_pct]
     for _ in range(2):
-        state, reps = online_enrich(state, tiny.topology, iterations=1)
-        history.append(reps[-1].residual_norm)
+        *_, state = online_enrich(state, tiny.topology, 1)
+        history.append(np.linalg.norm(residual_full(state)))
         errs.append(error_report(state, tiny.u_ref, proj).err_ms_pct)
     assert errs[-1] <= 1.05 * proj
     assert all(history[i + 1] <= history[i] * (1 + 1e-9) for i in range(2))
@@ -215,8 +215,7 @@ def test_online_enrichment_converges(tiny):
 
 def test_online_no_columns_when_exact(tiny):
     state = solve_coupled(tiny.op, np.eye(tiny.mesh.num_dofs), tiny.trial(1).Xi)
-    enriched, reps = online_enrich(state, tiny.topology, iterations=1)
-    assert reps[0].added_columns == 0
+    *_, enriched = online_enrich(state, tiny.topology, 1)
     assert enriched.basis.count == state.basis.count
 
 
@@ -229,7 +228,7 @@ def test_online_contraction_rate(ws_small):
     state = solve_coupled(ws_small.op, V, ws_small.trial(1).Xi)
     proj = ws_small.projection_error(1)
     before = error_report(state, ws_small.u_ref, proj)
-    state, _ = online_enrich(state, ws_small.topology, iterations=1)
+    *_, state = online_enrich(state, ws_small.topology, 1)
     after = error_report(state, ws_small.u_ref, proj)
     excess_before = before.err_ms_pct - before.err_proj_pct
     excess_after = after.err_ms_pct - after.err_proj_pct
@@ -239,9 +238,9 @@ def test_online_contraction_rate(ws_small):
 def test_online_test_space_stays_orthonormal(tiny, basis_q):
     V, _ = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi, *tiny.image_structure(1))
-    enriched, reps = online_enrich(state, tiny.topology, iterations=2)
-    added = sum(rep.added_columns for rep in reps)
+    *_, enriched = online_enrich(state, tiny.topology, 2)
     basis = enriched.basis
+    added = basis.count - state.basis.count
     Q = basis_q()  # the offline block, then every online block Q_n
     assert added > 0 and Q.shape[1] == state.basis.count + added
     assert abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
@@ -254,7 +253,8 @@ def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
     rng = np.random.default_rng(3)
     inside = V @ (form_coefficients(basis.steps)[:, :3] @ rng.standard_normal(3))
     outside = rng.standard_normal(V.shape[0])
-    ext = test_space.extend_test_basis(basis, tiny.op, np.column_stack([inside, outside]))
+    new = np.column_stack([inside, outside])
+    ext = test_space.extend_test_basis(basis, tiny.op, new, _storage(basis, 2))
     assert ext.count == basis.count + 1 and ext.V.shape[1] == V.shape[1] + 1
     Q = basis_q()
     assert abs(Q.T @ Q - np.eye(ext.count)).max() <= 1e-12
@@ -268,9 +268,21 @@ def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
 
 
 def _online_block(ws, state):
-    """The first parity class's raw online columns, as the loop forms them."""
-    nodes, factors = coloring(ws.topology)[0], coupling.OnlineFactors(ws.op, 1)
-    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0, factors)
+    """The first parity class's raw online columns, as a one-sweep loop forms
+    them: each node's A_I A_I^T sliced from A A^T, factored one-shot."""
+    gram = (ws.op.A @ ws.op.A.T).tocsr()
+    factor = lambda node, I: numerics.CheckedFactor(gram[I][:, I], held=False, spd=True)
+    nodes = coloring(ws.topology)[0]
+    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0, factor)
+
+
+def _storage(basis, room):
+    """Fortran storage holding the T of ``basis`` with ``room`` spare rows
+    and columns, zero elsewhere, as the online loop makes it."""
+    rows = basis.V.shape[1]
+    out = np.zeros((rows + room, basis.count + room), order="F")
+    form_coefficients(basis.steps, out=out)
+    return out
 
 
 def _relative(a, b):
@@ -286,7 +298,7 @@ def test_bordered_update_matches_a_full_solve(request, name, basis_q):
     state = solve_coupled(ws.op, V, ws.trial(m).Xi, interiors, harmonic_from)
     new = _online_block(ws, state)
     assert new.shape[1] > 0
-    bordered = append_test_columns(state, new)
+    bordered = append_test_columns(state, new, _storage(state.basis, new.shape[1]))
     bordered_q = basis_q()  # the offline block, then the online block Q_n
     # the online columns are not adjoint-harmonic: no column is marked
     full = solve_coupled(ws.op, sp.hstack([V, new]), ws.trial(m).Xi, interiors)
@@ -438,7 +450,7 @@ def test_no_t_is_formed_offline(tiny, ws_contrast, monkeypatch):
 
 
 def test_the_online_loop_forms_t_once_per_cell(tiny, monkeypatch):
-    # the first extension forms the cell's offline T, and every later one
+    # the loop forms the cell's offline T as it starts, and every extension
     # grows the explicit T; the other forms are the online blocks' own T_n
     shapes = _forming_spy(monkeypatch)
     sizes = [tiny.test_matrix(1, L, 1)[0].shape[1] for L in (1, 3)]
@@ -457,8 +469,8 @@ def test_no_array_with_a_row_per_fine_dof_is_held(tiny):
     N, Xi = tiny.mesh.num_dofs, tiny.trial(1).Xi
     group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
     cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
-    enriched, reports = online_enrich(cell, tiny.topology, iterations=2)
-    assert sum(rep.added_columns for rep in reports) > 0
+    *_, enriched = online_enrich(cell, tiny.topology, 2)
+    assert enriched.basis.count > cell.basis.count
     for state in (group, cell, enriched):
         for holder in (state, state.basis):
             for field in dataclasses.fields(holder):
@@ -490,8 +502,8 @@ def test_online_enrich_makes_no_full_solve(tiny, monkeypatch):
     monkeypatch.setattr(coupling, "solve_coupled", counting)
     monkeypatch.setattr(coupling, "_online_columns", recording)
     monkeypatch.setattr(test_space, "orthonormalize_columns", counting_kernel)
-    enriched, reps = online_enrich(state, tiny.topology, iterations=2)
-    assert sum(rep.added_columns for rep in reps) > 0
+    *_, enriched = online_enrich(state, tiny.topology, 2)
+    assert enriched.basis.count > state.basis.count
     assert solves == []
     # one orthonormalization per parity class, of at most its online block
     assert len(widths) == len(blocks) == 2 * len(coloring(tiny.topology))
@@ -505,7 +517,7 @@ def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
     coefficients = np.random.default_rng(4).standard_normal(state.basis.count)
     T = form_coefficients(state.basis.steps)
     column = V @ (T @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
-    assert append_test_columns(state, column[:, None]) is state
+    assert append_test_columns(state, column[:, None], _storage(state.basis, 1)) is state
 
 
 def test_solution_depends_on_the_test_span_only(tiny):
@@ -586,8 +598,8 @@ def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
     before = [a.copy() for a in held()]
     cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
     assert all(map(np.shares_memory, cell.basis.steps, group.basis.steps))
-    enriched, reports = online_enrich(cell, tiny.topology, iterations=2)
-    assert sum(rep.added_columns for rep in reports) > 0
+    *_, enriched = online_enrich(cell, tiny.topology, 2)
+    assert enriched.basis.count > cell.basis.count
     after = held()
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
@@ -613,15 +625,19 @@ def _all_released(made):
 
 def test_a_cell_factors_each_online_node_once(tiny, monkeypatch):
     made = _factor_spy(monkeypatch)
-    held_after = []  # (sweeps left, factors held) after every local solve
-    solve = coupling.OnlineFactors.solve
+    alive = []  # online factors alive as each local solve asks for its factor
+    columns = coupling._online_columns
 
-    def solving(factors, *args):
-        x = solve(factors, *args)
-        held_after.append((factors.sweeps_left, len(factors.held)))
-        return x
+    def counting(*args):
+        *rest, factor = args
 
-    monkeypatch.setattr(coupling.OnlineFactors, "solve", solving)
+        def counted(node, I):
+            alive.append(sum(ref() is not None for _, _, ref in made))
+            return factor(node, I)
+
+        return columns(*rest, counted)
+
+    monkeypatch.setattr(coupling, "_online_columns", counting)
     rows = tiny.run_cell(1, 1, 1, online_iters=2)
     assert [row.online_iter for row in rows] == [0, 1, 2]
     labels = [label for label, _, _ in made]
@@ -629,26 +645,78 @@ def test_a_cell_factors_each_online_node_once(tiny, monkeypatch):
     # held for the second sweep, which drops each one after its solve
     assert all(held for _, held, _ in made)
     nodes = len(labels)
-    assert held_after == [(2, k) for k in range(1, nodes + 1)] + [
-        (1, k) for k in range(nodes - 1, -1, -1)
-    ]
+    assert alive == list(range(nodes)) + list(range(nodes, 0, -1))
     assert _all_released(made)
 
 
 def test_a_one_sweep_cell_holds_no_factor(tiny, monkeypatch):
     made = _factor_spy(monkeypatch)
-    ends = []
-    end_sweep = coupling.OnlineFactors.end_sweep
-
-    def ending(factors):
-        end_sweep(factors)
-        ends.append((factors.held.copy(), factors.held_bytes))
-
-    monkeypatch.setattr(coupling.OnlineFactors, "end_sweep", ending)
     tiny.run_cell(1, 1, 1, online_iters=1)
     assert made and not any(held for _, held, _ in made)
-    assert ends == [({}, 0)]
     assert _all_released(made)
+
+
+def test_the_offline_factors_are_released_before_the_first_online_factor(tiny, monkeypatch):
+    # run_cell rebinds its state to the loop's first yield, which holds the
+    # formed T alone, so the kernel's factors of the cell's offline solve
+    # (views of the group's, or the group's own for the largest L) are dead
+    # before the loop factors a node
+    offline, released = [], []
+    leading = coupling.leading_block
+
+    def spying(group, n):
+        cell = leading(group, n)
+        offline.append([weakref.ref(step) for step in cell.basis.steps])
+        return cell
+
+    class Spying(numerics.CheckedFactor):
+        def __init__(self, *args, **kwargs):
+            gc.collect()
+            released.append(all(ref() is None for ref in offline[-1]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "leading_block", spying)
+    monkeypatch.setattr(coupling, "CheckedFactor", Spying)
+    rows = tiny.run_cell(1, [1, 3], 1, online_iters=2)
+    assert [row.online_iter for row in rows] == [0, 1, 2] * 2
+    assert len(offline) == 2 and released and all(released)
+
+
+@pytest.mark.parametrize("sweeps, skip_last", [(1, False), (2, False), (2, True)])
+def test_no_gram_and_no_last_sweep_factor_is_alive_at_a_yield(
+    tiny, monkeypatch, sweeps, skip_last
+):
+    # checked where run_cell reports each state the loop yields: a factor
+    # made one-shot (every one of the last sweep) and the sweep's A A^T die
+    # within the sweep, and after the last sweep no factor is left, not
+    # even the held one of a node whose residual the last sweep skips
+    made = _factor_spy(monkeypatch)
+    if skip_last:
+        columns, calls, classes = coupling._online_columns, [], len(coloring(tiny.topology))
+
+        def skipping(state, topology, nodes, r, floor, factor):
+            calls.append(nodes)
+            last = len(calls) > (sweeps - 1) * classes
+            return columns(state, topology, nodes, r, np.inf if last else floor, factor)
+
+        monkeypatch.setattr(coupling, "_online_columns", skipping)
+    A, N = tiny.op.A, tiny.mesh.num_dofs
+    gram_nnz = (A @ A.T).nnz
+    alive = []  # (one-shot factors, all factors, A A^T) alive at each row
+    report = coupling.error_report
+
+    def reporting(*args, **kwargs):
+        gc.collect()
+        squares = [o for o in gc.get_objects() if sp.issparse(o) and o.shape == (N, N)]
+        live = [held for _, held, ref in made if ref() is not None]
+        alive.append((live.count(False), len(live), sum(o.nnz == gram_nnz for o in squares)))
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "error_report", reporting)
+    tiny.run_cell(1, 1, 1, online_iters=sweeps)
+    assert len(alive) == sweeps + 1 and len(made) > 0
+    assert all(one_shot == 0 and grams == 0 for one_shot, _, grams in alive)
+    assert alive[-1] == (0, 0, 0)
 
 
 def test_a_zero_byte_budget_refactors_every_sweep(tiny, monkeypatch):
@@ -686,37 +754,29 @@ def _grown_by_blocks(basis, op, new):
 def test_t_grown_in_place_matches_the_block_construction(tiny, monkeypatch):
     grown, extend = [], test_space.extend_test_basis
 
-    def checking(basis, op, new):
-        ext = extend(basis, op, new)
+    def checking(basis, op, new, out):
+        ext = extend(basis, op, new, out)
         (T,) = ext.steps
         grown.append(_relative(T, _grown_by_blocks(basis, op, new)))
         return ext
 
     monkeypatch.setattr(coupling, "extend_test_basis", checking)
     state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1)[0], tiny.trial(1).Xi)
-    online_enrich(state, tiny.topology, iterations=1)
+    list(online_enrich(state, tiny.topology, 1))
     assert len(grown) == len(coloring(tiny.topology))
     assert max(grown) <= 1e-15
 
 
-def test_extending_an_earlier_basis_leaves_later_ones_unchanged(tiny):
+def test_every_state_a_loop_yields_keeps_its_arrays(tiny):
+    # the loop grows T in place, beside the T of every state it yielded:
+    # none of them changes once a later sweep writes its block columns
     state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1)[0], tiny.trial(1).Xi)
-    state = coupling.start_online(state, tiny.topology, 1)[0]
-    first = append_test_columns(state, _online_block(tiny, state))
-    nodes = coloring(tiny.topology)[1]
-    factors = coupling.OnlineFactors(tiny.op, 1)
-    news = [
-        coupling._online_columns(first, tiny.topology, nodes, r, 0.0, factors)
-        for r in (residual_full(first), residual_full(state))
-    ]
-    second = append_test_columns(first, news[0])
-    # the newest basis of its storage grows in place
-    assert np.shares_memory(second.basis.steps[0], first.basis.steps[0])
+    (only,) = online_enrich(state, tiny.topology, 0)
+    assert only is state
     held = lambda s: (s.basis.steps[0], s.G_wu, s.rhs_w)
-    before = [a.copy() for a in held(second)]
-    # ``first`` is no longer the newest: extending it again must copy
-    again = append_test_columns(first, news[1])
-    assert not np.shares_memory(again.basis.steps[0], second.basis.steps[0])
-    assert all(np.array_equal(a, b) for a, b in zip(held(second), before, strict=True))
-    (T,) = again.basis.steps
-    assert _relative(T, _grown_by_blocks(first.basis, tiny.op, news[1])) <= 1e-15
+    yielded = [(s, [a.copy() for a in held(s)]) for s in online_enrich(state, tiny.topology, 2)]
+    states = [s for s, _ in yielded]
+    assert len(states) == 3 and states[0].basis.count < states[-1].basis.count
+    assert all(np.shares_memory(s.basis.steps[0], states[-1].basis.steps[0]) for s in states)
+    for s, before in yielded:
+        assert all(np.array_equal(a, b) for a, b in zip(held(s), before, strict=True))
