@@ -5,10 +5,11 @@ Subcommands:
   sweep     Cartesian sweep over trial/test counts and eigenproblems
   validate  run the built-in invariant suite
 
-Every ``run``/``sweep`` option can also come from a flat key=value config
-file (``--config``), whose key is the long flag with ``-`` replaced by
-``_``.  Values given on the command line win over the file; an option that
-neither sets keeps the ``ExperimentConfig`` default.  Exit codes: 0 success,
+Every ``run``/``sweep`` option but ``run``'s ``--dump-eigs`` and
+``--dump-basis`` can also come from a flat key=value config file
+(``--config``), whose key is the long flag with ``-`` replaced by ``_``.
+Values given on the command line win over the file; an option that neither
+sets keeps the ``ExperimentConfig`` default.  Exit codes: 0 success,
 2 bad configuration or usage, 3 numerical failure, 4 I/O failure.
 """
 
@@ -181,9 +182,8 @@ def _cmd_run(args) -> int:
         ws = Workspace(config)
         rows = ws.run_cell(config.m, config.L, config.eigenproblem, config.online_iters)
         if args.dump_eigs:
-            dump_edge_spectra(
-                ws.w3_selection(config.L, config.eigenproblem), args.dump_eigs
-            )
+            spectra = ws.edge_spectra(config.eigenproblem, config.L)
+            dump_edge_spectra(spectra, config.L, args.dump_eigs)
         if args.dump_basis:
             dump_basis(ws.trial(config.m), args.dump_basis)
     else:
@@ -229,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep, options=_add_common(p_sweep, sweep=True))
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
-    p_val.add_argument("--fine", type=int, default=32, help="fine subdivisions (default 32)")
-    p_val.add_argument("--coarse", type=int, default=4, help="coarse subdivisions (default 4)")
+    p_val.add_argument("--fine", type=int, default=32,
+                       help="fine subdivisions (default %(default)s)")
+    p_val.add_argument("--coarse", type=int, default=4,
+                       help="coarse subdivisions (default %(default)s)")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -124,7 +124,6 @@ class CoarseEdge:
     """
 
     index: int
-    axis: int
     blocks: tuple[int, int]
     interior: np.ndarray
     region: np.ndarray
@@ -229,7 +228,7 @@ def build_coarse_topology(mesh: FineMesh, nc: int) -> CoarseTopology:
 
     edges = []
 
-    def add_edge(axis: int, edge_nodes: np.ndarray, k1: int, k2: int):
+    def add_edge(edge_nodes: np.ndarray, k1: int, k2: int):
         interior = dof[edge_nodes]
         assert np.all(interior >= 0)
         region = np.concatenate(
@@ -239,7 +238,6 @@ def build_coarse_topology(mesh: FineMesh, nc: int) -> CoarseTopology:
         edges.append(
             CoarseEdge(
                 index=len(edges),
-                axis=axis,
                 blocks=(k1, k2),
                 interior=interior,
                 region=region,
@@ -251,11 +249,11 @@ def build_coarse_topology(mesh: FineMesh, nc: int) -> CoarseTopology:
     for a in range(1, nc):
         for J in range(nc):
             nodes = _box_nodes(n, a * r, a * r, J * r + 1, (J + 1) * r - 1)
-            add_edge(0, nodes, J * nc + (a - 1), J * nc + a)
+            add_edge(nodes, J * nc + (a - 1), J * nc + a)
     for b in range(1, nc):
         for I in range(nc):
             nodes = _box_nodes(n, I * r + 1, (I + 1) * r - 1, b * r, b * r)
-            add_edge(1, nodes, (b - 1) * nc + I, b * nc + I)
+            add_edge(nodes, (b - 1) * nc + I, b * nc + I)
 
     return CoarseTopology(
         mesh=mesh,

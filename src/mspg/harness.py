@@ -180,7 +180,7 @@ class Workspace:
         self._projection_error: dict[int, float] = {}
         self._w1: dict[int, test_space.BubbleSet] = {}
         self._w2: test_space.VertexTraceSet | None = None
-        self._spectrum: dict[tuple[int, int], test_space.EdgeSpectralResult] = {}
+        self._spectra: dict[int, list[test_space.EdgeSpectrum]] = {}
 
     # ---- trial side -------------------------------------------------
 
@@ -240,52 +240,39 @@ class Workspace:
                 self._w2 = test_space.build_W2(self.topology, self.op, self.block_factors)
         return self._w2
 
-    def edge_spectrum(
-        self, k: int, problem: int, L: int = 1
-    ) -> test_space.EdgeSpectralResult:
-        """One edge's spectral result: every eigenvalue, and its first modes.
+    def edge_spectra(self, problem: int, L: int = 1) -> list[test_space.EdgeSpectrum]:
+        """Every edge's spectrum under one eigenproblem, in edge order.
 
-        Only the first max(L, ``config.L``) eigen-combinations are kept (a
-        sweep sets ``config.L`` to its largest count); a larger L rebuilds
-        them.  The edge's snapshot set is built for the eigenproblem and
-        dropped once it is reduced.
+        Each spectrum holds every eigenvalue but only the first max(L,
+        ``config.L``) eigen-combinations (a sweep sets ``config.L`` to its
+        largest count); a larger L rebuilds them.  Each edge's snapshot set
+        is built for the eigenproblem and dropped once it is reduced.  The
+        edge loop runs on one BLAS thread (``numerics.serial_blas``).
         """
-        key, keep = (k, problem), max(L, self.config.L)
-        if key not in self._spectrum or self._spectrum[key].L < keep:
-            energy = self.config.edge_energy
+        keep = max(L, self.config.L)
+        spectra = self._spectra.get(problem)
+        if spectra is None or spectra[0].combos.shape[1] < keep:
+            energy, spectra = self.config.edge_energy, []
             with serial_blas():
-                snap = test_space.build_W3_snapshots(self.topology, self.op, k, self.block_factors)
-                if problem == 1:
-                    full = test_space.eigenproblem_1(snap, self.op, energy=energy)
-                else:
-                    full = test_space.eigenproblem_2(
-                        snap, self.op, self.block_factors, energy=energy
+                for k, edge in enumerate(self.topology.edges):
+                    psi = test_space.build_W3_snapshots(
+                        self.topology, self.op, k, self.block_factors
                     )
-            self._spectrum[key] = test_space.select_prefix(
-                full.edge,
-                problem,
-                full.eigenvalues,
-                np.ascontiguousarray(full.selected[:, :keep]),
-                keep,
-            )
-        return self._spectrum[key]
-
-    def w3_selection(self, L: int, problem: int) -> list[test_space.EdgeSpectralResult]:
-        """Per-edge prefix selections of the cached spectra."""
-        out = []
-        for k in range(len(self.topology.edges)):
-            spectrum = self.edge_spectrum(k, problem, L)
-            out.append(
-                test_space.select_prefix(
-                    spectrum.edge, problem, spectrum.eigenvalues, spectrum.selected, L
-                )
-            )
-        return out
+                    if problem == 1:
+                        full = test_space.eigenproblem_1(edge, psi, self.op, energy=energy)
+                    else:
+                        full = test_space.eigenproblem_2(
+                            edge, psi, self.op, self.block_factors, energy=energy
+                        )
+                    combos = np.ascontiguousarray(full.combos[:, :keep])
+                    spectra.append(replace(full, combos=combos))
+            self._spectra[problem] = spectra
+        return spectra
 
     def test_matrix(self, m: int, L: int, problem: int):
-        """The raw CSC test matrix [W1 W2 W3] of a cell, with its report."""
+        """The raw CSC test matrix [W1 W2 W3] of a cell."""
         return test_space.assemble_test_matrix(
-            self.w1(m), self.w2(), self.w3_selection(L, problem)
+            self.w1(m), self.w2(), self.edge_spectra(problem, L), L
         )
 
     def image_structure(self, m: int):
@@ -317,15 +304,14 @@ class Workspace:
         """
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m).Xi
-        V, _ = self.test_matrix(m, max(Ls[-1], self.config.L), problem)
+        V = self.test_matrix(m, max(Ls[-1], self.config.L), problem)
         structure = self.image_structure(m)
         group = coupling.solve_coupled(self.op, V, Xi, *structure)
         rows = []
         for i, L in enumerate(Ls):
-            report = test_space.spectral_report(
-                self.w1(m), self.w2(), self.w3_selection(L, problem)
-            )
-            n = report.n_w1 + report.n_w2 + report.n_w3
+            spectra = self.edge_spectra(problem, L)
+            n = self.w1(m).count + self.w2().count + L * len(spectra)
+            min_lambda = min(s.excluded(L) for s in spectra)
             state = coupling.leading_block(group, n)
             if state is None:
                 state = coupling.solve_coupled(self.op, V[:, :n], Xi, *structure)
@@ -337,7 +323,7 @@ class Workspace:
                     state,
                     self.u_ref,
                     self.projection_error(m),
-                    min_lambda_excluded=report.min_lambda_excluded,
+                    min_lambda_excluded=min_lambda,
                     infsup_est=infsup,
                     online_iter=it,
                 )
@@ -446,19 +432,15 @@ def emit_report(rows: list[ReportRow], format: str = "csv", path=None) -> str:
     return text
 
 
-def dump_edge_spectra(spectra, path) -> None:
-    """Per-edge eigenvalue table: edge id, index, eigenvalue, selected flag.
-
-    ``spectra`` holds the per-edge results, as ``Workspace.w3_selection``
-    returns them.
+def dump_edge_spectra(spectra, L: int, path) -> None:
+    """Per-edge eigenvalue table: edge id, index, eigenvalue, and whether the
+    first L modes select it.  ``spectra`` are ``Workspace.edge_spectra``'s.
     """
     with open(path, "w") as fh:
         fh.write("edge,index,eigenvalue,selected\n")
-        for res in spectra:
-            for i, lam in enumerate(res.eigenvalues):
-                fh.write(
-                    f"{res.edge.index},{i},{_fmt(float(lam))},{int(i < res.L)}\n"
-                )
+        for s in spectra:
+            for i, lam in enumerate(s.eigenvalues):
+                fh.write(f"{s.edge.index},{i},{_fmt(float(lam))},{int(i < L)}\n")
 
 
 def dump_basis(basis: trial_space.TrialBasis, path) -> None:

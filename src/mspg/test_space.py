@@ -132,57 +132,46 @@ def build_W2(topology: CoarseTopology, op: SparseOperator, factors) -> VertexTra
     return VertexTraceSet(columns=columns, node_ids=nodes)
 
 
-@dataclass(frozen=True)
-class TestSnapshotW3:
-    """Edge snapshots, one per interior fine node of the edge.
-
-    ``columns`` is aligned to ``edge.region`` (interior(K1) ++ interior(K2)
-    ++ edge dofs); column j carries a unit value at edge node j and is
-    adjoint-harmonic inside both blocks.
-    """
-
-    edge: CoarseEdge
-    columns: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[1]
-
-
 def build_W3_snapshots(
     topology: CoarseTopology, op: SparseOperator, k: int, factors
-) -> TestSnapshotW3:
-    """Edge k's snapshots: in each adjacent block, the adjoint-harmonic
-    extension of the edge deltas, solved with the block's factor
+) -> np.ndarray:
+    """Edge k's snapshots, one per interior fine node of the edge, aligned to
+    ``edge.region`` (interior(K1) ++ interior(K2) ++ edge dofs): column j
+    carries a unit value at edge node j and is, in each adjacent block, the
+    adjoint-harmonic extension of that delta, solved with the block's factor
     (``trial_space.block_factors``) transposed."""
     edge = topology.edges[k]
     A_edge = op.A[edge.interior]  # the rows of the edge dofs
-    psi = np.vstack(
+    return np.vstack(
         [
             factors[kb].solve(-A_edge[:, topology.blocks[kb].interior].T.toarray(), trans="T")
             for kb in edge.blocks
         ]
         + [np.eye(edge.interior.size)]
     )
-    return TestSnapshotW3(edge=edge, columns=psi)
 
 
 @dataclass(frozen=True)
-class EdgeSpectralResult:
+class EdgeSpectrum:
     """Spectral reduction of one edge's snapshot space.
 
-    ``selected`` holds the first L eigen-combinations of the snapshots,
-    aligned to ``edge.region``.  ``lambda_excluded`` is the smallest
-    eigenvalue whose eigenvector was not selected (+inf when everything
-    was selected); it never decreases as L grows.
+    ``eigenvalues`` holds the whole ascending spectrum; ``combos`` the
+    leading eigen-combinations of the snapshots, one column per mode in
+    that order, aligned to ``edge.region`` (every mode, or a prefix of
+    them, as ``harness.Workspace.edge_spectra`` keeps).
     """
 
     edge: CoarseEdge
-    problem: int
     eigenvalues: np.ndarray
-    selected: np.ndarray
-    L: int
-    lambda_excluded: float
+    combos: np.ndarray
+
+    def excluded(self, L: int) -> float:
+        """The smallest eigenvalue whose mode is not among the first L:
+        +inf when L keeps every mode, never decreasing as L grows."""
+        ns = self.eigenvalues.size
+        if L < 1 or L > ns:
+            raise ValueError(f"L={L} outside 1..{ns} on edge {self.edge.index}")
+        return float(self.eigenvalues[L]) if L < ns else np.inf
 
 
 def _edge_operator(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> sp.csr_matrix:
@@ -214,33 +203,15 @@ def _snapshot_energy(E: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
     return Y.T @ Y
 
 
-def select_prefix(edge, problem, values, snapshot_combos, L):
-    """The first L modes of an edge's ascending spectrum."""
-    ns = values.size
-    if L < 1 or L > ns:
-        raise ValueError(f"L={L} outside 1..{ns} on edge {edge.index}")
-    lam = float(values[L]) if L < ns else np.inf
-    return EdgeSpectralResult(
-        edge=edge,
-        problem=problem,
-        eigenvalues=values,
-        selected=snapshot_combos[:, :L],
-        L=L,
-        lambda_excluded=lam,
-    )
-
-
 def eigenproblem_1(
-    snapshots: TestSnapshotW3, op: SparseOperator, energy: str = "region"
-) -> EdgeSpectralResult:
-    """Edge reduction against the one-dimensional trace mass matrix, with
-    every mode selected.
+    edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, energy: str = "region"
+) -> EdgeSpectrum:
+    """Reduction of the edge's snapshots ``psi`` (``build_W3_snapshots``)
+    against the one-dimensional trace mass matrix, with every mode kept.
 
     The eigenvalues scale with the squared-adjoint energy per unit of edge
     mass and grow without bound under fine-mesh refinement.
     """
-    edge = snapshots.edge
-    psi = snapshots.columns
     S = _snapshot_energy(_edge_operator(op, edge, energy), psi)
     ns = psi.shape[1]
     h = op.mesh.h
@@ -251,7 +222,7 @@ def eigenproblem_1(
         pairs = generalized_sym_eig(S, M_edge)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return select_prefix(edge, 1, pairs.values, psi @ pairs.vectors, ns)
+    return EdgeSpectrum(edge, pairs.values, psi @ pairs.vectors)
 
 
 def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndarray:
@@ -282,10 +253,10 @@ def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndar
 
 
 def eigenproblem_2(
-    snapshots: TestSnapshotW3, op: SparseOperator, factors, energy: str = "region"
-) -> EdgeSpectralResult:
-    """Edge reduction against the snapshot energy itself, with every mode
-    selected.
+    edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, factors, energy: str = "region"
+) -> EdgeSpectrum:
+    """Reduction of the edge's snapshots ``psi`` (``build_W3_snapshots``)
+    against the snapshot energy itself, with every mode kept.
 
     The left-hand side uses the minimum-energy extensions of the snapshot
     traces over the edge region, so every eigenvalue lies in [0, 1]; values
@@ -297,8 +268,6 @@ def eigenproblem_2(
     edge delta is its B-harmonic extension; the edge dofs are the last rows
     of ``region``.
     """
-    edge = snapshots.edge
-    psi = snapshots.columns
     ns = psi.shape[1]
     E = _edge_operator(op, edge, energy)
     if energy == "region":
@@ -314,59 +283,27 @@ def eigenproblem_2(
         pairs = generalized_sym_eig(S_min, S)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return select_prefix(edge, 2, pairs.values, psi @ pairs.vectors, ns)
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Composition of the assembled test matrix."""
-
-    n_w1: int
-    n_w2: int
-    n_w3: int
-    edge_results: tuple[EdgeSpectralResult, ...]
-    min_lambda_excluded: float
-
-
-def spectral_report(
-    w1: BubbleSet, w2: VertexTraceSet, w3_results: list[EdgeSpectralResult]
-) -> SpectralReport:
-    """Retained counts and the smallest excluded edge eigenvalue."""
-    return SpectralReport(
-        n_w1=w1.count,
-        n_w2=w2.count,
-        n_w3=sum(r.L for r in w3_results),
-        edge_results=tuple(w3_results),
-        min_lambda_excluded=min(
-            (r.lambda_excluded for r in w3_results), default=np.inf
-        ),
-    )
+    return EdgeSpectrum(edge, pairs.values, psi @ pairs.vectors)
 
 
 def assemble_test_matrix(
-    w1: BubbleSet,
-    w2: VertexTraceSet,
-    w3_results: list[EdgeSpectralResult],
-):
-    """Concatenate all components sparsely.
+    w1: BubbleSet, w2: VertexTraceSet, spectra: list[EdgeSpectrum], L: int
+) -> sp.csc_matrix:
+    """The raw CSC test matrix V = [W1 W2 W3] with the first L modes of
+    every edge's ``spectra``.
 
-    Returns the raw CSC test matrix V = [W1 W2 W3] together with its
-    ``spectral_report``.  W3 is mode-major: every edge's first mode, then
-    every edge's second mode, and so on.  The edge selections are nested
-    prefixes, so the test matrix of L modes per edge is exactly the leading
-    n_w1 + n_w2 + n_w3 columns of the one of any larger L.
+    W3 is mode-major: every edge's first mode, then every edge's second
+    mode, and so on.  So the test matrix of L modes per edge is exactly the
+    leading w1.count + w2.count + L * len(spectra) columns of the one of any
+    larger L.
     """
+    if any(s.combos.shape[1] < L for s in spectra):
+        raise ValueError(f"L={L} exceeds the edge modes held")
     w3 = column_sparse(
         w1.columns.shape[0],
-        [
-            (r.edge.region, r.selected[:, j : j + 1])
-            for j in range(max((r.L for r in w3_results), default=0))
-            for r in w3_results
-            if j < r.L
-        ],
+        [(s.edge.region, s.combos[:, j : j + 1]) for j in range(L) for s in spectra],
     )
-    raw = sp.hstack([w1.columns, w2.columns, w3], format="csc")
-    return raw, spectral_report(w1, w2, w3_results)
+    return sp.hstack([w1.columns, w2.columns, w3], format="csc")
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,7 @@ def mms_rate(n: int) -> float:
 
 def edge_spectrum_range(ws: Workspace, problem: int = 2) -> tuple[float, float]:
     """Smallest and largest edge eigenvalue over all edges of ``ws``."""
-    values = [
-        ws.edge_spectrum(k, problem).eigenvalues for k in range(len(ws.topology.edges))
-    ]
+    values = [s.eigenvalues for s in ws.edge_spectra(problem)]
     return min(float(v.min()) for v in values), max(float(v.max()) for v in values)
 
 
@@ -97,7 +95,7 @@ def full_space_gap(ws: Workspace, m: int = 1, problem: int = 2):
     when the full test space reproduces the projection, together with the
     error report and the solved state.
     """
-    V, _ = ws.test_matrix(m, ws.topology.r - 1, problem)
+    V = ws.test_matrix(m, ws.topology.r - 1, problem)
     state = coupling.solve_coupled(ws.op, V, ws.trial(m).Xi, *ws.image_structure(m))
     rep = coupling.error_report(state, ws.u_ref, ws.projection_error(m))
     gap = abs(rep.err_ms_pct - rep.err_proj_pct) / max(rep.err_proj_pct, 1e-12)
@@ -138,7 +136,9 @@ def _check_exactness(ws: Workspace):
     )
 
 
-def validate_suite(n: int = 32, nc: int = 4) -> list[tuple[str, bool, str]]:
+def validate_suite(n: int, nc: int) -> list[tuple[str, bool, str]]:
+    """The checks on an n x n fine grid over an nc x nc coarse one; the
+    ``validate`` subcommand's ``--fine``/``--coarse`` hold the defaults."""
     results = [
         _check_grid(n, nc),
         _check_assembly(min(n, 16)),

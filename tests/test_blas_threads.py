@@ -81,7 +81,7 @@ STAGES = {
     ("harness.py", "trial"),
     ("harness.py", "w1"),
     ("harness.py", "w2"),
-    ("harness.py", "edge_spectrum"),
+    ("harness.py", "edge_spectra"),
     ("coupling.py", "_online_columns"),
 }
 # global kernels called from a stage: the constructor's fine reference solve

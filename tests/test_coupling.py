@@ -51,7 +51,7 @@ def test_full_test_space_gives_projection(tiny):
     # every edge mode kept: the constraint block enforces Euclidean
     # orthogonality of the trial residual
     r = tiny.topology.r
-    V, _ = tiny.test_matrix(1, r - 1, 1)
+    V = tiny.test_matrix(1, r - 1, 1)
     Xi = tiny.trial(1).Xi
     state = solve_coupled(tiny.op, V, Xi)
     Q = np.linalg.qr(Xi.toarray())[0]
@@ -61,11 +61,11 @@ def test_full_test_space_gives_projection(tiny):
 
 def test_error_report_projection_consistency(tiny):
     r = tiny.topology.r
-    V, report = tiny.test_matrix(1, r - 1, 1)
+    V = tiny.test_matrix(1, r - 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     rep = error_report(
         state, tiny.u_ref, tiny.projection_error(1),
-        min_lambda_excluded=report.min_lambda_excluded,
+        min_lambda_excluded=min(s.excluded(r - 1) for s in tiny.edge_spectra(1, r - 1)),
     )
     assert rep.err_ms_pct == pytest.approx(rep.err_proj_pct, abs=1e-6)
     assert rep.min_lambda_excluded == np.inf
@@ -80,14 +80,14 @@ def test_error_report_full_trial_space(tiny):
 
 
 def test_error_report_optimality(tiny):
-    V, _ = tiny.test_matrix(1, 1, 1)
+    V = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     rep = error_report(state, tiny.u_ref, tiny.projection_error(1))
     assert rep.err_ms_pct >= rep.err_proj_pct - 1e-8
 
 
 def test_reduced_blocks_symmetric(tiny):
-    V, _ = tiny.test_matrix(1, 2, 2)
+    V = tiny.test_matrix(1, 2, 2)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     # the test block by its definition, from the test functions V T
     Y = tiny.op.A.T @ (state.basis.V @ form_coefficients(state.basis.steps))
@@ -99,7 +99,7 @@ def test_reduced_blocks_symmetric(tiny):
 def test_singular_reduced_system_reported(tiny):
     Xi = tiny.trial(1).Xi
     bad = sp.hstack([Xi, Xi[:, :1]])  # duplicated trial column
-    V, _ = tiny.test_matrix(1, 3, 1)
+    V = tiny.test_matrix(1, 3, 1)
     with pytest.raises(SolverFailureError):
         solve_coupled(tiny.op, V, bad)
 
@@ -109,7 +109,7 @@ def test_rank_deficient_trial_matrix_is_a_solver_failure(tiny):
     # the QR of G_wu reports it with the block sizes and the rank
     Xi = tiny.trial(1).Xi
     bad = sp.hstack([Xi, Xi[:, [0]] - 2.0 * Xi[:, [1]]], format="csc")
-    V, _ = tiny.test_matrix(1, 3, 1)
+    V = tiny.test_matrix(1, 3, 1)
     with pytest.raises(SolverFailureError) as err:
         solve_coupled(tiny.op, V, bad)
     M = bad.shape[1]
@@ -142,7 +142,7 @@ def test_infsup_monotone_in_L(tiny):
     Xi = tiny.trial(1).Xi
     vals = []
     for L in (1, 2, 3):
-        V, _ = tiny.test_matrix(1, L, 1)
+        V = tiny.test_matrix(1, L, 1)
         vals.append(infsup_estimate(solve_coupled(tiny.op, V, Xi)))
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
@@ -166,7 +166,7 @@ def _lifted_infsup(op, V, Xi):
 
 @pytest.mark.parametrize("L, problem", [(1, 1), (2, 2), (3, 1)])
 def test_infsup_matches_the_lift(tiny, L, problem):
-    V, _ = tiny.test_matrix(1, L, problem)
+    V = tiny.test_matrix(1, L, problem)
     Xi = tiny.trial(1).Xi
     est = infsup_estimate(solve_coupled(tiny.op, V, Xi))
     assert est == pytest.approx(_lifted_infsup(tiny.op, V, Xi), rel=1e-10)
@@ -178,7 +178,7 @@ def test_infsup_matches_the_lift_high_contrast(ws_contrast):
     ws = ws_contrast
     Xi = ws.trial(3).Xi
     for L in (3, 7):
-        V, _ = ws.test_matrix(3, L, 2)
+        V = ws.test_matrix(3, L, 2)
         est = infsup_estimate(solve_coupled(ws.op, V, Xi))
         assert est == pytest.approx(_lifted_infsup(ws.op, V, Xi), rel=1e-10)
 
@@ -200,7 +200,7 @@ def test_residual_zero_load():
 
 
 def test_online_enrichment_converges(tiny):
-    V, _ = tiny.test_matrix(1, 1, 1)
+    V = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     history = [np.linalg.norm(residual_full(state))]
     proj = tiny.projection_error(1)
@@ -223,8 +223,8 @@ def test_online_contraction_rate(ws_small):
     # soft regression: the excess over the projection error shrinks after
     # one sweep by at least the factor set by the smallest excluded
     # eigenvalue of the energy-ratio reduction (plus slack)
-    V, report = ws_small.test_matrix(1, 1, 2)
-    lam = report.min_lambda_excluded
+    V = ws_small.test_matrix(1, 1, 2)
+    lam = min(s.excluded(1) for s in ws_small.edge_spectra(2))
     state = solve_coupled(ws_small.op, V, ws_small.trial(1).Xi)
     proj = ws_small.projection_error(1)
     before = error_report(state, ws_small.u_ref, proj)
@@ -236,7 +236,7 @@ def test_online_contraction_rate(ws_small):
 
 
 def test_online_test_space_stays_orthonormal(tiny, basis_q):
-    V, _ = tiny.test_matrix(1, 1, 1)
+    V = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi, *tiny.image_structure(1))
     *_, enriched = online_enrich(state, tiny.topology, 2)
     basis = enriched.basis
@@ -248,7 +248,7 @@ def test_online_test_space_stays_orthonormal(tiny, basis_q):
 
 
 def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
-    V, _ = tiny.test_matrix(1, 1, 1)
+    V = tiny.test_matrix(1, 1, 1)
     basis = test_space.test_basis(tiny.op, V, *tiny.image_structure(1))
     rng = np.random.default_rng(3)
     inside = V @ (form_coefficients(basis.steps)[:, :3] @ rng.standard_normal(3))
@@ -293,7 +293,7 @@ def _relative(a, b):
 def test_bordered_update_matches_a_full_solve(request, name, basis_q):
     ws = request.getfixturevalue(name)
     m = ws.config.m
-    V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
     interiors, harmonic_from = ws.image_structure(m)
     state = solve_coupled(ws.op, V, ws.trial(m).Xi, interiors, harmonic_from)
     new = _online_block(ws, state)
@@ -325,7 +325,7 @@ def test_an_unstructured_test_matrix_gets_the_plain_kernel(request, name, bound)
     assert np.array_equal(basis.kept, kept)
     assert all(np.array_equal(a, b) for a, b in zip(basis.steps, steps, strict=True))
     # online columns beside the test matrix, with no column marked harmonic
-    V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
     state = solve_coupled(ws.op, V, ws.trial(m).Xi, interiors, harmonic_from)
     VX = sp.hstack([V, _online_block(ws, state)], format="csc")
     kept, steps = orthonormalize_columns((ws.op.A.T @ VX).tocsc())
@@ -343,7 +343,7 @@ def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, 
     ws = request.getfixturevalue(name)
     m = ws.config.m
     interiors, harmonic_from = ws.image_structure(m)
-    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)[0]
+    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
     image = test_space.compressed_image(
         test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
     )
@@ -368,7 +368,7 @@ def test_the_held_second_pass_matches_the_streamed_one(ws_contrast, monkeypatch)
     # first in place; streamed over row blocks, the same pass differs in the
     # summation order of its Gram only
     ws = ws_contrast
-    V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)[0]
+    V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
     interiors, harmonic_from = ws.image_structure(ws.config.m)
     X = test_space.compressed_image(
         test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
@@ -394,10 +394,10 @@ def test_the_kernel_order_products_match_the_formed_t(request, name):
     ws = request.getfixturevalue(name)
     m, problem = ws.config.m, ws.config.eigenproblem
     group = solve_coupled(
-        ws.op, ws.test_matrix(m, ws.topology.r - 1, problem)[0], ws.trial(m).Xi,
+        ws.op, ws.test_matrix(m, ws.topology.r - 1, problem), ws.trial(m).Xi,
         *ws.image_structure(m),
     )
-    n = ws.test_matrix(m, 1, problem)[0].shape[1]
+    n = ws.test_matrix(m, 1, problem).shape[1]
     cell = coupling.leading_block(group, n)
     assert cell is not None and cell.basis.count == n < group.basis.count
     rng = np.random.default_rng(6)
@@ -453,7 +453,7 @@ def test_the_online_loop_forms_t_once_per_cell(tiny, monkeypatch):
     # the loop forms the cell's offline T as it starts, and every extension
     # grows the explicit T; the other forms are the online blocks' own T_n
     shapes = _forming_spy(monkeypatch)
-    sizes = [tiny.test_matrix(1, L, 1)[0].shape[1] for L in (1, 3)]
+    sizes = [tiny.test_matrix(1, L, 1).shape[1] for L in (1, 3)]
     rows = tiny.run_cell(1, [1, 3], 1, online_iters=1)
     assert [row.online_iter for row in rows] == [0, 1, 0, 1]
     offline = [shape for shape in shapes if shape[0] in sizes]
@@ -467,8 +467,8 @@ def test_no_array_with_a_row_per_fine_dof_is_held(tiny):
     # offline solve, a leading block and two online sweeps, no state or
     # basis field is a dense array with one row per fine dof
     N, Xi = tiny.mesh.num_dofs, tiny.trial(1).Xi
-    group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
-    cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
+    group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1), Xi)
+    cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1).shape[1])
     *_, enriched = online_enrich(cell, tiny.topology, 2)
     assert enriched.basis.count > cell.basis.count
     for state in (group, cell, enriched):
@@ -481,7 +481,7 @@ def test_no_array_with_a_row_per_fine_dof_is_held(tiny):
 
 
 def test_online_enrich_makes_no_full_solve(tiny, monkeypatch):
-    V, _ = tiny.test_matrix(1, 1, 1)
+    V = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     solves, blocks, widths = [], [], []
     online_columns, kernel = coupling._online_columns, test_space.orthonormalize_columns
@@ -512,7 +512,7 @@ def test_online_enrich_makes_no_full_solve(tiny, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["zero", "in_span"])
 def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
-    V, _ = tiny.test_matrix(1, 1, 1)
+    V = tiny.test_matrix(1, 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1).Xi)
     coefficients = np.random.default_rng(4).standard_normal(state.basis.count)
     T = form_coefficients(state.basis.steps)
@@ -521,7 +521,7 @@ def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
 
 
 def test_solution_depends_on_the_test_span_only(tiny):
-    V, _ = tiny.test_matrix(1, 2, 2)
+    V = tiny.test_matrix(1, 2, 2)
     Xi = tiny.trial(1).Xi
     M = np.random.default_rng(5).standard_normal((V.shape[1], V.shape[1]))
     a, b = solve_coupled(tiny.op, V, Xi), solve_coupled(tiny.op, V @ M, Xi)
@@ -539,7 +539,7 @@ def test_w_fine_is_the_adjoint_lift_of_the_test_coefficients(
 ):
     # A^T Theta = Q, so the fine test function is w_fine = A^{-T} Q w
     ws = request.getfixturevalue(name)
-    V, _ = ws.test_matrix(m, L, problem)
+    V = ws.test_matrix(m, L, problem)
     state = solve_coupled(ws.op, V, ws.trial(m).Xi, *ws.image_structure(m))
     lift = spla.splu(ws.op.A.T.tocsc()).solve(basis_q() @ state.w)
     assert _relative(state.w_fine, lift) <= 1e-10
@@ -552,9 +552,9 @@ def test_leading_block_matches_the_solve_on_its_own_test_matrix(request, name):
     ws = request.getfixturevalue(name)
     m, problem, L_max = ws.config.m, ws.config.eigenproblem, ws.topology.r - 1
     Xi, proj = ws.trial(m).Xi, ws.projection_error(m)
-    group = solve_coupled(ws.op, ws.test_matrix(m, L_max, problem)[0], Xi)
+    group = solve_coupled(ws.op, ws.test_matrix(m, L_max, problem), Xi)
     for L in range(1, L_max):
-        V, _ = ws.test_matrix(m, L, problem)
+        V = ws.test_matrix(m, L, problem)
         cell = coupling.leading_block(group, V.shape[1])
         own = solve_coupled(ws.op, V, Xi)
         assert cell is not None and cell.basis.count == own.basis.count
@@ -582,21 +582,21 @@ def test_a_dropped_leading_column_takes_its_own_solve(tiny, monkeypatch):
 
     monkeypatch.setattr(test_space, "orthonormalize_columns", counting_kernel)
     rows = tiny.run_cell(1, [1, 2], 1)
-    sizes = [tiny.test_matrix(1, L, 1)[0].shape[1] for L in (3, 1, 2)]
+    sizes = [tiny.test_matrix(1, L, 1).shape[1] for L in (3, 1, 2)]
     assert widths[:3] == sizes  # the group's V(3), then each V(L) on its own
     Xi, proj = tiny.trial(1).Xi, tiny.projection_error(1)
     for row, L in zip(rows, (1, 2)):
-        own = error_report(solve_coupled(tiny.op, tiny.test_matrix(1, L, 1)[0], Xi), tiny.u_ref, proj)
+        own = error_report(solve_coupled(tiny.op, tiny.test_matrix(1, L, 1), Xi), tiny.u_ref, proj)
         assert (row.L_test, row.err_ms_pct) == (L, pytest.approx(own.err_ms_pct, rel=1e-12))
         assert row.w_norm == pytest.approx(own.w_norm, rel=1e-12)
 
 
 def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
     Xi = tiny.trial(1).Xi
-    group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1)[0], Xi)
+    group = solve_coupled(tiny.op, tiny.test_matrix(1, 3, 1), Xi)
     held = lambda: (group.basis.AtV.toarray(), *group.basis.steps, group.G_wu, group.rhs_w)
     before = [a.copy() for a in held()]
-    cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1)[0].shape[1])
+    cell = coupling.leading_block(group, tiny.test_matrix(1, 1, 1).shape[1])
     assert all(map(np.shares_memory, cell.basis.steps, group.basis.steps))
     *_, enriched = online_enrich(cell, tiny.topology, 2)
     assert enriched.basis.count > cell.basis.count
@@ -761,7 +761,7 @@ def test_t_grown_in_place_matches_the_block_construction(tiny, monkeypatch):
         return ext
 
     monkeypatch.setattr(coupling, "extend_test_basis", checking)
-    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1)[0], tiny.trial(1).Xi)
+    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1).Xi)
     list(online_enrich(state, tiny.topology, 1))
     assert len(grown) == len(coloring(tiny.topology))
     assert max(grown) <= 1e-15
@@ -770,7 +770,7 @@ def test_t_grown_in_place_matches_the_block_construction(tiny, monkeypatch):
 def test_every_state_a_loop_yields_keeps_its_arrays(tiny):
     # the loop grows T in place, beside the T of every state it yielded:
     # none of them changes once a later sweep writes its block columns
-    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1)[0], tiny.trial(1).Xi)
+    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1).Xi)
     (only,) = online_enrich(state, tiny.topology, 0)
     assert only is state
     held = lambda s: (s.basis.steps[0], s.G_wu, s.rhs_w)

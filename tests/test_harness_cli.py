@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -253,14 +254,24 @@ def test_golden_small_run():
 def test_dump_edge_spectra(tmp_path):
     from mspg.harness import Workspace
 
-    ws = Workspace(small_config())
-    _, report = ws.test_matrix(1, 1, 2)
+    ws = Workspace(small_config(L=2))
+    spectra = ws.edge_spectra(2, 2)
     path = tmp_path / "eigs.csv"
-    dump_edge_spectra(report.edge_results, path)
+    dump_edge_spectra(spectra, 2, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "edge,index,eigenvalue,selected"
     # one line per (edge, mode): 2*nc*(nc-1) edges, r-1 modes each
-    assert len(lines) - 1 == len(ws.topology.edges) * (ws.topology.r - 1)
+    r = ws.topology.r
+    assert len(lines) - 1 == len(ws.topology.edges) * (r - 1)
+    for line, (k, i) in zip(lines[1:], itertools.product(range(len(spectra)), range(r - 1))):
+        edge, index, value, selected = line.split(",")
+        assert (int(edge), int(index)) == (k, i)
+        assert float(value) == spectra[k].eigenvalues[i]
+        assert selected == ("1" if i < 2 else "0")
+    # the cell reports the smallest of the edges' first modes left out
+    first_out = [float(v) for _, i, v, _ in (line.split(",") for line in lines[1:]) if i == "2"]
+    (row,) = ws.run_cell(1, 2, 2)
+    assert row.min_lambda_excluded == min(first_out)
 
 
 def test_cli_run_csv(tmp_path, capsys):
@@ -527,10 +538,10 @@ def test_cli_dump_eigs_orthonormalizes_once(tmp_path, monkeypatch):
     argv = ["run", "--example", "1", "--coarse", "4", "--fine", "16", "--test", "2"]
     assert main(argv + ["--out", str(tmp_path / "r.csv"), "--dump-eigs", str(eigs)]) == 0
     assert len(calls) == 1
-    # same table as the one written from the cell's spectral report
+    # same table as the one written from the workspace's spectra
     expected = tmp_path / "expected.csv"
-    _, report = Workspace(small_config(L=2, eigenproblem=1)).test_matrix(1, 2, 1)
-    dump_edge_spectra(report.edge_results, expected)
+    spectra = Workspace(small_config(L=2, eigenproblem=1)).edge_spectra(1, 2)
+    dump_edge_spectra(spectra, 2, expected)
     assert eigs.read_bytes() == expected.read_bytes()
 
 

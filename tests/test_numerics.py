@@ -348,7 +348,7 @@ def _well_conditioned_or_test_matrix(request, name):
         Q = np.linalg.qr(rng.standard_normal((400, 30)))[0]
         return Q + 1e-3 * rng.standard_normal(Q.shape), lambda Z: Z
     ws = request.getfixturevalue(name)
-    V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
+    V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
     interiors, harmonic_from = ws.image_structure(ws.config.m)
     AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
     image = test_space.compressed_image(AtV, interiors)
@@ -385,7 +385,7 @@ def test_a_well_conditioned_test_basis_skips_a_gram_pass(request, name, grams, m
     calls, gram_pass = [], numerics._gram_pass
     monkeypatch.setattr(numerics, "_gram_pass", lambda *a: calls.append(1) or gram_pass(*a))
     ws = request.getfixturevalue(name)
-    V, _ = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
+    V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
     test_space.test_basis(ws.op, V, *ws.image_structure(ws.config.m))
     assert len(calls) == grams
 

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mspg import test_space
+from mspg import harness, test_space
 from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh
+from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
 from mspg.numerics import form_coefficients, orthonormalize_columns
 from mspg.test_space import (
     _edge_energy,
@@ -15,7 +18,6 @@ from mspg.test_space import (
     build_W3_snapshots,
     eigenproblem_1,
     eigenproblem_2,
-    select_prefix,
 )
 from mspg.trial_space import block_factors, partition_of_unity
 
@@ -127,35 +129,44 @@ def test_edge_snapshot_count_and_delta(ws_small):
     topo = ws_small.topology
     snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0, ws_small.block_factors)
     r = topo.r
-    assert snap.count == r - 1
-    edge = snap.edge
-    assert np.array_equal(snap.columns[edge.edge_local, :], np.eye(r - 1))
+    assert snap.shape[1] == r - 1
+    edge = topo.edges[0]
+    assert np.array_equal(snap[edge.edge_local, :], np.eye(r - 1))
     # deltas sum to the indicator on the edge interior
-    total = snap.columns @ np.ones(r - 1)
+    total = snap @ np.ones(r - 1)
     assert np.allclose(total[edge.edge_local], 1.0)
 
 
 def test_edge_snapshot_support_and_residual(ws_small):
     op = ws_small.op
     snap = build_W3_snapshots(ws_small.topology, ws_small.op, 3, ws_small.block_factors)
-    edge = snap.edge
-    full = np.zeros((op.A.shape[0], snap.count))
-    full[edge.region, :] = snap.columns
+    edge = ws_small.topology.edges[3]
+    full = np.zeros((op.A.shape[0], snap.shape[1]))
+    full[edge.region, :] = snap
     outside = np.setdiff1d(np.arange(op.A.shape[0]), edge.region)
     assert np.all(full[outside, :] == 0.0)
     interiors = np.concatenate(
         [ws_small.topology.blocks[kb].interior for kb in edge.blocks]
     )
     resid = (op.A.T @ full)[interiors, :]
-    assert np.abs(resid).max() <= 1e-9 * np.abs(snap.columns).max()
+    assert np.abs(resid).max() <= 1e-9 * np.abs(snap).max()
+
+
+def _spectrum(ws, k, problem):
+    """Edge k's spectrum with every mode kept, built outside the workspace."""
+    edge = ws.topology.edges[k]
+    psi = build_W3_snapshots(ws.topology, ws.op, k, ws.block_factors)
+    if problem == 1:
+        return eigenproblem_1(edge, psi, ws.op)
+    return eigenproblem_2(edge, psi, ws.op, ws.block_factors)
 
 
 def test_eigenproblem_1_nonnegative_and_full_selection(ws_small):
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 1, ws_small.block_factors)
-    res = eigenproblem_1(snap, ws_small.op)
+    res = _spectrum(ws_small, 1, 1)
+    ns = ws_small.topology.r - 1
     assert res.eigenvalues.min() >= -1e-9 * max(res.eigenvalues.max(), 1.0)
-    assert res.selected.shape[1] == snap.count
-    assert res.lambda_excluded == np.inf
+    assert res.combos.shape == (res.edge.region.size, ns)
+    assert res.excluded(ns) == np.inf
 
 
 def test_eigenproblem_1_grows_under_refinement():
@@ -167,45 +178,54 @@ def test_eigenproblem_1_grows_under_refinement():
         topo = build_coarse_topology(mesh, 4)
         op = assemble(mesh, constant_field(kappa=1.0, b=(1.0, 0.5)))
         snap = build_W3_snapshots(topo, op, 5, block_factors(topo, op))
-        res = eigenproblem_1(snap, op)
+        res = eigenproblem_1(topo.edges[5], snap, op)
         tops.append(res.eigenvalues.max())
     assert tops[1] > tops[0]
 
 
 def test_eigenproblem_2_unit_interval(ws_small):
-    for k in range(len(ws_small.topology.edges)):
-        vals = ws_small.edge_spectrum(k, 2).eigenvalues
+    for spectrum in ws_small.edge_spectra(2):
+        vals = spectrum.eigenvalues
         assert vals.min() >= -1e-10
         assert vals.max() <= 1.0 + 1e-10
 
 
-def _prefix(full, L):
-    return select_prefix(full.edge, full.problem, full.eigenvalues, full.selected, L)
-
-
 def test_eigenproblem_2_lambda_monotone_in_L(ws_small):
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 2, ws_small.block_factors)
-    full = eigenproblem_2(snap, ws_small.op, ws_small.block_factors)
-    lams = [_prefix(full, L).lambda_excluded for L in range(1, snap.count + 1)]
+    full = _spectrum(ws_small, 2, 2)
+    lams = [full.excluded(L) for L in range(1, ws_small.topology.r)]
     assert all(lams[i + 1] >= lams[i] for i in range(len(lams) - 2))
     assert lams[-1] == np.inf
 
 
-def test_selection_nesting(ws_small):
-    factors = ws_small.block_factors
-    full = eigenproblem_2(
-        build_W3_snapshots(ws_small.topology, ws_small.op, 4, factors), ws_small.op, factors
-    )
-    res1, res3 = _prefix(full, 1), _prefix(full, 3)
-    assert np.allclose(res3.selected[:, :1], res1.selected)
+def test_selection_nesting():
+    # the workspace keeps a prefix of every edge's modes; a larger L rebuilds
+    # it, and the smaller prefix is the leading block of the larger one
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="cell Peclet")
+        ws = Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=16, L=1))
+    one = ws.edge_spectra(2, 1)
+    three = ws.edge_spectra(2, 3)
+    assert ws.edge_spectra(2, 2) is three
+    for a, b in zip(one, three):
+        assert a.combos.shape[1] == 1 and b.combos.shape[1] == 3
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(b.combos[:, :1], a.combos)
+    full = _spectrum(ws, 4, 2)
+    assert np.array_equal(full.combos[:, :3], three[4].combos)
 
 
 def test_eigenproblem_L_out_of_range(ws_small):
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0, ws_small.block_factors)
-    full = eigenproblem_1(snap, ws_small.op)
-    assert full.L == snap.count and full.lambda_excluded == np.inf
+    full = _spectrum(ws_small, 0, 1)
+    ns = ws_small.topology.r - 1
+    assert full.excluded(ns) == np.inf
+    for L in (0, ns + 1):
+        with pytest.raises(ValueError):
+            full.excluded(L)
+    # a test matrix asks for no more modes than the spectra hold
+    spectra = ws_small.edge_spectra(1, 2)
+    held = spectra[0].combos.shape[1]
     with pytest.raises(ValueError):
-        _prefix(full, snap.count + 1)
+        assemble_test_matrix(ws_small.w1(1), ws_small.w2(), spectra, held + 1)
 
 
 def _min_energy_oracle(op, edge, psi):
@@ -239,8 +259,8 @@ def test_eigenproblem_2_region_grams_match_the_minimum_energy_formula(
     monkeypatch.setattr(test_space, "generalized_sym_eig", recording)
     for edge in ws.topology.edges:
         snap = build_W3_snapshots(ws.topology, ws.op, edge.index, ws.block_factors)
-        eigenproblem_2(snap, ws.op, ws.block_factors)
-        for got, oracle in zip(grams[-1], _min_energy_oracle(ws.op, edge, snap.columns)):
+        eigenproblem_2(edge, snap, ws.op, ws.block_factors)
+        for got, oracle in zip(grams[-1], _min_energy_oracle(ws.op, edge, snap)):
             assert np.linalg.norm(got - oracle) <= rel * np.linalg.norm(oracle), edge.index
 
 
@@ -262,7 +282,7 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
     factors = ws_small.block_factors
     for edge in ws_small.topology.edges:
         snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index, factors)
-        eigenproblem_2(snap, ws_small.op, factors, energy=energy)
+        eigenproblem_2(edge, snap, ws_small.op, factors, energy=energy)
         B = _edge_energy(ws_small.op, edge, mode=energy)
         ns = edge.edge_local.size
         free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
@@ -280,17 +300,15 @@ def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
 
 
 def test_assembled_test_matrix_orthonormal(ws_small, basis_q):
-    V, report = ws_small.test_matrix(1, 2, 2)
-    assert V.format == "csc" and V.shape[1] == report.n_w1 + report.n_w2 + report.n_w3
+    V = ws_small.test_matrix(1, 2, 2)
+    E = len(ws_small.topology.edges)
+    assert V.format == "csc" and V.shape[1] == ws_small.w1(1).count + ws_small.w2().count + 2 * E
     # the test basis is orthonormal in the natural norm ||A^T w||
     basis = test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1))
     Q = basis_q()
     gram = Q.T @ Q
     assert abs(gram - np.eye(basis.count)).max() <= 1e-10
     assert basis.count <= V.shape[1]
-    assert report.min_lambda_excluded == pytest.approx(
-        min(r.lambda_excluded for r in report.edge_results)
-    )
 
 
 def test_full_selection_spans_whole_snapshot_space(ws_small):
@@ -299,17 +317,18 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
     r = ws_small.topology.r
     w1 = ws_small.w1(1)
     w2 = ws_small.w2()
-    sel = ws_small.w3_selection(r - 1, 1)
-    V, report = assemble_test_matrix(w1, w2, sel)
-    raw = np.zeros((ws_small.mesh.num_dofs, report.n_w1 + report.n_w2 + report.n_w3))
-    raw[:, : report.n_w1] = w1.columns.toarray()
-    raw[:, report.n_w1 : report.n_w1 + report.n_w2] = w2.columns.toarray()
-    col = report.n_w1 + report.n_w2
-    for res in sel:
-        raw[res.edge.region, col : col + res.L] = res.selected
-        col += res.L
+    V = ws_small.test_matrix(1, r - 1, 1)
+    columns = [w1.columns.toarray(), w2.columns.toarray()]
+    for k, edge in enumerate(ws_small.topology.edges):
+        snap = np.zeros((ws_small.mesh.num_dofs, r - 1))
+        snap[edge.region] = build_W3_snapshots(
+            ws_small.topology, ws_small.op, k, ws_small.block_factors
+        )
+        columns.append(snap)
+    raw = np.hstack(columns)
     rank = np.linalg.matrix_rank(raw, tol=1e-8 * np.linalg.norm(raw))
     basis = test_space.test_basis(ws_small.op, V, *ws_small.image_structure(1))
+    assert V.shape[1] == raw.shape[1]
     assert basis.count == rank
 
 
@@ -317,10 +336,11 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
 def test_test_matrix_of_fewer_modes_is_a_leading_block(ws_small, problem):
     # W3 is mode-major, so V(L) is the leading block of V(L_max), stored alike
     L_max = ws_small.topology.r - 1
-    V_max, _ = ws_small.test_matrix(1, L_max, problem)
+    V_max = ws_small.test_matrix(1, L_max, problem)
+    E = len(ws_small.topology.edges)
     for L in range(1, L_max):
-        V, report = ws_small.test_matrix(1, L, problem)
-        n = report.n_w1 + report.n_w2 + report.n_w3
+        V = ws_small.test_matrix(1, L, problem)
+        n = ws_small.w1(1).count + ws_small.w2().count + L * E
         lead = V_max[:, :n]
         assert V.shape == lead.shape
         for part in ("indptr", "indices", "data"):
@@ -328,20 +348,49 @@ def test_test_matrix_of_fewer_modes_is_a_leading_block(ws_small, problem):
 
 
 def test_w3_columns_are_mode_major(ws_small):
-    w1, w2, sel = ws_small.w1(1), ws_small.w2(), ws_small.w3_selection(3, 2)
-    V, _ = assemble_test_matrix(w1, w2, sel)
-    start, E = w1.count + w2.count, len(sel)
+    w1, w2, spectra = ws_small.w1(1), ws_small.w2(), ws_small.edge_spectra(2, 3)
+    V = assemble_test_matrix(w1, w2, spectra, 3)
+    start, E = w1.count + w2.count, len(spectra)
+    assert V.shape[1] == start + 3 * E
     for j in range(3):
-        for e, res in enumerate(sel):
+        for e, spectrum in enumerate(spectra):
             col = V[:, start + j * E + e].toarray().ravel()
-            assert np.array_equal(col[res.edge.region], res.selected[:, j])
-            assert not np.delete(col, res.edge.region).any()
+            assert np.array_equal(col[spectrum.edge.region], spectrum.combos[:, j])
+            assert not np.delete(col, spectrum.edge.region).any()
+
+
+def test_sweep_builds_each_edge_snapshot_set_once_per_eigenproblem(monkeypatch):
+    calls, workspaces = [], []
+    build = test_space.build_W3_snapshots
+
+    def counting(topology, op, k, factors):
+        calls.append(k)
+        return build(topology, op, k, factors)
+
+    class Recorded(Workspace):
+        def __init__(self, config):
+            super().__init__(config)
+            workspaces.append(self)
+
+    monkeypatch.setattr(test_space, "build_W3_snapshots", counting)
+    monkeypatch.setattr(harness, "Workspace", Recorded)
+    config = ExperimentConfig(example=1, alpha=2.0, nc=4, n=16)
+    rows = sweep_experiment(config, [1], [1, 3], [1, 2])
+    assert len(rows) == 4
+    (ws,) = workspaces
+    E = len(ws.topology.edges)
+    assert E == 24
+    assert sorted(calls) == sorted(list(range(E)) * 2)
+    # a later cell at a smaller L reads the kept modes
+    for problem in (1, 2):
+        ws.run_cell(1, 1, problem)
+    assert len(calls) == 2 * E
 
 
 def _structured_image(ws):
     """A workspace's test matrix with its structured A^T V and kernel input."""
     m = ws.config.m
-    V, _ = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
     interiors, harmonic_from = ws.image_structure(m)
     AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
     return V, interiors, harmonic_from, AtV, test_space.compressed_image(AtV, interiors)
