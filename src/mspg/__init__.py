@@ -45,7 +45,6 @@ from .fields import (
 )
 from .numerics import (
     CheckedFactor,
-    EigenPairs,
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
@@ -60,7 +59,6 @@ from .test_space import (
     eigenproblem_2,
 )
 from .trial_space import (
-    TrialBasis,
     assemble_trial_matrix,
     block_factors,
     partition_of_unity,

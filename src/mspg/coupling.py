@@ -169,14 +169,16 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
     return 100.0 * float(np.linalg.norm(diff)) / (ref if ref > 0.0 else 1.0)
 
 
-def projection_error(Xi, u_ref: np.ndarray) -> float:
-    """Best-approximation error of the trial span in percent, in the
-    Euclidean norm of the fine coefficient vectors (``Xi`` sparse or dense):
-    the projection Xi T (T^T Xi^T u) with T applied in the kernel's order,
-    for the Q = Xi T of ``orthonormalize_columns``."""
-    _, steps = orthonormalize_columns(Xi)
+def projection_error(Xi, u_ref: np.ndarray) -> tuple[np.ndarray, float]:
+    """(kept, percent): the ascending indices of the columns of ``Xi``
+    (sparse or dense) that ``orthonormalize_columns`` keeps, the trial
+    span's one rank decision, and the span's best-approximation error in
+    percent, in the Euclidean norm of the fine coefficient vectors: the
+    projection Xi T (T^T Xi^T u) with T applied in the kernel's order, for
+    the Q = Xi T of the kernel."""
+    kept, steps = orthonormalize_columns(Xi)
     coefficients = coefficient_product(steps, Xi.T @ u_ref)
-    return _percent_of(u_ref, u_ref - Xi @ apply_coefficients(steps, coefficients))
+    return kept, _percent_of(u_ref, u_ref - Xi @ apply_coefficients(steps, coefficients))
 
 
 def error_report(

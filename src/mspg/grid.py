@@ -106,7 +106,6 @@ class Neighborhood:
     """
 
     node: int
-    ab: tuple[int, int]
     blocks: tuple[int, ...]
     interior: np.ndarray
     boundary: np.ndarray
@@ -208,7 +207,6 @@ def build_coarse_topology(mesh: FineMesh, nc: int) -> CoarseTopology:
             neighborhoods.append(
                 Neighborhood(
                     node=b * (nc + 1) + a,
-                    ab=(a, b),
                     blocks=members,
                     interior=interior,
                     boundary=boundary,

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import coupling, test_space, trial_space
 from .assembly import CoefficientField, SparseOperator, assemble, solve_fine_reference
@@ -174,67 +175,71 @@ class Workspace:
             self.chi = trial_space.partition_of_unity(
                 self.topology, self.op.A_nodes, self.block_factors
             )
-        self._eigenbases: list[trial_space.TrialEigenbasis] = []
-        self._eigen_m = 0
-        self._trial: dict[int, trial_space.TrialBasis] = {}
+        self._modes: dict[int, np.ndarray] = {}
+        self._modes_m = 0
+        self._trial: dict[int, sp.csc_matrix] = {}
         self._projection_error: dict[int, float] = {}
-        self._w1: dict[int, test_space.BubbleSet] = {}
-        self._w2: test_space.VertexTraceSet | None = None
+        self._w1: dict[int, sp.csc_matrix] = {}
+        self._w2: sp.csc_matrix | None = None
         self._spectra: dict[int, list[test_space.EdgeSpectrum]] = {}
 
     # ---- trial side -------------------------------------------------
 
-    def trial(self, m: int) -> trial_space.TrialBasis:
-        """Trial matrix with m functions per coarse node.
+    def trial_modes(self, m: int) -> dict[int, np.ndarray]:
+        """Each neighborhood's eigen-combinations, ``{node: modes}`` aligned
+        to ``nb.closure``, up to the larger of ``config.m`` and the largest
+        m asked for (a sweep sets ``config.m`` to its largest count); the
+        snapshots are dropped once they are reduced.  The neighborhood loop
+        runs on one BLAS thread (``numerics.serial_blas``).
+        """
+        if m > self._modes_m:
+            m_max, modes = max(m, self.config.m), {}
+            with serial_blas():
+                for nb in self.topology.neighborhoods:
+                    phi = trial_space.trial_snapshots(
+                        self.topology, self.op, nb.node, self.block_factors
+                    )
+                    if phi.shape[1]:
+                        modes[nb.node] = trial_space.trial_eigenbasis(
+                            nb, phi, self.op, min(m_max, phi.shape[1]),
+                            self.config.trial_restriction,
+                        )
+            self._modes, self._modes_m = modes, m_max
+        return self._modes
 
-        Only each neighborhood's eigen-combinations are kept, up to the
-        larger of ``config.m`` and the largest m asked for (a sweep sets
-        ``config.m`` to its largest count); the snapshot sets are dropped
-        once they are reduced.  The neighborhood loop runs on one BLAS
-        thread (``numerics.serial_blas``).
+    def trial(self, m: int) -> sp.csc_matrix:
+        """The CSC trial matrix Xi with m functions per coarse node, less
+        any column that adds nothing to the span of the others.
+
+        One ``coupling.projection_error`` call per m decides which columns
+        of the assembled matrix are kept and gives the error of the span,
+        so the solve and the projection read the same span.
         """
         if m not in self._trial:
-            if m > self._eigen_m:
-                m_max, bases = max(m, self.config.m), []
-                with serial_blas():
-                    for node in range(self.topology.num_coarse_nodes):
-                        snap = trial_space.trial_snapshots(
-                            self.topology, self.op, node, self.block_factors
-                        )
-                        if snap.count:
-                            bases.append(
-                                trial_space.trial_eigenbasis(
-                                    snap,
-                                    self.op,
-                                    min(m_max, snap.count),
-                                    restriction=self.config.trial_restriction,
-                                )
-                            )
-                self._eigenbases, self._eigen_m = bases, m_max
-            self._trial[m] = trial_space.assemble_trial_matrix(
-                self.topology, self._eigenbases, self.chi, m
+            Xi = trial_space.assemble_trial_matrix(
+                self.topology, self.trial_modes(m), self.chi, m
             )
+            kept, self._projection_error[m] = coupling.projection_error(Xi, self.u_ref)
+            self._trial[m] = Xi[:, kept]
         return self._trial[m]
 
     def projection_error(self, m: int) -> float:
         """Percent error of the fine reference's projection onto the trial span."""
-        if m not in self._projection_error:
-            self._projection_error[m] = coupling.projection_error(
-                self.trial(m).Xi, self.u_ref
-            )
+        self.trial(m)
         return self._projection_error[m]
 
     # ---- test side --------------------------------------------------
 
-    def w1(self, m: int) -> test_space.BubbleSet:
+    def w1(self, m: int) -> sp.csc_matrix:
         if m not in self._w1:
+            Xi = self.trial(m)  # outside the scope: its kernel is a global one
             with serial_blas():
                 self._w1[m] = test_space.build_W1(
-                    self.topology, self.op, self.trial(m).Xi, self.block_factors
+                    self.topology, self.op, Xi, self.block_factors
                 )
         return self._w1[m]
 
-    def w2(self) -> test_space.VertexTraceSet:
+    def w2(self) -> sp.csc_matrix:
         if self._w2 is None:
             with serial_blas():
                 self._w2 = test_space.build_W2(self.topology, self.op, self.block_factors)
@@ -281,7 +286,7 @@ class Workspace:
         interiors, and the first column after the bubbles; W2 and W3 are
         adjoint-harmonic in every block, so their image A^T V lives on the
         coarse skeleton."""
-        return [block.interior for block in self.topology.blocks], self.w1(m).count
+        return [block.interior for block in self.topology.blocks], self.w1(m).shape[1]
 
     # ---- solve ------------------------------------------------------
 
@@ -303,14 +308,14 @@ class Workspace:
         neighbourhood is factored once per cell, and T grows in place.
         """
         Ls = sorted(np.atleast_1d(L).tolist())
-        Xi = self.trial(m).Xi
+        Xi = self.trial(m)
         V = self.test_matrix(m, max(Ls[-1], self.config.L), problem)
         structure = self.image_structure(m)
         group = coupling.solve_coupled(self.op, V, Xi, *structure)
         rows = []
         for i, L in enumerate(Ls):
             spectra = self.edge_spectra(problem, L)
-            n = self.w1(m).count + self.w2().count + L * len(spectra)
+            n = self.w1(m).shape[1] + self.w2().shape[1] + L * len(spectra)
             min_lambda = min(s.excluded(L) for s in spectra)
             state = coupling.leading_block(group, n)
             if state is None:
@@ -443,10 +448,10 @@ def dump_edge_spectra(spectra, L: int, path) -> None:
                 fh.write(f"{s.edge.index},{i},{_fmt(float(lam))},{int(i < L)}\n")
 
 
-def dump_basis(basis: trial_space.TrialBasis, path) -> None:
-    """Dense columnar dump of the trial matrix for visualization (npy or CSV)."""
-    path = str(path)
-    Xi = basis.Xi.toarray(order="C")
+def dump_basis(Xi, path) -> None:
+    """Dense columnar dump of the trial matrix (``Workspace.trial``) for
+    visualization (npy or CSV)."""
+    path, Xi = str(path), Xi.toarray(order="C")
     if path.endswith(".npy"):
         np.save(path, Xi)
     else:

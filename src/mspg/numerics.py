@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -74,16 +73,9 @@ def serial_blas():
     return _blas_threads(1)
 
 
-@dataclass(frozen=True)
-class EigenPairs:
-    """Ascending eigenvalues with matching (metric-orthonormal) columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def generalized_sym_eig(S: np.ndarray, T: np.ndarray) -> EigenPairs:
-    """Solve S v = lambda T v for symmetric S and SPD T.
+def generalized_sym_eig(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve S v = lambda T v for symmetric S and SPD T: (values, vectors),
+    the ascending eigenvalues and matching T-orthonormal columns.
 
     Small symmetry drift (from forming Gram matrices in floating point) is
     removed by averaging before factorization.
@@ -96,7 +88,7 @@ def generalized_sym_eig(S: np.ndarray, T: np.ndarray) -> EigenPairs:
         values, vectors = sla.eigh(S, T)
     except (sla.LinAlgError, ValueError) as exc:
         raise SingularMetricError(f"metric not SPD: {exc}") from exc
-    return EigenPairs(values=values, vectors=vectors)
+    return values, vectors
 
 
 class CheckedFactor:

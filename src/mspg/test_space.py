@@ -61,75 +61,40 @@ from .numerics import (
 from .trial_space import partition_of_unity
 
 
-@dataclass(frozen=True)
-class BubbleSet:
-    """Block bubbles: one adjoint solve per (block, overlapping trial column).
-
-    ``columns`` is sparse over the global dofs; column k vanishes outside
-    the interior of block ``block_ids[k]`` and satisfies the local adjoint
-    equation with the trial column ``source_columns[k]`` as source.
-    """
-
-    columns: sp.csc_matrix
-    block_ids: np.ndarray
-    source_columns: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[1]
-
-
 def build_W1(
     topology: CoarseTopology, op: SparseOperator, Xi: sp.csc_matrix, factors
-) -> BubbleSet:
-    """Adjoint bubbles for every trial column overlapping a block.
+) -> sp.csc_matrix:
+    """Adjoint bubbles for every trial column overlapping a block, as CSC
+    columns: block by block, and within a block by ascending trial column.
 
-    The local adjoint is driven by the raw coefficient values of the trial
-    column, the pairing of the global constraint equation, and solved with
-    the block's factor (``trial_space.block_factors``) transposed.  ``Xi``
+    A bubble vanishes outside its block's interior and solves the local
+    adjoint equation driven by the raw coefficient values of its trial
+    column, the pairing of the global constraint equation, through the
+    block's factor (``trial_space.block_factors``) transposed.  ``Xi``
     stores no zeros, so a column overlaps a block where it stores an entry.
     """
-    blocks, block_ids, source_columns = [], [], []
+    blocks = []
     for block in topology.blocks:
         I = block.interior
         Xi_I = Xi[I, :]
         overlapping = np.flatnonzero(Xi_I.getnnz(axis=0))
-        if overlapping.size == 0:
-            continue
-        X = factors[block.index].solve(Xi_I[:, overlapping].toarray(), trans="T")
-        blocks.append((I, X))
-        block_ids.extend([block.index] * overlapping.size)
-        source_columns.extend(overlapping)
-    columns = column_sparse(op.A.shape[0], blocks)
-    return BubbleSet(
-        columns=columns,
-        block_ids=np.array(block_ids, dtype=np.int64),
-        source_columns=np.array(source_columns, dtype=np.int64),
-    )
+        if overlapping.size:
+            X = factors[block.index].solve(Xi_I[:, overlapping].toarray(), trans="T")
+            blocks.append((I, X))
+    return column_sparse(op.A.shape[0], blocks)
 
 
-@dataclass(frozen=True)
-class VertexTraceSet:
-    """Adjoint-harmonic continuations of the coarse hats, one per interior
-    coarse node, glued across the blocks of the vertex neighborhood."""
-
-    columns: sp.csc_matrix
-    node_ids: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[1]
-
-
-def build_W2(topology: CoarseTopology, op: SparseOperator, factors) -> VertexTraceSet:
+def build_W2(topology: CoarseTopology, op: SparseOperator, factors) -> sp.csc_matrix:
     """The adjoint multiscale partition of unity on the dofs, restricted to
-    the interior coarse nodes, whose hats vanish on the domain boundary;
-    ``factors`` are the block factors of ``trial_space.block_factors``."""
+    the interior coarse nodes, whose hats vanish on the domain boundary:
+    adjoint-harmonic continuations of the coarse hats, glued across the
+    blocks of each vertex neighborhood.  Column j belongs to
+    ``topology.interior_coarse_nodes[j]``; ``factors`` are the block factors
+    of ``trial_space.block_factors``."""
     chi = partition_of_unity(topology, op.A_nodes, factors, trans="T")
-    nodes = topology.interior_coarse_nodes
-    columns = chi[:, nodes][topology.mesh.node_of_dof]
+    columns = chi[:, topology.interior_coarse_nodes][topology.mesh.node_of_dof]
     columns.eliminate_zeros()
-    return VertexTraceSet(columns=columns, node_ids=nodes)
+    return columns
 
 
 def build_W3_snapshots(
@@ -219,10 +184,10 @@ def eigenproblem_1(
         4.0 * np.eye(ns) + np.eye(ns, k=1) + np.eye(ns, k=-1)
     )
     try:
-        pairs = generalized_sym_eig(S, M_edge)
+        values, vectors = generalized_sym_eig(S, M_edge)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return EdgeSpectrum(edge, pairs.values, psi @ pairs.vectors)
+    return EdgeSpectrum(edge, values, psi @ vectors)
 
 
 def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndarray:
@@ -280,30 +245,31 @@ def eigenproblem_2(
         S_min = ext.T @ (B @ ext)
     S = _snapshot_energy(E, psi)
     try:
-        pairs = generalized_sym_eig(S_min, S)
+        values, vectors = generalized_sym_eig(S_min, S)
     except SingularMetricError as exc:
         raise SingularMetricError(f"edge {edge.index}: {exc}") from exc
-    return EdgeSpectrum(edge, pairs.values, psi @ pairs.vectors)
+    return EdgeSpectrum(edge, values, psi @ vectors)
 
 
 def assemble_test_matrix(
-    w1: BubbleSet, w2: VertexTraceSet, spectra: list[EdgeSpectrum], L: int
+    w1: sp.csc_matrix, w2: sp.csc_matrix, spectra: list[EdgeSpectrum], L: int
 ) -> sp.csc_matrix:
-    """The raw CSC test matrix V = [W1 W2 W3] with the first L modes of
-    every edge's ``spectra``.
+    """The raw CSC test matrix V = [W1 W2 W3] of the bubbles ``w1``
+    (``build_W1``), the vertex traces ``w2`` (``build_W2``) and the first L
+    modes of every edge's ``spectra``.
 
     W3 is mode-major: every edge's first mode, then every edge's second
     mode, and so on.  So the test matrix of L modes per edge is exactly the
-    leading w1.count + w2.count + L * len(spectra) columns of the one of any
-    larger L.
+    leading w1.shape[1] + w2.shape[1] + L * len(spectra) columns of the one
+    of any larger L.
     """
     if any(s.combos.shape[1] < L for s in spectra):
         raise ValueError(f"L={L} exceeds the edge modes held")
     w3 = column_sparse(
-        w1.columns.shape[0],
+        w1.shape[0],
         [(s.edge.region, s.combos[:, j : j + 1]) for j in range(L) for s in spectra],
     )
-    return sp.hstack([w1.columns, w2.columns, w3], format="csc")
+    return sp.hstack([w1, w2, w3], format="csc")
 
 
 @dataclass(frozen=True)

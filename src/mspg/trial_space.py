@@ -12,42 +12,21 @@ which also serves the snapshots of the one-block (corner) neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import SparseOperator
+from .assembly import SparseOperator, assemble_nodes
 from .errors import SingularMetricError
-from .grid import CoarseTopology, hat_values
+from .grid import CoarseTopology, Neighborhood, hat_values
 from .numerics import CheckedFactor, column_sparse, generalized_sym_eig, harmonic_extension
-
-
-@dataclass(frozen=True)
-class TrialSnapshotSet:
-    """Harmonic snapshots of one neighborhood.
-
-    ``columns`` is aligned to ``closure_dofs`` = interior ++ boundary; each
-    column carries a single 1 on its own boundary node.  ``cell_box`` keeps
-    the fine-cell rectangle for patch-local re-assembly.
-    """
-
-    node: int
-    interior_dofs: np.ndarray
-    boundary_dofs: np.ndarray
-    closure_dofs: np.ndarray
-    columns: np.ndarray
-    cell_box: tuple[int, int, int, int]
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[1]
 
 
 def trial_snapshots(
     topology: CoarseTopology, op: SparseOperator, l: int, factors=()
-) -> TrialSnapshotSet:
-    """Solve the boundary-delta problems of neighborhood ``l`` in one sweep.
+) -> np.ndarray:
+    """Harmonic snapshots of neighborhood ``l``, solved in one sweep: one
+    column per boundary dof, aligned to ``nb.closure`` (interior ++
+    boundary), each carrying a single 1 on its own boundary dof.
 
     The interior of a one-block (corner) neighborhood is its block's
     interior in the same dof order (both list the block's box of nodes), so
@@ -58,34 +37,19 @@ def trial_snapshots(
     X = harmonic_extension(
         op.A, nb.interior, nb.boundary, label=f"neighborhood {l}", factor=factor
     )
-    columns = np.vstack([X, np.eye(nb.boundary.size)])
-    return TrialSnapshotSet(
-        node=l,
-        interior_dofs=nb.interior,
-        boundary_dofs=nb.boundary,
-        closure_dofs=nb.closure,
-        columns=columns,
-        cell_box=nb.cell_box,
-    )
-
-
-@dataclass(frozen=True)
-class TrialEigenbasis:
-    """Reduced vectors of one neighborhood (columns on the closure dofs)."""
-
-    node: int
-    closure_dofs: np.ndarray
-    vectors: np.ndarray
-    eigenvalues: np.ndarray
+    return np.vstack([X, np.eye(nb.boundary.size)])
 
 
 def trial_eigenbasis(
-    snapshots: TrialSnapshotSet,
+    nb: Neighborhood,
+    phi: np.ndarray,
     op: SparseOperator,
     m: int,
     restriction: str = "submatrix",
-) -> TrialEigenbasis:
-    """Keep the m smallest eigenmodes of the snapshot-reduced problem.
+) -> np.ndarray:
+    """The m smallest eigenmodes of the reduced problem on the snapshots
+    ``phi`` of neighborhood ``nb`` (``trial_snapshots``), as combinations of
+    the snapshots aligned to ``nb.closure``.
 
     ``restriction`` picks the neighborhood operator: ``submatrix`` extracts
     the global matrix entrywise (keeps truncated couplings to the outside
@@ -94,17 +58,12 @@ def trial_eigenbasis(
     mode is the near-constant one and m=1 reduces to the plain
     partition-of-unity space away from the domain boundary.
     """
-    if m < 1 or m > snapshots.count:
-        raise ValueError(
-            f"m={m} outside 1..{snapshots.count} for neighborhood {snapshots.node}"
-        )
-    c = snapshots.closure_dofs
-    phi = snapshots.columns
+    if m < 1 or m > phi.shape[1]:
+        raise ValueError(f"m={m} outside 1..{phi.shape[1]} for neighborhood {nb.node}")
+    c = nb.closure
     if restriction == "patch":
-        from .assembly import assemble_nodes
-
         nodes = op.mesh.node_of_dof[c]
-        A_full, M_full, _ = assemble_nodes(op.mesh, op.field, cell_box=snapshots.cell_box)
+        A_full, M_full, _ = assemble_nodes(op.mesh, op.field, cell_box=nb.cell_box)
         A_sub = A_full[nodes][:, nodes]
         M_sub = M_full[nodes][:, nodes]
     elif restriction == "submatrix":
@@ -115,17 +74,12 @@ def trial_eigenbasis(
     A_snap = phi.T @ (A_sub @ phi)
     M_snap = phi.T @ (M_sub @ phi)
     try:
-        pairs = generalized_sym_eig(A_snap.T @ A_snap, M_snap)
+        _, vectors = generalized_sym_eig(A_snap.T @ A_snap, M_snap)
     except SingularMetricError as exc:
         raise SingularMetricError(
-            f"snapshot mass singular on neighborhood {snapshots.node}: {exc}"
+            f"snapshot mass singular on neighborhood {nb.node}: {exc}"
         ) from exc
-    return TrialEigenbasis(
-        node=snapshots.node,
-        closure_dofs=c,
-        vectors=phi @ pairs.vectors[:, :m],
-        eigenvalues=pairs.values,
-    )
+    return phi @ vectors[:, :m]
 
 
 def block_factors(topology: CoarseTopology, op: SparseOperator) -> tuple[CheckedFactor, ...]:
@@ -187,31 +141,22 @@ def partition_of_unity(
     return column_sparse(num_nodes, blocks)
 
 
-@dataclass(frozen=True)
-class TrialBasis:
-    """Assembled trial matrix: CSC with no stored zeros, node-major columns."""
-
-    Xi: sp.csc_matrix
-
-    @property
-    def count(self) -> int:
-        return self.Xi.shape[1]
-
-
 def assemble_trial_matrix(
-    topology: CoarseTopology, bases: list[TrialEigenbasis], chi: sp.csc_matrix, m: int
-) -> TrialBasis:
-    """Nodal product of partition-of-unity and the first m reduced vectors
-    of every node, node-major.
+    topology: CoarseTopology, modes: dict[int, np.ndarray], chi: sp.csc_matrix, m: int
+) -> sp.csc_matrix:
+    """The CSC trial matrix Xi: the nodal product of the partition of unity
+    and the first m of each node's ``modes`` (``trial_eigenbasis``, aligned
+    to the node's ``nb.closure``), node-major.
 
     The partition of unity vanishes on each neighborhood boundary, so the
     products hold exact zeros there; they are not stored.
     """
     node_of_dof = topology.mesh.node_of_dof
     blocks = []
-    for basis in sorted(bases, key=lambda b: b.node):
-        weights = chi[:, basis.node].toarray().ravel()[node_of_dof[basis.closure_dofs]]
-        blocks.append((basis.closure_dofs, weights[:, None] * basis.vectors[:, :m]))
+    for node in sorted(modes):
+        closure = topology.neighborhoods[node].closure
+        weights = chi[:, node].toarray().ravel()[node_of_dof[closure]]
+        blocks.append((closure, weights[:, None] * modes[node][:, :m]))
     Xi = column_sparse(topology.mesh.num_dofs, blocks)
     Xi.eliminate_zeros()
-    return TrialBasis(Xi=Xi)
+    return Xi

@@ -96,7 +96,7 @@ def full_space_gap(ws: Workspace, m: int = 1, problem: int = 2):
     error report and the solved state.
     """
     V = ws.test_matrix(m, ws.topology.r - 1, problem)
-    state = coupling.solve_coupled(ws.op, V, ws.trial(m).Xi, *ws.image_structure(m))
+    state = coupling.solve_coupled(ws.op, V, ws.trial(m), *ws.image_structure(m))
     rep = coupling.error_report(state, ws.u_ref, ws.projection_error(m))
     gap = abs(rep.err_ms_pct - rep.err_proj_pct) / max(rep.err_proj_pct, 1e-12)
     return gap, rep, state

@@ -88,7 +88,7 @@ def test_high_contrast_full_test_space_exactness(basis_q):
     columns = set()
     for problem in (1, 2):
         V = ws.test_matrix(3, r - 1, problem)
-        state = solve_coupled(ws.op, V, ws.trial(3).Xi, *ws.image_structure(3))
+        state = solve_coupled(ws.op, V, ws.trial(3), *ws.image_structure(3))
         Q = basis_q()
         columns.add((V.shape[1], Q.shape[1]))
         worst_orth = max(worst_orth, float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()))
@@ -262,7 +262,7 @@ def test_criterion_6_online_enrichment(ws_ex1, ws_ex4):
     details = []
     for ws, problem in ((ws_ex1, 1), (ws_ex4, 2)):
         V = ws.test_matrix(1, 1, problem)
-        state = solve_coupled(ws.op, V, ws.trial(1).Xi)
+        state = solve_coupled(ws.op, V, ws.trial(1))
         residuals = [float(np.linalg.norm(residual_full(state)))]
         for _ in range(2):
             *_, state = online_enrich(state, ws.topology, 1)
@@ -291,7 +291,7 @@ def test_criterion_7_manufactured_solution_order():
 
 def test_criterion_8_infsup_monotone(ws_ex1):
     r = ws_ex1.topology.r
-    Xi = ws_ex1.trial(1).Xi
+    Xi = ws_ex1.trial(1)
     vals = []
     for L in (1, 3, 5, r - 1):
         V = ws_ex1.test_matrix(1, L, 1)

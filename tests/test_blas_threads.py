@@ -78,7 +78,7 @@ def test_serial_blas_does_nothing_without_a_library(monkeypatch):
 # factors and partition of unity, and the lazily built ones
 STAGES = {
     ("harness.py", "__init__"),
-    ("harness.py", "trial"),
+    ("harness.py", "trial_modes"),
     ("harness.py", "w1"),
     ("harness.py", "w2"),
     ("harness.py", "edge_spectra"),

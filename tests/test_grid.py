@@ -55,7 +55,7 @@ def test_neighborhood_block_counts():
     topo = build_coarse_topology(build_fine_mesh(12), 3)
     counts = {}
     for nb in topo.neighborhoods:
-        a, b = nb.ab
+        a, b = topo.coarse_node_ab(nb.node)
         on_edge = int(a in (0, 3)) + int(b in (0, 3))
         counts.setdefault(on_edge, set()).add(len(nb.blocks))
     assert counts[0] == {4}  # interior nodes

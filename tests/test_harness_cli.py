@@ -1,5 +1,8 @@
+import csv
+import io
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +244,7 @@ def test_cli_sweep_checks_every_cell(capsys, monkeypatch, option, values, messag
     assert message in err
 
 
-def test_golden_small_run():
+def test_golden_small_run(capsys):
     # frozen output of the first validated run of this configuration;
     # guards the whole pipeline against silent numerical drift
     rows = run_experiment(small_config())
@@ -249,6 +252,22 @@ def test_golden_small_run():
     assert row.err_ms_pct == pytest.approx(5.322056990049166, rel=1e-9)
     assert row.err_proj_pct == pytest.approx(5.115983396564648, rel=1e-9)
     assert row.min_lambda_excluded == pytest.approx(0.014819469206935871, rel=1e-9)
+    # every field of every row of the benchmark's smoke sweep, which runs
+    # W1, W2, both eigenproblems, an online sweep and the inf-sup estimate,
+    # against the benchmark's reference rows
+    args = "sweep --example 1 --alpha 2 --coarse 4 --fine 16 --trial 1 --test 1,3 --eig 1,2"
+    assert main(args.split() + ["--online", "1", "--infsup"]) == 0
+    got = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    with open(Path(__file__).resolve().parents[1] / "perfbench/reference/smoke.csv") as fh:
+        want = list(csv.DictReader(fh))
+    assert len(got) == len(want) == 8
+    for mine, ref in zip(got, want):
+        assert list(mine) == list(ref)
+        for name, value in ref.items():
+            if value == "":
+                assert mine[name] == value, name
+            else:
+                assert float(mine[name]) == pytest.approx(float(value), rel=1e-10, abs=0.0), name
 
 
 def test_dump_edge_spectra(tmp_path):

@@ -56,6 +56,18 @@ def test_minimal_coarse_grid_runs():
     assert rows[0].err_ms_pct >= rows[0].err_proj_pct - 1e-8
 
 
+def test_the_solve_and_the_projection_share_the_trial_rank_decision():
+    # at nc=2, n=4 the kernel keeps 6 of the 8 assembled trial columns (two
+    # have singular values near 1e-12 after column scaling); the trial
+    # matrix holds the kept ones only, so the full test space reaches the
+    # projection error instead of the least-squares error onto all 8
+    ws = build(example=1, nc=2, n=4, L=1)
+    gap, rep, state = full_space_gap(ws)
+    assert gap <= 1e-10
+    assert rep.err_ms_pct >= rep.err_proj_pct
+    assert state.Xi.shape[1] == ws.trial(1).shape[1] == 6
+
+
 @pytest.mark.parametrize(
     "kw",
     [

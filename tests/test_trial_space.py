@@ -6,7 +6,6 @@ from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
 from mspg.trial_space import (
-    TrialSnapshotSet,
     block_factors,
     partition_of_unity,
     trial_eigenbasis,
@@ -26,72 +25,87 @@ def interior_node(topo):
     return 2 * (topo.nc + 1) + 2
 
 
+def interior_snapshots(topo, op):
+    """The interior node's neighborhood and its snapshots."""
+    node = interior_node(topo)
+    return topo.neighborhoods[node], trial_snapshots(topo, op, node)
+
+
 def test_snapshot_count_interior(laplace32):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
+    _, phi = interior_snapshots(topo, op)
     # boundary lattice nodes of a 2r x 2r cell square, corners included
-    assert snap.count == 8 * topo.r
+    assert phi.shape[1] == 8 * topo.r
 
 
 def test_snapshot_delta_property(laplace32):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
-    nb = snap.boundary_dofs.size
-    boundary_rows = snap.columns[snap.interior_dofs.size :, :]
-    assert np.array_equal(boundary_rows, np.eye(nb))
+    nb, phi = interior_snapshots(topo, op)
+    assert phi.shape[0] == nb.closure.size
+    assert np.array_equal(phi[nb.interior.size :, :], np.eye(nb.boundary.size))
 
 
 def test_snapshot_interior_residual(laplace32):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
-    full = np.zeros((op.A.shape[0], snap.count))
-    full[snap.closure_dofs, :] = snap.columns
-    resid = (op.A @ full)[snap.interior_dofs, :]
-    scale = np.linalg.norm(snap.columns, axis=0)
+    nb, phi = interior_snapshots(topo, op)
+    full = np.zeros((op.A.shape[0], phi.shape[1]))
+    full[nb.closure, :] = phi
+    resid = (op.A @ full)[nb.interior, :]
+    scale = np.linalg.norm(phi, axis=0)
     assert (np.linalg.norm(resid, axis=0) / scale).max() <= 1e-9
 
 
 def test_snapshot_constant_reproduction(laplace32):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
-    combo = snap.columns @ np.ones(snap.count)
+    _, phi = interior_snapshots(topo, op)
+    combo = phi @ np.ones(phi.shape[1])
     assert np.allclose(combo, 1.0, atol=1e-9)
 
 
 def test_eigenbasis_full_selection_preserves_span(laplace32):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
-    basis = trial_eigenbasis(snap, op, snap.count)
+    nb, phi = interior_snapshots(topo, op)
+    modes = trial_eigenbasis(nb, phi, op, phi.shape[1])
+    assert modes.shape == phi.shape
     # change of basis only: projecting the snapshots onto the reduced
     # vectors loses nothing
-    Q = np.linalg.qr(basis.vectors)[0]
-    resid = snap.columns - Q @ (Q.T @ snap.columns)
-    assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(snap.columns)
+    Q = np.linalg.qr(modes)[0]
+    resid = phi - Q @ (Q.T @ phi)
+    assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(phi)
 
 
 def test_eigenvalues_nonnegative(laplace32):
+    # the modes solve S c = lambda M c on the snapshot coefficients c (the
+    # boundary rows of a mode, where every snapshot is a delta), with S =
+    # A_snap^T A_snap positive semidefinite: every lambda is >= 0
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
-    basis = trial_eigenbasis(snap, op, 1)
-    assert basis.eigenvalues.min() >= -1e-9 * max(abs(basis.eigenvalues).max(), 1.0)
+    nb, phi = interior_snapshots(topo, op)
+    modes = trial_eigenbasis(nb, phi, op, phi.shape[1])
+    A_snap = phi.T @ (op.A[nb.closure][:, nb.closure] @ phi)
+    M_snap = phi.T @ (op.M[nb.closure][:, nb.closure] @ phi)
+    c = modes[nb.interior.size :]
+    Sc = A_snap.T @ (A_snap @ c)
+    values = np.sum(c * Sc, axis=0) / np.sum(c * (M_snap @ c), axis=0)
+    assert np.linalg.norm(Sc - (M_snap @ c) * values) <= 1e-8 * np.linalg.norm(Sc)
+    assert values.min() >= -1e-9 * max(abs(values).max(), 1.0)
 
 
 @pytest.mark.parametrize("restriction,min_cos", [("submatrix", 0.9), ("patch", 0.999999)])
 def test_lowest_mode_near_constant_pure_diffusion(laplace32, restriction, min_cos):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
-    basis = trial_eigenbasis(snap, op, 1, restriction=restriction)
-    const = snap.columns @ np.ones(snap.count)
-    v = basis.vectors[:, 0]
+    nb, phi = interior_snapshots(topo, op)
+    modes = trial_eigenbasis(nb, phi, op, 1, restriction=restriction)
+    const = phi @ np.ones(phi.shape[1])
+    v = modes[:, 0]
     cos = abs(v @ const) / (np.linalg.norm(v) * np.linalg.norm(const))
     assert cos >= min_cos
 
 
 def test_eigenbasis_m_out_of_range(laplace32):
     topo, op = laplace32
-    snap = trial_snapshots(topo, op, interior_node(topo))
+    nb, phi = interior_snapshots(topo, op)
     with pytest.raises(ValueError):
-        trial_eigenbasis(snap, op, snap.count + 1)
+        trial_eigenbasis(nb, phi, op, phi.shape[1] + 1)
 
 
 def test_partition_of_unity_sums_to_one(ws_small):
@@ -145,9 +159,8 @@ def column_nodes(topo, m):
 
 
 def test_trial_matrix_columns_supported_in_neighborhood(ws_small):
-    basis = ws_small.trial(1)
     topo = ws_small.topology
-    Xi = basis.Xi.toarray()
+    Xi = ws_small.trial(1).toarray()
     for col, node in enumerate(column_nodes(topo, 1)):
         nb = topo.neighborhoods[int(node)]
         outside = np.setdiff1d(
@@ -158,8 +171,7 @@ def test_trial_matrix_columns_supported_in_neighborhood(ws_small):
 
 def test_trial_matrix_column_count(ws_small):
     m = 2
-    basis = ws_small.trial(m)
-    assert basis.count == column_nodes(ws_small.topology, m).size
+    assert ws_small.trial(m).shape[1] == column_nodes(ws_small.topology, m).size
 
 
 def dense_trial_matrix(ws, m):
@@ -167,15 +179,15 @@ def dense_trial_matrix(ws, m):
     topo, op = ws.topology, ws.op
     chi = ws.chi.toarray()
     columns = []
-    for node in range(topo.num_coarse_nodes):
-        snap = trial_snapshots(topo, op, node, ws.block_factors)
-        if snap.count == 0:
+    for nb in topo.neighborhoods:
+        phi = trial_snapshots(topo, op, nb.node, ws.block_factors)
+        if phi.shape[1] == 0:
             continue
-        basis = trial_eigenbasis(snap, op, min(m, snap.count))
-        weights = chi[topo.mesh.node_of_dof[basis.closure_dofs], node]
-        for j in range(basis.vectors.shape[1]):
+        modes = trial_eigenbasis(nb, phi, op, min(m, phi.shape[1]))
+        weights = chi[topo.mesh.node_of_dof[nb.closure], nb.node]
+        for j in range(modes.shape[1]):
             col = np.zeros(topo.mesh.num_dofs)
-            col[basis.closure_dofs] = weights * basis.vectors[:, j]
+            col[nb.closure] = weights * modes[:, j]
             columns.append(col)
     return np.column_stack(columns)
 
@@ -183,7 +195,7 @@ def dense_trial_matrix(ws, m):
 def test_trial_matrix_is_csc_without_stored_zeros():
     ws = Workspace(ExperimentConfig(example=1, alpha=2.0, nc=4, n=16, m=3))
     for m in (3, 1):
-        Xi = ws.trial(m).Xi
+        Xi = ws.trial(m)
         assert Xi.format == "csc"
         assert np.all(Xi.data != 0.0)
         oracle = dense_trial_matrix(ws, m)
@@ -196,12 +208,13 @@ def test_trial_matrix_is_csc_without_stored_zeros():
 
 
 def test_sweep_builds_each_trial_snapshot_set_once(monkeypatch):
-    calls, workspaces = [], []
+    calls, snapshots, workspaces = [], [], []
     build = trial_space.trial_snapshots
 
     def counting(topology, op, node, *factors):
         calls.append(node)
-        return build(topology, op, node, *factors)
+        snapshots.append(build(topology, op, node, *factors))
+        return snapshots[-1]
 
     class Recorded(Workspace):
         def __init__(self, config):
@@ -219,19 +232,20 @@ def test_sweep_builds_each_trial_snapshot_set_once(monkeypatch):
         items = value.values() if isinstance(value, dict) else (
             value if isinstance(value, list) else [value]
         )
-        assert not any(isinstance(item, TrialSnapshotSet) for item in items)
+        held = [item for item in items if isinstance(item, np.ndarray)]
+        assert not any(np.shares_memory(item, phi) for item in held for phi in snapshots)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_trial_matrix_full_rank(ws_small, m):
-    Xi = ws_small.trial(m).Xi
+    Xi = ws_small.trial(m)
     s = np.linalg.svd((Xi.T @ Xi).toarray(), compute_uv=False)
     assert s.min() > 1e-12 * s.max()
 
 
 def test_reduction_nesting(ws_small):
-    Xi1 = ws_small.trial(1).Xi.toarray()
-    Xi3 = ws_small.trial(3).Xi.toarray()
+    Xi1 = ws_small.trial(1).toarray()
+    Xi3 = ws_small.trial(3).toarray()
     Q = np.linalg.qr(Xi3)[0]
     resid = Xi1 - Q @ (Q.T @ Xi1)
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(Xi1)
@@ -251,4 +265,4 @@ def test_corner_snapshots_solve_through_the_block_factor(ws_small):
         assert np.array_equal(nb.interior, topo.blocks[nb.blocks[0]].interior)
         held = trial_snapshots(topo, op, nb.node, ws_small.block_factors)
         own = trial_snapshots(topo, op, nb.node)
-        assert np.abs(held.columns - own.columns).max() <= 1e-13 * np.abs(own.columns).max()
+        assert np.abs(held - own).max() <= 1e-13 * np.abs(own).max()
