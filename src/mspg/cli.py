@@ -74,8 +74,6 @@ def _add_common(parser: argparse.ArgumentParser, sweep: bool) -> list[argparse.A
         add("--online", type=int, dest="online_iters", help="online enrichment iterations"),
         add("--trial-restriction", choices=CHOICES["trial_restriction"],
             help="neighborhood operator used by the trial eigenproblem"),
-        add("--edge-energy", choices=CHOICES["edge_energy"],
-            help="row set of the squared-adjoint edge energy"),
         add("--delta", type=float, help="channel strength of example 2"),
         add("--raster", dest="raster_path", help="permeability raster file (example 5)"),
         add("--flip-darcy-sign", action="store_true", default=None,

@@ -248,10 +248,14 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
     ``append_test_columns``, so later classes see the updated residual.
 
     The first yield holds T, formed once (``numerics.form_coefficients``)
-    into storage with room for every column the loop can add, at most one
-    per node and sweep, instead of the kernel's factors of ``state``: a
-    caller that rebinds to it releases them before any node is factored.
-    Each class writes its block column beside T, so no yielded T changes.
+    into storage with room for every column the loop can add, instead of
+    the kernel's factors of ``state``: a caller that rebinds to it releases
+    them before any node is factored.  The loop adds at most one column per
+    node and sweep, and no more than the N - count that the orthonormal
+    columns of Q = A^T V T leave in R^N; a class that adds any column adds
+    at most one raw column per node.  Storage that cannot be allocated is a
+    ``SolverFailureError``.  Each class writes its block column beside T,
+    so no yielded T changes.
 
     The systems A_I A_I^T of the neighbourhood interiors I are sliced from
     one A A^T per sweep and factored in symmetric mode, once per node and
@@ -266,7 +270,12 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
     classes = coloring(topology)
     rows, count = state.basis.V.shape[1], state.basis.count
     room = sweeps * sum(len(nodes) for nodes in classes)
-    storage = np.zeros((rows + room, count + room), order="F")
+    columns = min(room, state.op.A.shape[0] - count)
+    shape = (rows + min(room, columns * max(len(nodes) for nodes in classes)), count + columns)
+    try:
+        storage = np.zeros(shape, order="F")
+    except MemoryError:
+        raise SolverFailureError(f"cannot allocate the online storage of T, {shape}") from None
     T = form_coefficients(state.basis.steps, out=storage)[:rows]
     state = replace(state, basis=replace(state.basis, steps=(T,)))
     yield state

@@ -43,7 +43,8 @@ class InvalidCoefficientError(MspgError):
 
 
 class SolverFailureError(MspgError):
-    """A linear solve missed its residual contract.
+    """A solve failed: a linear solve missed its residual contract, a
+    reduced system lost rank, or the online loop's storage was refused.
 
     ``residual`` holds the achieved relative residual when known.
     """

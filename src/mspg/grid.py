@@ -118,15 +118,14 @@ class CoarseEdge:
     """Interior coarse edge with its two adjacent blocks.
 
     ``interior`` lists the r-1 edge dofs ordered along the edge.  ``region``
-    concatenates interior(K1), interior(K2) and the edge dofs; ``edge_local``
-    gives the positions of the edge dofs inside ``region``.
+    concatenates interior(K1), interior(K2) and the edge dofs, so the edge
+    dofs are its last r-1 entries.
     """
 
     index: int
     blocks: tuple[int, int]
     interior: np.ndarray
     region: np.ndarray
-    edge_local: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -232,14 +231,12 @@ def build_coarse_topology(mesh: FineMesh, nc: int) -> CoarseTopology:
         region = np.concatenate(
             [blocks[k1].interior, blocks[k2].interior, interior]
         )
-        edge_local = np.arange(region.size - interior.size, region.size)
         edges.append(
             CoarseEdge(
                 index=len(edges),
                 blocks=(k1, k2),
                 interior=interior,
                 region=region,
-                edge_local=edge_local,
             )
         )
 

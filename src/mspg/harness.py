@@ -33,7 +33,6 @@ PECLET_WARN = 2.0
 # ``choices`` from here too
 CHOICES = {
     "trial_restriction": ("submatrix", "patch"),
-    "edge_energy": ("region", "global"),
 }
 
 # (field, the one example that reads it, its unset value)
@@ -59,7 +58,6 @@ class ExperimentConfig:
     eigenproblem: int = 1
     online_iters: int = 0
     trial_restriction: str = "submatrix"
-    edge_energy: str = "region"
     delta: float | None = None
     raster_path: str | None = None
     darcy_sign: float = 1.0
@@ -257,18 +255,16 @@ class Workspace:
         keep = max(L, self.config.L)
         spectra = self._spectra.get(problem)
         if spectra is None or spectra[0].combos.shape[1] < keep:
-            energy, spectra = self.config.edge_energy, []
+            spectra = []
             with serial_blas():
                 for k, edge in enumerate(self.topology.edges):
                     psi = test_space.build_W3_snapshots(
                         self.topology, self.op, k, self.block_factors
                     )
                     if problem == 1:
-                        full = test_space.eigenproblem_1(edge, psi, self.op, energy=energy)
+                        full = test_space.eigenproblem_1(edge, psi, self.op)
                     else:
-                        full = test_space.eigenproblem_2(
-                            edge, psi, self.op, self.block_factors, energy=energy
-                        )
+                        full = test_space.eigenproblem_2(edge, psi, self.op, self.block_factors)
                     combos = np.ascontiguousarray(full.combos[:, :keep])
                     spectra.append(replace(full, combos=combos))
             self._spectra[problem] = spectra

@@ -189,11 +189,10 @@ def harmonic_extension(K, interior, boundary, traces=None, label: str = "", fact
     """Interior values of the K-harmonic extension of boundary traces.
 
     Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``, or
-    through ``factor``, a ``CheckedFactor`` of K_II (such as a coarse block
-    interior's, made once, or an SPD one); with ``traces=None`` g is the
-    identity, one column per boundary delta.  A CSC ``K`` (such as the
-    transpose of a CSR operator) is sliced by columns first, so no call
-    scans all of ``K``.
+    through ``factor``, a ``CheckedFactor`` of K_II (a coarse block
+    interior's, made once); with ``traces=None`` g is the identity, one
+    column per boundary delta.  A CSC ``K`` (such as the transpose of a CSR
+    operator) is sliced by columns first, so no call scans all of ``K``.
     """
     if K.format == "csc":
         K_ii, K_ib = K[:, interior][interior], K[:, boundary][interior]

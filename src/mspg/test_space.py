@@ -10,7 +10,7 @@ A_II^T, the minimum-energy extensions of eigenproblem 2 with A_II.
 The edge component dominates the snapshot count, so it is compressed per
 edge by one of two eigenproblems posed in the squared-adjoint energy
 B = E E^T on the two blocks K1, K2 sharing the edge, with E = A_loc, the
-stiffness matrix restricted to the edge region (``edge_energy="region"``):
+stiffness matrix restricted to the edge region:
 
 * eigenproblem 1: S v = lambda M_e v, with S = Y^T Y for Y = E^T psi (the
   snapshots psi) and M_e the trace mass matrix of the edge;
@@ -19,8 +19,7 @@ stiffness matrix restricted to the edge region (``edge_energy="region"``):
   N = [N_f; I] spans the null space of the free rows A_f of A_loc, N_f =
   -diag(A_K1, A_K2)^{-1} A_loc[f, e], and A_e holds the edge rows.
 
-B itself is never formed, so no condition number is squared, except for
-the minimum-energy extension under ``edge_energy="global"``.  The test
+B itself is never formed, so no condition number is squared.  The test
 basis (``TestBasis``) is the raw sparse columns V with A^T V and the
 factors of the small coefficients T that make Q = A^T V T orthonormal;
 offline neither T nor Q is formed.  The online loop
@@ -48,13 +47,11 @@ from .errors import SingularMetricError
 from .grid import CoarseEdge, CoarseTopology
 from .numerics import (
     DROPTOL,
-    CheckedFactor,
     apply_coefficients,
     coefficient_product,
     column_sparse,
     form_coefficients,
     generalized_sym_eig,
-    harmonic_extension,
     orthonormalize_columns,
     serial_blas,
 )
@@ -139,27 +136,11 @@ class EdgeSpectrum:
         return float(self.eigenvalues[L]) if L < ns else np.inf
 
 
-def _edge_operator(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> sp.csr_matrix:
-    """The rows E of the stiffness matrix on the edge region whose
-    squared-adjoint energy is B = E E^T, so psi^T B psi = ||E^T psi||^2.
-
-    ``region`` restricts the columns to the region dofs too (the residual
-    rows outside the region are ignored); ``global`` keeps every column, so
-    B is the principal submatrix of the full squared operator, the
-    localization the online enrichment solves use.
-    """
-    if mode == "region":
-        return op.A[edge.region][:, edge.region]
-    if mode == "global":
-        return op.A[edge.region, :]
-    raise ValueError(f"unknown edge energy mode {mode!r}")
-
-
-def _edge_energy(op: SparseOperator, edge: CoarseEdge, mode: str = "region") -> sp.csr_matrix:
-    """The squared-adjoint energy B = E E^T of ``_edge_operator``; formed
-    for the minimum-energy extension of eigenproblem 2 under ``global``."""
-    E = _edge_operator(op, edge, mode)
-    return (E @ E.T).tocsr()
+def _edge_operator(op: SparseOperator, edge: CoarseEdge) -> sp.csr_matrix:
+    """The stiffness matrix A_loc on the edge region, rows and columns: the
+    E of the squared-adjoint energy B = E E^T, so psi^T B psi = ||E^T psi||^2
+    (the residual rows outside the region are ignored)."""
+    return op.A[edge.region][:, edge.region]
 
 
 def _snapshot_energy(E: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
@@ -168,16 +149,14 @@ def _snapshot_energy(E: sp.csr_matrix, psi: np.ndarray) -> np.ndarray:
     return Y.T @ Y
 
 
-def eigenproblem_1(
-    edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, energy: str = "region"
-) -> EdgeSpectrum:
+def eigenproblem_1(edge: CoarseEdge, psi: np.ndarray, op: SparseOperator) -> EdgeSpectrum:
     """Reduction of the edge's snapshots ``psi`` (``build_W3_snapshots``)
     against the one-dimensional trace mass matrix, with every mode kept.
 
     The eigenvalues scale with the squared-adjoint energy per unit of edge
     mass and grow without bound under fine-mesh refinement.
     """
-    S = _snapshot_energy(_edge_operator(op, edge, energy), psi)
+    S = _snapshot_energy(_edge_operator(op, edge), psi)
     ns = psi.shape[1]
     h = op.mesh.h
     M_edge = (h / 6.0) * (
@@ -217,9 +196,7 @@ def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndar
     return AeN @ np.linalg.solve(NtN, AeN.T)
 
 
-def eigenproblem_2(
-    edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, factors, energy: str = "region"
-) -> EdgeSpectrum:
+def eigenproblem_2(edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, factors) -> EdgeSpectrum:
     """Reduction of the edge's snapshots ``psi`` (``build_W3_snapshots``)
     against the snapshot energy itself, with every mode kept.
 
@@ -227,22 +204,11 @@ def eigenproblem_2(
     traces over the edge region, so every eigenvalue lies in [0, 1]; values
     close to 1 signal that the remaining snapshots add almost nothing.
     Both sides are Grams in the squared-adjoint energy B = E E^T
-    (``_edge_operator``): S = Y^T Y with Y = E^T psi, and under ``region``
-    the left side from the block ``factors`` (``_min_energy_gram``).  Under
-    ``global`` B is SPD and formed, and the minimum-energy extension of an
-    edge delta is its B-harmonic extension; the edge dofs are the last rows
-    of ``region``.
+    (``_edge_operator``): S = Y^T Y with Y = E^T psi, and the left side from
+    the block ``factors`` (``_min_energy_gram``).
     """
-    ns = psi.shape[1]
-    E = _edge_operator(op, edge, energy)
-    if energy == "region":
-        S_min = _min_energy_gram(E, edge, factors)
-    else:
-        B = _edge_energy(op, edge, mode=energy)
-        free = np.arange(edge.region.size - ns)
-        B_ff = CheckedFactor(B[free][:, free], f"edge {edge.index}", held=False, spd=True)
-        ext = np.vstack([harmonic_extension(B, free, edge.edge_local, factor=B_ff), np.eye(ns)])
-        S_min = ext.T @ (B @ ext)
+    E = _edge_operator(op, edge)
+    S_min = _min_energy_gram(E, edge, factors)
     S = _snapshot_energy(E, psi)
     try:
         values, vectors = generalized_sym_eig(S_min, S)

@@ -45,7 +45,7 @@ def trial_eigenbasis(
     phi: np.ndarray,
     op: SparseOperator,
     m: int,
-    restriction: str = "submatrix",
+    restriction: str,
 ) -> np.ndarray:
     """The m smallest eigenmodes of the reduced problem on the snapshots
     ``phi`` of neighborhood ``nb`` (``trial_snapshots``), as combinations of

@@ -780,3 +780,29 @@ def test_every_state_a_loop_yields_keeps_its_arrays(tiny):
     assert all(np.shares_memory(s.basis.steps[0], states[-1].basis.steps[0]) for s in states)
     for s, before in yielded:
         assert all(np.array_equal(a, b) for a, b in zip(held(s), before, strict=True))
+
+
+def test_online_storage_is_bounded_by_the_dofs(tiny):
+    # Q = A^T V T has orthonormal columns in R^N, so however many sweeps are
+    # asked for, T's storage has at most N columns, and a class that adds any
+    # column adds at most one raw column per node of the class
+    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1))
+    first = next(online_enrich(state, tiny.topology, 10**6))
+    storage = first.basis.steps[0].base
+    N, largest = tiny.mesh.num_dofs, max(len(nodes) for nodes in coloring(tiny.topology))
+    rows, count = state.basis.V.shape[1], state.basis.count
+    assert storage.shape == (rows + (N - count) * largest, N)
+
+
+def test_online_storage_refused_is_a_solver_failure(tiny, monkeypatch):
+    zeros = np.zeros
+
+    def refusing(shape, *args, order="C", **kwargs):
+        if order == "F":
+            raise MemoryError("refused")
+        return zeros(shape, *args, order=order, **kwargs)
+
+    state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1))
+    monkeypatch.setattr(coupling.np, "zeros", refusing)
+    with pytest.raises(SolverFailureError, match="online storage"):
+        next(online_enrich(state, tiny.topology, 1))

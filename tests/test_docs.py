@@ -1,9 +1,11 @@
+import argparse
 import importlib
 import pkgutil
 import re
 from pathlib import Path
 
 import mspg
+from mspg.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {module.name for module in pkgutil.iter_modules(mspg.__path__)}
@@ -30,3 +32,33 @@ def test_every_module_name_in_the_readme_resolves():
     assert names  # the README names the modules' functions
     unresolved = sorted(f"{module}.{path}" for module, path in names if not _resolves(module, path))
     assert unresolved == []
+
+
+def _long_options(parser) -> dict[str, set[str]]:
+    """Long options by subcommand, less ``--help``."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def _named_flags(text: str) -> set[str]:
+    """Every ``--flag`` named in ``text``."""
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+
+
+def test_every_run_and_sweep_option_is_in_the_readme():
+    text = README.read_text()
+    options = _long_options(build_parser())
+    assert sorted((options["run"] | options["sweep"]) - _named_flags(text)) == []
+
+
+def test_every_flag_in_the_readme_usage_and_notes_is_accepted():
+    text = README.read_text()
+    usage = re.search(r"## Command line\n+```\n(.*?)```", text, re.S).group(1)
+    notes = re.search(r"## Configuration notes\n(.*?)\n## ", text, re.S).group(1)
+    assert usage.startswith("mspg ")
+    accepted = set().union(*_long_options(build_parser()).values())
+    named = _named_flags(usage) | _named_flags(notes)
+    assert named and sorted(named - accepted) == []

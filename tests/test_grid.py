@@ -82,7 +82,7 @@ def test_index_set_consistency(n, nc):
     for edge in topo.edges:
         assert len(edge.blocks) == 2
         assert edge.interior.size == r - 1
-        assert np.array_equal(edge.region[edge.edge_local], edge.interior)
+        assert np.array_equal(edge.region[-(r - 1) :], edge.interior)
 
 
 def test_coloring_single_interior_node():

@@ -38,8 +38,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(nc=4, n=16, eigenproblem=3)
     with pytest.raises(ConfigError):
-        ExperimentConfig(nc=4, n=16, edge_energy="other")
-    with pytest.raises(ConfigError):
         ExperimentConfig(nc=4, n=16, trial_restriction="other")
 
 
@@ -586,21 +584,23 @@ def test_cli_knob_flags_reach_config():
             "--coarse", "4",
             "--fine", "16",
             "--trial-restriction", "patch",
-            "--edge-energy", "global",
         ]
     )
     config, _, _, _, _ = _build_config(args, sweep=False)
     assert config.trial_restriction == "patch"
-    assert config.edge_energy == "global"
 
 
-@pytest.mark.parametrize("option", ["pou", "bubble_source", "projection"])
+# retired options, each with a value it once accepted
+REMOVED_KNOBS = {"pou": "hat", "bubble_source": "hat", "projection": "hat", "edge_energy": "region"}
+
+
+@pytest.mark.parametrize("option", list(REMOVED_KNOBS))
 def test_cli_removed_knobs_exit_2(tmp_path, capsys, option):
-    flag = "--" + option.replace("_", "-")
+    flag, value = "--" + option.replace("_", "-"), REMOVED_KNOBS[option]
     argv = ["run", "--example", "1", "--coarse", "4", "--fine", "16"]
-    assert main(argv + [flag, "hat"]) == 2
+    assert main(argv + [flag, value]) == 2
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"{option}=hat\n")
+    cfg.write_text(f"{option}={value}\n")
     assert main(argv + ["--config", str(cfg)]) == 2
     assert f"unknown config key(s) {option}" in capsys.readouterr().err
 
@@ -647,7 +647,6 @@ FIELD_SAMPLES = {
     "eigenproblem": "2",
     "online_iters": "1",
     "trial_restriction": "patch",
-    "edge_energy": "global",
     "delta": "0.25",
     "raster_path": "raster.txt",
     "infsup": "1",

@@ -68,16 +68,7 @@ def test_the_solve_and_the_projection_share_the_trial_rank_decision():
     assert state.Xi.shape[1] == ws.trial(1).shape[1] == 6
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(),
-        dict(infsup=True),
-        dict(trial_restriction="patch", edge_energy="global"),
-        dict(trial_restriction="patch"),
-        dict(edge_energy="global"),
-    ],
-)
+@pytest.mark.parametrize("kw", [dict(), dict(infsup=True), dict(trial_restriction="patch")])
 def test_option_knobs_run_cleanly(kw):
     ws = build(example=1, nc=4, n=16, L=2, **kw)
     rows = ws.run_cell(1, 2, 2, online_iters=1)
@@ -94,9 +85,3 @@ def test_patch_exactness_preserved():
     ws = build(example=1, nc=4, n=16, L=3, trial_restriction="patch")
     gap, _, _ = full_space_gap(ws, problem=1)
     assert gap <= 1e-6
-
-
-def test_eigenproblem2_bound_holds_under_global_energy():
-    ws = build(example=1, nc=4, n=16, L=1, edge_energy="global")
-    lo, hi = edge_spectrum_range(ws)
-    assert lo >= -1e-10 and hi <= 1.0 + 1e-10

@@ -11,7 +11,6 @@ from mspg.grid import build_coarse_topology, build_fine_mesh
 from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
 from mspg.numerics import form_coefficients, orthonormalize_columns
 from mspg.test_space import (
-    _edge_energy,
     assemble_test_matrix,
     build_W1,
     build_W2,
@@ -149,10 +148,11 @@ def test_edge_snapshot_count_and_delta(ws_small):
     r = topo.r
     assert snap.shape[1] == r - 1
     edge = topo.edges[0]
-    assert np.array_equal(snap[edge.edge_local, :], np.eye(r - 1))
+    # the edge dofs are the last r-1 entries of the region
+    assert np.array_equal(snap[-(r - 1) :, :], np.eye(r - 1))
     # deltas sum to the indicator on the edge interior
     total = snap @ np.ones(r - 1)
-    assert np.allclose(total[edge.edge_local], 1.0)
+    assert np.allclose(total[-(r - 1) :], 1.0)
 
 
 def test_edge_snapshot_support_and_residual(ws_small):
@@ -252,11 +252,11 @@ def _min_energy_oracle(op, edge, psi):
     factored by splu."""
     A_loc = op.A[edge.region][:, edge.region]
     B = (A_loc @ A_loc.T).tocsr()
-    ns = edge.edge_local.size
-    free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
+    ns = edge.interior.size
+    free, local = np.arange(B.shape[0] - ns), np.arange(B.shape[0] - ns, B.shape[0])
     ext = np.zeros((B.shape[0], ns))
-    ext[edge.edge_local] = np.eye(ns)
-    ext[free] = spla.splu(B[free][:, free].tocsc()).solve(-B[free][:, edge.edge_local].toarray())
+    ext[local] = np.eye(ns)
+    ext[free] = spla.splu(B[free][:, free].tocsc()).solve(-B[free][:, local].toarray())
     return ext.T @ (B @ ext), psi.T @ (B @ psi)
 
 
@@ -264,7 +264,7 @@ def _min_energy_oracle(op, edge, psi):
 def test_eigenproblem_2_region_grams_match_the_minimum_energy_formula(
     request, monkeypatch, workspace, rel
 ):
-    # eigenproblem 2 never forms B under the default energy; the two Grams it
+    # eigenproblem 2 never forms B; the two Grams it
     # hands to the eigensolver are those of the formed-B formula
     ws = request.getfixturevalue(workspace)
     grams = []
@@ -280,41 +280,6 @@ def test_eigenproblem_2_region_grams_match_the_minimum_energy_formula(
         eigenproblem_2(edge, snap, ws.op, ws.block_factors)
         for got, oracle in zip(grams[-1], _min_energy_oracle(ws.op, edge, snap)):
             assert np.linalg.norm(got - oracle) <= rel * np.linalg.norm(oracle), edge.index
-
-
-@pytest.mark.parametrize("energy", ["global"])
-def test_eigenproblem_2_extension_matches_the_minimum_energy_formula(
-    ws_small, monkeypatch, energy
-):
-    # the extension eigenproblem 2 forms through the checked kernel is the
-    # minimum-energy formula: the edge rows carry the identity and the free
-    # rows solve B_ff x = -B_fe, factored by splu in symmetric mode (B_ff is SPD)
-    extensions = []
-    kernel = test_space.harmonic_extension
-
-    def recording(*args, **kwargs):
-        extensions.append(kernel(*args, **kwargs))
-        return extensions[-1]
-
-    monkeypatch.setattr(test_space, "harmonic_extension", recording)
-    factors = ws_small.block_factors
-    for edge in ws_small.topology.edges:
-        snap = build_W3_snapshots(ws_small.topology, ws_small.op, edge.index, factors)
-        eigenproblem_2(edge, snap, ws_small.op, factors, energy=energy)
-        B = _edge_energy(ws_small.op, edge, mode=energy)
-        ns = edge.edge_local.size
-        free = np.setdiff1d(np.arange(B.shape[0]), edge.edge_local)
-        oracle = np.zeros((B.shape[0], ns))
-        oracle[edge.edge_local] = np.eye(ns)
-        B_ff = B[free][:, free]
-        lu = spla.splu(
-            B_ff.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-        oracle[free] = lu.solve(-(B[free][:, edge.edge_local] @ np.eye(ns)))
-        assert np.array_equal(np.vstack([extensions[-1], np.eye(ns)]), oracle)
 
 
 def test_assembled_test_matrix_orthonormal(ws_small, basis_q):

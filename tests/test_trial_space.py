@@ -65,7 +65,7 @@ def test_snapshot_constant_reproduction(laplace32):
 def test_eigenbasis_full_selection_preserves_span(laplace32):
     topo, op = laplace32
     nb, phi = interior_snapshots(topo, op)
-    modes = trial_eigenbasis(nb, phi, op, phi.shape[1])
+    modes = trial_eigenbasis(nb, phi, op, phi.shape[1], "submatrix")
     assert modes.shape == phi.shape
     # change of basis only: projecting the snapshots onto the reduced
     # vectors loses nothing
@@ -80,7 +80,7 @@ def test_eigenvalues_nonnegative(laplace32):
     # A_snap^T A_snap positive semidefinite: every lambda is >= 0
     topo, op = laplace32
     nb, phi = interior_snapshots(topo, op)
-    modes = trial_eigenbasis(nb, phi, op, phi.shape[1])
+    modes = trial_eigenbasis(nb, phi, op, phi.shape[1], "submatrix")
     A_snap = phi.T @ (op.A[nb.closure][:, nb.closure] @ phi)
     M_snap = phi.T @ (op.M[nb.closure][:, nb.closure] @ phi)
     c = modes[nb.interior.size :]
@@ -105,7 +105,7 @@ def test_eigenbasis_m_out_of_range(laplace32):
     topo, op = laplace32
     nb, phi = interior_snapshots(topo, op)
     with pytest.raises(ValueError):
-        trial_eigenbasis(nb, phi, op, phi.shape[1] + 1)
+        trial_eigenbasis(nb, phi, op, phi.shape[1] + 1, "submatrix")
 
 
 def test_partition_of_unity_sums_to_one(ws_small):
@@ -183,7 +183,7 @@ def dense_trial_matrix(ws, m):
         phi = trial_snapshots(topo, op, nb.node, ws.block_factors)
         if phi.shape[1] == 0:
             continue
-        modes = trial_eigenbasis(nb, phi, op, min(m, phi.shape[1]))
+        modes = trial_eigenbasis(nb, phi, op, min(m, phi.shape[1]), "submatrix")
         weights = chi[topo.mesh.node_of_dof[nb.closure], nb.node]
         for j in range(modes.shape[1]):
             col = np.zeros(topo.mesh.num_dofs)
