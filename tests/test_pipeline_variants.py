@@ -68,7 +68,15 @@ def test_the_solve_and_the_projection_share_the_trial_rank_decision():
     assert state.Xi.shape[1] == ws.trial(1).shape[1] == 6
 
 
-@pytest.mark.parametrize("kw", [dict(), dict(infsup=True), dict(trial_restriction="patch")])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(),
+        dict(infsup=True),
+        dict(trial_restriction="patch", infsup=True),
+        dict(trial_restriction="patch"),
+    ],
+)
 def test_option_knobs_run_cleanly(kw):
     ws = build(example=1, nc=4, n=16, L=2, **kw)
     rows = ws.run_cell(1, 2, 2, online_iters=1)
