@@ -10,16 +10,17 @@ product and no dense array has a row per fine dof and a column per function.
 T comes from the block-compressed image of A^T V
 (``test_space.compressed_image``), whose rows number the coarse skeleton's
 plus a few per block; ``Workspace.image_structure`` supplies the blocks.
-T is held as the kernel's factors C, R_1[, R_2] and applied in the kernel's
-order: G_wu and rhs_w through ``numerics.coefficient_product``, the fine
-test function w_fine = V (T w) through ``numerics.apply_coefficients``.
-Only the online loop forms T: ``online_enrich``, a generator that owns the
-storage T grows in and the neighbourhood factors it reuses between sweeps.
+T is held as the kernel's factors C, R_1[, R_2], plus one block of factors
+per online class, and applied in the kernel's order: G_wu and rhs_w
+through ``test_space.TestBasis.coefficient_product``, the fine test
+function w_fine = V (T w) through ``test_space.TestBasis.apply_coefficients``.
+T is never formed.  The online loop is ``online_enrich``, a generator that
+owns the neighbourhood factors it reuses between sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +35,6 @@ from .numerics import (
     apply_coefficients,
     coefficient_product,
     column_sparse,
-    form_coefficients,
     full_rank_lstsq,
     orthonormalize_columns,
     serial_blas,
@@ -88,7 +88,7 @@ def _solved_state(op, basis, Xi, G_wu, rhs_w) -> SaddleState:
         rhs_w=rhs_w,
         w=w,
         u=u,
-        w_fine=basis.V @ apply_coefficients(basis.steps, w),
+        w_fine=basis.V @ basis.apply_coefficients(w),
         u_fine=Xi @ u,
     )
 
@@ -104,8 +104,8 @@ def solve_coupled(op: SparseOperator, V, Xi, interiors=(), harmonic_from=None) -
     """
     Xi = sp.csc_matrix(Xi, dtype=float)
     basis = test_basis(op, V, interiors, harmonic_from)
-    rhs_w = coefficient_product(basis.steps, basis.V.T @ op.f)
-    G_wu = coefficient_product(basis.steps, basis.AtV.T @ Xi)
+    rhs_w = basis.coefficient_product(basis.V.T @ op.f)
+    G_wu = basis.coefficient_product(basis.AtV.T @ Xi)
     return _solved_state(op, basis, Xi, G_wu, rhs_w)
 
 
@@ -133,22 +133,25 @@ def leading_block(state: SaddleState, n: int) -> SaddleState | None:
     return _solved_state(state.op, lead, state.Xi, state.G_wu[:n], state.rhs_w[:n])
 
 
-def append_test_columns(state: SaddleState, new, out: np.ndarray) -> SaddleState:
+def append_test_columns(state: SaddleState, new) -> SaddleState:
     """Re-solve after appending the raw test columns ``new``.
 
-    The basis grows by the part of span(new) outside the test span, its T
-    in the storage ``out`` (``test_space.extend_test_basis``), and G_wu and
-    rhs_w by its rows, so for k new columns the update costs O(N K k).
-    Columns in the test span add nothing and return ``state`` itself.  The
-    grown basis holds its T explicitly.
+    The basis grows by the part of span(new) outside the test span, one
+    block (S, steps_n) of T_n's factors (``test_space.extend_test_basis``),
+    and G_wu and rhs_w by the rows T_n^T (Z_X - S^T T^T Z_V) of the grown
+    T' = [[T, -T S T_n], [0, T_n]]: T^T Z_V are the rows the state holds,
+    and Z_X is (A^T X)^T Xi or X^T f for the appended columns X.  Columns
+    in the test span add nothing and return ``state`` itself.
     """
-    op, old = state.op, state.basis.count
-    basis = extend_test_basis(state.basis, op, new, out)
+    op = state.op
+    basis = extend_test_basis(state.basis, op, new)
     if basis is state.basis:
         return state
-    (T,) = basis.steps
-    G_wu = np.vstack([state.G_wu, T[:, old:].T @ (basis.AtV.T @ state.Xi)])
-    rhs_w = np.concatenate([state.rhs_w, T[:, old:].T @ (basis.V.T @ op.f)])
+    S, steps_n = basis.grown[-1]
+    X, AtX = basis.V[:, -S.shape[1] :], basis.AtV[:, -S.shape[1] :]
+    G_wu = coefficient_product(steps_n, (AtX.T @ state.Xi).toarray() - S.T @ state.G_wu)
+    rhs_w = coefficient_product(steps_n, X.T @ op.f - S.T @ state.rhs_w)
+    G_wu, rhs_w = np.vstack([state.G_wu, G_wu]), np.concatenate([state.rhs_w, rhs_w])
     return _solved_state(op, basis, state.Xi, G_wu, rhs_w)
 
 
@@ -239,23 +242,16 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
 
 def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
     """Grow the test space from local residuals and re-solve: a generator
-    that yields the cell's state, then the state after each of ``sweeps``
-    sweeps (with none, ``state`` as it is).
+    that yields ``state`` itself, then the state after each of ``sweeps``
+    sweeps.
 
     One sweep visits the four parity classes of coarse nodes; within a
     class the neighborhood interiors are disjoint, so the local solves are
     independent.  The coupled system is re-solved after every class, by
     ``append_test_columns``, so later classes see the updated residual.
-
-    The first yield holds T, formed once (``numerics.form_coefficients``)
-    into storage with room for every column the loop can add, instead of
-    the kernel's factors of ``state``: a caller that rebinds to it releases
-    them before any node is factored.  The loop adds at most one column per
-    node and sweep, and no more than the N - count that the orthonormal
-    columns of Q = A^T V T leave in R^N; a class that adds any column adds
-    at most one raw column per node.  Storage that cannot be allocated is a
-    ``SolverFailureError``.  Each class writes its block column beside T,
-    so no yielded T changes.
+    A sweep that adds no column leaves the state as it was, and every later
+    sweep would too: the loop then drops its held factors and yields that
+    state for each remaining sweep, with no residual and no factor.
 
     The systems A_I A_I^T of the neighbourhood interiors I are sliced from
     one A A^T per sweep and factored in symmetric mode, once per node and
@@ -264,25 +260,11 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
     last sweep, which drops each after its solve.  No A A^T, and after the
     last sweep no factor, is alive at a yield.
     """
-    if not sweeps:
-        yield state
-        return
-    classes = coloring(topology)
-    rows, count = state.basis.V.shape[1], state.basis.count
-    room = sweeps * sum(len(nodes) for nodes in classes)
-    columns = min(room, state.op.A.shape[0] - count)
-    shape = (rows + min(room, columns * max(len(nodes) for nodes in classes)), count + columns)
-    try:
-        storage = np.zeros(shape, order="F")
-    except MemoryError:
-        raise SolverFailureError(f"cannot allocate the online storage of T, {shape}") from None
-    T = form_coefficients(state.basis.steps, out=storage)[:rows]
-    state = replace(state, basis=replace(state.basis, steps=(T,)))
     yield state
-    op = state.op
+    classes, op = coloring(topology), state.op
     floor = RESIDUAL_FLOOR * max(np.linalg.norm(op.f), 1.0)
     held: dict[int, CheckedFactor] = {}
-    held_bytes, gram = 0, None
+    held_bytes, gram, stalled = 0, None, False
 
     def factor(node: int, I: np.ndarray) -> CheckedFactor:
         nonlocal held_bytes, gram
@@ -299,11 +281,12 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
         return made
 
     for sweep in range(1, sweeps + 1):
-        last = sweep == sweeps
-        for nodes in classes:
-            new = _online_columns(state, topology, nodes, residual_full(state), floor, factor)
-            state = append_test_columns(state, new, storage)
-        gram = None
-        if last:
+        last, before = sweep == sweeps, state
+        if not stalled:
+            for nodes in classes:
+                new = _online_columns(state, topology, nodes, residual_full(state), floor, factor)
+                state = append_test_columns(state, new)
+            gram, stalled = None, state is before
+        if last or stalled:
             held.clear()
         yield state

@@ -44,7 +44,7 @@ class InvalidCoefficientError(MspgError):
 
 class SolverFailureError(MspgError):
     """A solve failed: a linear solve missed its residual contract, a
-    reduced system lost rank, or the online loop's storage was refused.
+    reduced system lost rank, or a Gram matrix was not positive definite.
 
     ``residual`` holds the achieved relative residual when known.
     """

@@ -300,8 +300,7 @@ class Workspace:
         one to the orthonormalization solves on its own test matrix.  The
         group's solve is released before the last L's online sweeps, and
         each L's rows come from one online loop (``coupling.online_enrich``),
-        whose first yield releases the cell's offline solve: every
-        neighbourhood is factored once per cell, and T grows in place.
+        which factors every neighbourhood once per cell.
         """
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m)

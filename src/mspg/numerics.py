@@ -293,23 +293,12 @@ def orthonormal_row_blocks(V, steps):
         yield rows, block
 
 
-def form_coefficients(steps, out=None) -> np.ndarray:
+def form_coefficients(steps) -> np.ndarray:
     """The K x K T = C R_1^{-1} [R_2^{-1}] of ``steps`` = (C, R_1[, R_2]),
-    Fortran-ordered; a one-factor ``steps`` = (T,) is T itself.  With
-    ``out``, a Fortran-ordered array with at least T's rows and columns, T
-    is formed in place in the leading rows of its leading columns, which
-    are returned; the rows below T's must be zero, and stay zero.  Only the
-    online loop, which grows T, needs it formed: every other product with T
-    goes through ``apply_coefficients`` or ``coefficient_product``."""
+    Fortran-ordered: the formed reference of the products with T, which
+    all go through ``apply_coefficients`` and ``coefficient_product``."""
     C, *factors = steps
-    if out is None:
-        if not factors:
-            return C
-        out = np.array(C, order="F")
-    else:
-        out = out[:, : C.shape[1]]
-        out[: C.shape[0]] = C
-    return functools.reduce(_solve_right_upper, factors, out)
+    return functools.reduce(_solve_right_upper, factors, np.array(C, order="F"))
 
 
 def apply_coefficients(steps, w) -> np.ndarray:

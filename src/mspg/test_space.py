@@ -22,9 +22,9 @@ stiffness matrix restricted to the edge region:
 B itself is never formed, so no condition number is squared.  The test
 basis (``TestBasis``) is the raw sparse columns V with A^T V and the
 factors of the small coefficients T that make Q = A^T V T orthonormal;
-offline neither T nor Q is formed.  The online loop
-(``coupling.online_enrich``) grows a basis by ``extend_test_basis``, which
-writes each new block column of T into the loop's storage.
+neither T nor Q is formed.  The online loop (``coupling.online_enrich``)
+grows a basis by ``extend_test_basis``, which adds one block of factors
+per class of online columns.
 
 Every snapshot but the bubbles is adjoint-harmonic inside each coarse
 block, so A^T V of W2 and W3 lives on the coarse skeleton (the rows outside
@@ -50,7 +50,6 @@ from .numerics import (
     apply_coefficients,
     coefficient_product,
     column_sparse,
-    form_coefficients,
     generalized_sym_eig,
     orthonormalize_columns,
     serial_blas,
@@ -243,24 +242,49 @@ class TestBasis:
     """Test functions Theta = V T, orthonormal in the natural norm ||A^T w||
     of the auxiliary variable: Q = A^T V T has orthonormal columns, so the
     test block of the saddle system is the identity.  ``V`` (raw columns)
-    and ``AtV`` = A^T V are CSC, and T = C R_1^{-1} [R_2^{-1}] is held as the
-    factors ``steps`` = (C, R_1[, R_2]) of ``numerics.orthonormalize_columns``
-    (a one-factor ``steps`` = (T,) is an explicit T, as the online loop grows
-    it), with a row per column of V.  Neither T nor Q is formed: products
-    with them go through ``AtV`` and the steps, in the kernel's order
-    (``numerics.apply_coefficients``, ``numerics.coefficient_product``).
-    ``kept`` holds the ascending indices of the columns of V kept, one per
-    column of T.
+    and ``AtV`` = A^T V are CSC.  T is held as factors: the offline T =
+    C R_1^{-1} [R_2^{-1}] of the first columns of V as the factors ``steps``
+    = (C, R_1[, R_2]) of ``numerics.orthonormalize_columns``, and each class
+    of columns X that ``extend_test_basis`` appended as one block ``(S,
+    steps_n)`` of ``grown``, which turns the T before it into T' = [[T,
+    -T S T_n], [0, T_n]] for the T_n of ``steps_n``.  Neither T nor Q is
+    formed: products with T walk the blocks (``apply_coefficients``,
+    ``coefficient_product``).  ``kept`` holds the ascending indices of the
+    columns of V kept, one per column of T.
     """
 
     V: sp.csc_matrix
     AtV: sp.csc_matrix
     steps: tuple
     kept: np.ndarray
+    grown: tuple = ()
 
     @property
     def count(self) -> int:
         return self.kept.size
+
+    def apply_coefficients(self, w) -> np.ndarray:
+        """T w for a vector or matrix w, from the newest block back:
+        T' [w_1; w_2] = [T (w_1 - S T_n w_2); T_n w_2], each factor set in
+        the kernel's order (``numerics.apply_coefficients``)."""
+        tail = []
+        for S, steps_n in reversed(self.grown):
+            tail.append(apply_coefficients(steps_n, w[S.shape[0] :]))
+            w = w[: S.shape[0]] - S @ tail[-1]
+        return np.concatenate([apply_coefficients(self.steps, w), *reversed(tail)])
+
+    def coefficient_product(self, Z) -> np.ndarray:
+        """T^T Z for a Z with a row per column of V (sparse only before the
+        basis grew), from the offline block on: T'^T [Z_1; Z_2] = [T^T Z_1;
+        T_n^T (Z_2 - S^T T^T Z_1)], each factor set in the kernel's order
+        (``numerics.coefficient_product``)."""
+        at = self.steps[0].shape[0]
+        product = coefficient_product(self.steps, Z[:at])
+        for S, steps_n in self.grown:
+            block = coefficient_product(steps_n, Z[at : at + S.shape[1]] - S.T @ product)
+            product = np.concatenate([product, block])
+            at += S.shape[1]
+        return product
 
 
 def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_from=None):
@@ -348,21 +372,18 @@ def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestB
     return TestBasis(V=V, AtV=AtV, steps=steps, kept=kept)
 
 
-def extend_test_basis(basis: TestBasis, op: SparseOperator, new, out: np.ndarray) -> TestBasis:
+def extend_test_basis(basis: TestBasis, op: SparseOperator, new) -> TestBasis:
     """The basis grown by the part of span(``new``) outside its span.
 
     Y = A^T new is projected against Q twice, through Q^T Y = T^T ((A^T V)^T
-    Y) and (A^T V)(T S) in the kernel's order, accumulating the coefficients
-    S; a column whose residual is at most DROPTOL of ||A^T x|| adds nothing
-    and is dropped, and the rest are orthonormalized among themselves, Q_n =
+    Y) and (A^T V)(T S) (``TestBasis.coefficient_product`` and
+    ``TestBasis.apply_coefficients``), accumulating the coefficients S; a
+    column whose residual is at most DROPTOL of ||A^T x|| adds nothing and
+    is dropped, and the rest are orthonormalized among themselves, Q_n =
     Y T_n.  Then Q_n = A^T (X - V T S) T_n for the kept columns X, so V and
-    A^T V grow by X and A^T X, and T by the block column [-T S T_n; T_n].
-    ``out`` is the Fortran-ordered storage of the online loop
-    (``coupling.online_enrich``): its leading block is ``basis``'s T, it is
-    zero below T, and it has room for the block column, which is written in
-    place beside T.  The grown basis holds the new leading block as its
-    explicit T alone, ``steps`` = (T,).  A ``new`` that adds nothing returns
-    ``basis`` itself and leaves ``out`` as it is.
+    A^T V grow by X and A^T X, and T by the block column [-T S T_n; T_n],
+    held as the block (S, steps_n) of ``TestBasis.grown``, the factors of
+    T_n.  A ``new`` that adds nothing returns ``basis`` itself.
     """
     new = sp.csc_matrix(new, dtype=float)
     AtX = (op.A.T @ new).tocsc()
@@ -370,19 +391,17 @@ def extend_test_basis(basis: TestBasis, op: SparseOperator, new, out: np.ndarray
     norms = np.linalg.norm(Y, axis=0)
     S = np.zeros((basis.count, Y.shape[1]))
     for _ in range(2):
-        C = coefficient_product(basis.steps, basis.AtV.T @ Y)
-        Y -= basis.AtV @ apply_coefficients(basis.steps, C)
+        C = basis.coefficient_product(basis.AtV.T @ Y)
+        Y -= basis.AtV @ basis.apply_coefficients(C)
         S += C
     keep = np.linalg.norm(Y, axis=0) > DROPTOL * norms
     kept_n, steps_n = orthonormalize_columns(Y[:, keep])
     if not kept_n.size:
         return basis
-    T_n = form_coefficients(steps_n)
-    rows, count = basis.V.shape[1], basis.count
-    rows_new, count_new = rows + T_n.shape[0], count + T_n.shape[1]
-    out[:rows, count:count_new] = -out[:rows, :count] @ (S[:, keep] @ T_n)
-    out[rows:rows_new, count:count_new] = T_n
-    V = sp.hstack([basis.V, new[:, keep]], format="csc")
-    AtV = sp.hstack([basis.AtV, AtX[:, keep]], format="csc")
-    kept = np.concatenate([basis.kept, rows + kept_n])
-    return TestBasis(V, AtV, (out[:rows_new, :count_new],), kept)
+    return TestBasis(
+        sp.hstack([basis.V, new[:, keep]], format="csc"),
+        sp.hstack([basis.AtV, AtX[:, keep]], format="csc"),
+        basis.steps,
+        np.concatenate([basis.kept, basis.V.shape[1] + kept_n]),
+        basis.grown + ((S[:, keep], steps_n),),
+    )

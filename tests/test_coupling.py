@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from mspg import coupling, numerics, test_space
 from mspg.assembly import assemble, constant_field
-from mspg.harness import run_experiment, sweep_experiment
+from mspg.harness import ExperimentConfig, Workspace, run_experiment, sweep_experiment
 from mspg.coupling import (
     append_test_columns,
     error_report,
@@ -245,7 +245,7 @@ def test_online_test_space_stays_orthonormal(tiny, basis_q):
     Q = basis_q()  # the offline block, then every online block Q_n
     assert added > 0 and Q.shape[1] == state.basis.count + added
     assert abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-12
-    assert _relative(tiny.op.A.T @ (basis.V @ form_coefficients(basis.steps)), Q) <= 1e-10
+    assert _relative(tiny.op.A.T @ (basis.V @ _formed(basis)), Q) <= 1e-10
 
 
 def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
@@ -255,11 +255,11 @@ def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
     inside = V @ (form_coefficients(basis.steps)[:, :3] @ rng.standard_normal(3))
     outside = rng.standard_normal(V.shape[0])
     new = np.column_stack([inside, outside])
-    ext = test_space.extend_test_basis(basis, tiny.op, new, _storage(basis, 2))
+    ext = test_space.extend_test_basis(basis, tiny.op, new)
     assert ext.count == basis.count + 1 and ext.V.shape[1] == V.shape[1] + 1
     Q = basis_q()
     assert abs(Q.T @ Q - np.eye(ext.count)).max() <= 1e-12
-    assert _relative(tiny.op.A.T @ (ext.V @ form_coefficients(ext.steps)), Q) <= 1e-10
+    assert _relative(tiny.op.A.T @ (ext.V @ _formed(ext)), Q) <= 1e-10
     # the kept column spans the part of A^T outside that lies outside A^T Theta
     y = tiny.op.A.T @ outside
     Q_0 = Q[:, : basis.count]
@@ -277,13 +277,9 @@ def _online_block(ws, state):
     return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0, factor)
 
 
-def _storage(basis, room):
-    """Fortran storage holding the T of ``basis`` with ``room`` spare rows
-    and columns, zero elsewhere, as the online loop makes it."""
-    rows = basis.V.shape[1]
-    out = np.zeros((rows + room, basis.count + room), order="F")
-    form_coefficients(basis.steps, out=out)
-    return out
+def _formed(basis):
+    """The T of ``basis``, grown or not, formed as T times the identity."""
+    return basis.apply_coefficients(np.eye(basis.count))
 
 
 def _relative(a, b):
@@ -299,7 +295,7 @@ def test_bordered_update_matches_a_full_solve(request, name, basis_q):
     state = solve_coupled(ws.op, V, ws.trial(m), interiors, harmonic_from)
     new = _online_block(ws, state)
     assert new.shape[1] > 0
-    bordered = append_test_columns(state, new, _storage(state.basis, new.shape[1]))
+    bordered = append_test_columns(state, new)
     bordered_q = basis_q()  # the offline block, then the online block Q_n
     # the online columns are not adjoint-harmonic: no column is marked
     full = solve_coupled(ws.op, sp.hstack([V, new]), ws.trial(m), interiors)
@@ -429,14 +425,12 @@ def test_projection_error_matches_the_row_block_formula(ws_contrast, m):
 
 
 def _forming_spy(monkeypatch):
-    """(rows, columns) of every T formed from a kernel's factors from here
-    on; an explicit one-factor T is not formed."""
+    """(rows, columns) of every T formed from here on."""
     shapes, form = [], numerics.form_coefficients
 
-    def spying(steps, out=None):
-        if len(steps) > 1:
-            shapes.append((steps[0].shape[0], steps[-1].shape[1]))
-        return form(steps, out)
+    def spying(steps):
+        shapes.append((steps[0].shape[0], steps[-1].shape[1]))
+        return form(steps)
 
     for module in (numerics, test_space, coupling):
         if hasattr(module, "form_coefficients"):
@@ -445,24 +439,12 @@ def _forming_spy(monkeypatch):
 
 
 def test_no_t_is_formed_offline(tiny, ws_contrast, monkeypatch):
+    # nor online: a grown basis holds one block of factors per class
     shapes = _forming_spy(monkeypatch)
-    assert len(run_experiment(dataclasses.replace(tiny.config, online_iters=0))) == 1
-    assert shapes == []
+    rows = run_experiment(dataclasses.replace(tiny.config, online_iters=2))
+    assert [row.online_iter for row in rows] == [0, 1, 2] and shapes == []
     rows = sweep_experiment(ws_contrast.config, [3], [1, 3], [1, 2], online_iters=0)
     assert len(rows) == 4 and shapes == []
-
-
-def test_the_online_loop_forms_t_once_per_cell(tiny, monkeypatch):
-    # the loop forms the cell's offline T as it starts, and every extension
-    # grows the explicit T; the other forms are the online blocks' own T_n
-    shapes = _forming_spy(monkeypatch)
-    sizes = [tiny.test_matrix(1, L, 1).shape[1] for L in (1, 3)]
-    rows = tiny.run_cell(1, [1, 3], 1, online_iters=1)
-    assert [row.online_iter for row in rows] == [0, 1, 0, 1]
-    offline = [shape for shape in shapes if shape[0] in sizes]
-    assert offline == [(n, n) for n in sizes]
-    assert len(shapes) > len(offline)
-    assert all(max(shape) < sizes[0] for shape in shapes if shape not in offline)
 
 
 def test_no_array_with_a_row_per_fine_dof_is_held(tiny):
@@ -520,7 +502,7 @@ def test_appending_columns_in_the_test_span_changes_nothing(tiny, kind):
     coefficients = np.random.default_rng(4).standard_normal(state.basis.count)
     T = form_coefficients(state.basis.steps)
     column = V @ (T @ coefficients) if kind == "in_span" else np.zeros(V.shape[0])
-    assert append_test_columns(state, column[:, None], _storage(state.basis, 1)) is state
+    assert append_test_columns(state, column[:, None]) is state
 
 
 def test_solution_depends_on_the_test_span_only(tiny):
@@ -656,32 +638,6 @@ def test_a_one_sweep_cell_holds_no_factor(tiny, monkeypatch):
     assert _all_released(made)
 
 
-def test_the_offline_factors_are_released_before_the_first_online_factor(tiny, monkeypatch):
-    # run_cell rebinds its state to the loop's first yield, which holds the
-    # formed T alone, so the kernel's factors of the cell's offline solve
-    # (views of the group's, or the group's own for the largest L) are dead
-    # before the loop factors a node
-    offline, released = [], []
-    leading = coupling.leading_block
-
-    def spying(group, n):
-        cell = leading(group, n)
-        offline.append([weakref.ref(step) for step in cell.basis.steps])
-        return cell
-
-    class Spying(numerics.CheckedFactor):
-        def __init__(self, *args, **kwargs):
-            gc.collect()
-            released.append(all(ref() is None for ref in offline[-1]))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(coupling, "leading_block", spying)
-    monkeypatch.setattr(coupling, "CheckedFactor", Spying)
-    rows = tiny.run_cell(1, [1, 3], 1, online_iters=2)
-    assert [row.online_iter for row in rows] == [0, 1, 2] * 2
-    assert len(offline) == 2 and released and all(released)
-
-
 @pytest.mark.parametrize("sweeps, skip_last", [(1, False), (2, False), (2, True)])
 def test_no_gram_and_no_last_sweep_factor_is_alive_at_a_yield(
     tiny, monkeypatch, sweeps, skip_last
@@ -742,67 +698,95 @@ def _grown_by_blocks(basis, op, new):
     norms = np.linalg.norm(Y, axis=0)
     S = np.zeros((basis.count, Y.shape[1]))
     for _ in range(2):
-        C = coefficient_product(basis.steps, basis.AtV.T @ Y)
-        Y -= basis.AtV @ apply_coefficients(basis.steps, C)
+        C = basis.coefficient_product(basis.AtV.T @ Y)
+        Y -= basis.AtV @ basis.apply_coefficients(C)
         S += C
     keep = np.linalg.norm(Y, axis=0) > numerics.DROPTOL * norms
-    T, T_n = form_coefficients(basis.steps), form_coefficients(orthonormalize_columns(Y[:, keep])[1])
+    T, T_n = _formed(basis), form_coefficients(orthonormalize_columns(Y[:, keep])[1])
     zero = np.zeros((T_n.shape[0], basis.count))
     return np.block([[T, -T @ (S[:, keep] @ T_n)], [zero, T_n]])
 
 
 def test_t_grown_in_place_matches_the_block_construction(tiny, monkeypatch):
+    # every class of both sweeps, the second extending grown bases
     grown, extend = [], test_space.extend_test_basis
 
-    def checking(basis, op, new, out):
-        ext = extend(basis, op, new, out)
-        (T,) = ext.steps
-        grown.append(_relative(T, _grown_by_blocks(basis, op, new)))
+    def checking(basis, op, new):
+        ext = extend(basis, op, new)
+        grown.append(_relative(_formed(ext), _grown_by_blocks(basis, op, new)))
         return ext
 
     monkeypatch.setattr(coupling, "extend_test_basis", checking)
     state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1))
-    list(online_enrich(state, tiny.topology, 1))
-    assert len(grown) == len(coloring(tiny.topology))
+    list(online_enrich(state, tiny.topology, 2))
+    assert len(grown) == 2 * len(coloring(tiny.topology))
     assert max(grown) <= 1e-15
 
 
 def test_every_state_a_loop_yields_keeps_its_arrays(tiny):
-    # the loop grows T in place, beside the T of every state it yielded:
-    # none of them changes once a later sweep writes its block columns
+    # each class adds a block of factors beside the arrays of every state
+    # the loop yielded: none of them changes once a later sweep grows T
     state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1))
     (only,) = online_enrich(state, tiny.topology, 0)
     assert only is state
-    held = lambda s: (s.basis.steps[0], s.G_wu, s.rhs_w)
+
+    def held(s):
+        blocks = [a for S, steps_n in s.basis.grown for a in (S, *steps_n)]
+        return (*s.basis.steps, *blocks, s.G_wu, s.rhs_w)
+
     yielded = [(s, [a.copy() for a in held(s)]) for s in online_enrich(state, tiny.topology, 2)]
     states = [s for s, _ in yielded]
     assert len(states) == 3 and states[0].basis.count < states[-1].basis.count
-    assert all(np.shares_memory(s.basis.steps[0], states[-1].basis.steps[0]) for s in states)
     for s, before in yielded:
         assert all(np.array_equal(a, b) for a, b in zip(held(s), before, strict=True))
 
 
-def test_online_storage_is_bounded_by_the_dofs(tiny):
-    # Q = A^T V T has orthonormal columns in R^N, so however many sweeps are
-    # asked for, T's storage has at most N columns, and a class that adds any
-    # column adds at most one raw column per node of the class
+def test_the_first_yield_is_the_state_itself(tiny):
+    # nothing is sized by the sweeps asked for, however many they are
     state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1))
-    first = next(online_enrich(state, tiny.topology, 10**6))
-    storage = first.basis.steps[0].base
-    N, largest = tiny.mesh.num_dofs, max(len(nodes) for nodes in coloring(tiny.topology))
-    rows, count = state.basis.V.shape[1], state.basis.count
-    assert storage.shape == (rows + (N - count) * largest, N)
+    assert next(online_enrich(state, tiny.topology, 10**6)) is state
 
 
-def test_online_storage_refused_is_a_solver_failure(tiny, monkeypatch):
-    zeros = np.zeros
+def test_a_stalled_loop_forms_no_residual(tiny, monkeypatch):
+    # once a whole sweep adds no column, so would every later one: the loop
+    # drops its held factors and yields that state for each remaining sweep
+    # without a residual
+    calls, residual, made = [], coupling.residual_full, _factor_spy(monkeypatch)
 
-    def refusing(shape, *args, order="C", **kwargs):
-        if order == "F":
-            raise MemoryError("refused")
-        return zeros(shape, *args, order=order, **kwargs)
+    def counting(state):
+        calls.append(state)
+        return residual(state)
 
+    monkeypatch.setattr(coupling, "residual_full", counting)
     state = solve_coupled(tiny.op, tiny.test_matrix(1, 1, 1), tiny.trial(1))
-    monkeypatch.setattr(coupling.np, "zeros", refusing)
-    with pytest.raises(SolverFailureError, match="online storage"):
-        next(online_enrich(state, tiny.topology, 1))
+    states, released = [], []
+    for s in online_enrich(state, tiny.topology, 50):
+        if states and s is states[-1] and not released:
+            released.append(_all_released(made))
+        states.append(s)
+    assert len(states) == 51 and released == [True]
+    stalled = next(k for k in range(1, 51) if states[k] is states[k - 1])
+    assert all(s is states[stalled] for s in states[stalled:])
+    assert len(calls) <= 4 * (stalled + 1)
+
+
+@pytest.fixture(scope="module")
+def ws_ex4():
+    """Example-4 workspace on the desk grid."""
+    return Workspace(ExperimentConfig(example=4, nc=8, n=64, m=1, L=3, eigenproblem=2))
+
+
+@pytest.mark.parametrize("name", ["ws_contrast", "ws_ex4"])
+def test_online_rows_match_a_fresh_solve_on_the_grown_test_matrix(request, name):
+    ws = request.getfixturevalue(name)
+    m, Xi, proj = ws.config.m, ws.trial(ws.config.m), ws.projection_error(ws.config.m)
+    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
+    state = solve_coupled(ws.op, V, Xi, *ws.image_structure(m))
+    states = list(online_enrich(state, ws.topology, 3))
+    assert len(states) == 4 and states[-1].basis.count > state.basis.count
+    for s in states:
+        fresh = solve_coupled(ws.op, s.basis.V, Xi)
+        rep, ref = error_report(s, ws.u_ref, proj), error_report(fresh, ws.u_ref, proj)
+        for field in ("err_ms_pct", "w_norm"):
+            assert getattr(rep, field) == pytest.approx(getattr(ref, field), rel=1e-12), field
+        assert infsup_estimate(s) == pytest.approx(infsup_estimate(fresh), rel=1e-12)

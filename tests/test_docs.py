@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import pkgutil
 import re
@@ -8,9 +9,11 @@ import mspg
 from mspg.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted(Path(mspg.__file__).parent.glob("*.py"))
 MODULES = {module.name for module in pkgutil.iter_modules(mspg.__path__)}
 # a backticked span that starts with a dotted name, such as
-# `coupling.online_enrich` or `numerics.form_coefficients(steps, out=)`
+# `coupling.online_enrich` or `numerics.apply_coefficients(steps, w)`; it
+# also finds the inner span of a double-backticked one, as in docstrings
 DOTTED = re.compile(r"`(?:mspg\.)?(\w+)((?:\.\w+)+)[^`\n]*`")
 
 
@@ -23,15 +26,35 @@ def _resolves(module: str, path: str) -> bool:
     return True
 
 
-def test_every_module_name_in_the_readme_resolves():
+def _unresolved(texts) -> list[str]:
+    """The module names in ``texts`` that do not resolve."""
     names = {
         (module, path[1:])
-        for module, path in DOTTED.findall(README.read_text())
+        for text in texts
+        for module, path in DOTTED.findall(text)
         if module in MODULES
     }
-    assert names  # the README names the modules' functions
-    unresolved = sorted(f"{module}.{path}" for module, path in names if not _resolves(module, path))
-    assert unresolved == []
+    assert names  # the texts name the modules' functions
+    return sorted(f"{module}.{path}" for module, path in names if not _resolves(module, path))
+
+
+def _docstrings(path: Path) -> list[str]:
+    """The docstrings of a module, its classes and its functions."""
+    tree = ast.parse(path.read_text())
+    nodes = [tree] + [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [doc for node in nodes if (doc := ast.get_docstring(node))]
+
+
+def test_every_module_name_in_the_readme_resolves():
+    assert _unresolved([README.read_text()]) == []
+
+
+def test_every_module_name_in_the_docstrings_resolves():
+    assert _unresolved([doc for path in SOURCES for doc in _docstrings(path)]) == []
 
 
 def _long_options(parser) -> dict[str, set[str]]:
