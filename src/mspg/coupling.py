@@ -15,7 +15,7 @@ per online class, and applied in the kernel's order: G_wu and rhs_w
 through ``test_space.TestBasis.coefficient_product``, the fine test
 function w_fine = V (T w) through ``test_space.TestBasis.apply_coefficients``.
 T is never formed.  The online loop is ``online_enrich``, a generator that
-owns the neighbourhood factors it reuses between sweeps.
+holds no factor between its sweeps.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .assembly import SparseOperator
 from .errors import SolverFailureError
 from .grid import CoarseTopology, coloring
 from .numerics import (
-    HELD_FACTOR_BYTES,
     CheckedFactor,
     apply_coefficients,
     coefficient_product,
@@ -223,11 +222,11 @@ def residual_full(state: SaddleState) -> np.ndarray:
     return op.A @ (op.A.T @ state.w_fine + state.u_fine) - op.f
 
 
-def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor, factor):
+def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floor, gram):
     """Local squared-operator solves against the residual, one CSC column
-    per node, on one BLAS thread (``serial_blas``); ``factor(node, I)`` is
-    the node's factor of A_I A_I^T for its interior I.  A factor the loop
-    does not hold dies with its solve."""
+    per node, on one BLAS thread (``serial_blas``).  Each node's A_I A_I^T,
+    sliced from ``gram`` = A A^T for its interior I, is factored one-shot in
+    symmetric mode and dropped with its solve."""
     op = state.op
     blocks = []
     with serial_blas():
@@ -236,7 +235,9 @@ def _online_columns(state: SaddleState, topology: CoarseTopology, nodes, r, floo
             r_I = r[I]
             if np.linalg.norm(r_I) <= floor:
                 continue
-            blocks.append((I, factor(int(node), I).solve(r_I)[:, None]))
+            label = f"node {int(node)} online"
+            x = CheckedFactor(gram[I][:, I], label, held=False, spd=True).solve(r_I)
+            blocks.append((I, x[:, None]))
     return column_sparse(op.A.shape[0], blocks)
 
 
@@ -250,43 +251,24 @@ def online_enrich(state: SaddleState, topology: CoarseTopology, sweeps: int):
     independent.  The coupled system is re-solved after every class, by
     ``append_test_columns``, so later classes see the updated residual.
     A sweep that adds no column leaves the state as it was, and every later
-    sweep would too: the loop then drops its held factors and yields that
-    state for each remaining sweep, with no residual and no factor.
+    sweep would too: the loop then yields that state for each remaining
+    sweep, with no residual and no factor.
 
-    The systems A_I A_I^T of the neighbourhood interiors I are sliced from
-    one A A^T per sweep and factored in symmetric mode, once per node and
-    loop: by the held routine and kept while a later sweep will reuse them
-    and their ``nbytes`` stay within HELD_FACTOR_BYTES, one-shot in the
-    last sweep, which drops each after its solve.  No A A^T, and after the
-    last sweep no factor, is alive at a yield.
+    A sweep that is not stalled forms A A^T once, and ``_online_columns``
+    factors each node's A_I A_I^T from it where the node is solved.  A A^T
+    is dropped before the sweep's yield, so no factor and no A A^T is alive
+    at a yield: the loop holds nothing between sweeps but the state.
     """
     yield state
     classes, op = coloring(topology), state.op
     floor = RESIDUAL_FLOOR * max(np.linalg.norm(op.f), 1.0)
-    held: dict[int, CheckedFactor] = {}
-    held_bytes, gram, stalled = 0, None, False
-
-    def factor(node: int, I: np.ndarray) -> CheckedFactor:
-        nonlocal held_bytes, gram
-        found = held.pop(node, None) if last else held.get(node)
-        if found is not None:
-            return found
-        if gram is None:
-            gram = (op.A @ op.A.T).tocsr()
-        hold = not last and held_bytes < HELD_FACTOR_BYTES
-        made = CheckedFactor(gram[I][:, I], f"node {node} online", held=hold, spd=True)
-        if hold and held_bytes + made.nbytes <= HELD_FACTOR_BYTES:
-            held[node] = made
-            held_bytes += made.nbytes
-        return made
-
-    for sweep in range(1, sweeps + 1):
-        last, before = sweep == sweeps, state
+    stalled = False
+    for _ in range(sweeps):
         if not stalled:
+            before, gram = state, (op.A @ op.A.T).tocsr()
             for nodes in classes:
-                new = _online_columns(state, topology, nodes, residual_full(state), floor, factor)
+                new = _online_columns(state, topology, nodes, residual_full(state), floor, gram)
                 state = append_test_columns(state, new)
-            gram, stalled = None, state is before
-        if last or stalled:
-            held.clear()
+            del gram
+            stalled = state is before
         yield state

@@ -148,13 +148,6 @@ class CheckedFactor:
             raise LocalSolverError(f"local solve failed{self._where}: {exc}") from exc
 
     @property
-    def nbytes(self) -> int:
-        """Bytes held, estimated as K plus an 8-byte value and a 4-byte row
-        index per entry of L and U."""
-        K = self.K
-        return K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + 12 * self._lu.nnz
-
-    @property
     def _where(self) -> str:
         return f" ({self.label})" if self.label else ""
 
@@ -191,14 +184,10 @@ def harmonic_extension(K, interior, boundary, traces=None, label: str = "", fact
     Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``, or
     through ``factor``, a ``CheckedFactor`` of K_II (a coarse block
     interior's, made once); with ``traces=None`` g is the identity, one
-    column per boundary delta.  A CSC ``K`` (such as the transpose of a CSR
-    operator) is sliced by columns first, so no call scans all of ``K``.
+    column per boundary delta.
     """
-    if K.format == "csc":
-        K_ii, K_ib = K[:, interior][interior], K[:, boundary][interior]
-    else:
-        K_I = K[interior]
-        K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
+    K_I = K[interior]
+    K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
     rhs = -(K_ib.toarray() if traces is None else K_ib @ traces)
     if factor is not None:
         return factor.solve(rhs)
@@ -233,13 +222,6 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
 DROPTOL = 1e-10
 # bytes of one row block of an orthonormal Q, the most of Q ever held
 ROW_BLOCK_BYTES = 32 * 2**20
-# bytes of the neighbourhood factors an online loop may hold for its later
-# sweeps (``coupling.online_enrich``), by the ``CheckedFactor.nbytes``
-# estimate: all of them at n=200 (about 200 MB), a part at n=400 (about 1 GB).
-# The cap bounds the estimate, not the heap: SuperLU's per-supernode arrays
-# and permutations are not counted, and the 200.2 MB held at n=200 take
-# 234.3 MB of heap (+17%)
-HELD_FACTOR_BYTES = 256 * 2**20
 # eta = ||Q_0^T Q_0 - I||_F <= 1/11 gives kappa(Q_0)^2 <= (1+eta)/(1-eta) <= 6/5,
 # where one CholeskyQR pass meets the CholeskyQR2 bound (``orthonormalize_columns``)
 ONE_PASS_MAX_DEVIATION = 1.0 / 11.0

@@ -269,12 +269,11 @@ def test_online_extension_skips_columns_in_the_test_span(tiny, basis_q):
 
 
 def _online_block(ws, state):
-    """The first parity class's raw online columns, as a one-sweep loop forms
-    them: each node's A_I A_I^T sliced from A A^T, factored one-shot."""
+    """The first parity class's raw online columns, as a sweep forms them:
+    each node's A_I A_I^T sliced from A A^T, factored one-shot."""
     gram = (ws.op.A @ ws.op.A.T).tocsr()
-    factor = lambda node, I: numerics.CheckedFactor(gram[I][:, I], held=False, spd=True)
     nodes = coloring(ws.topology)[0]
-    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0, factor)
+    return coupling._online_columns(state, ws.topology, nodes, residual_full(state), 0.0, gram)
 
 
 def _formed(basis):
@@ -587,14 +586,16 @@ def test_online_sweep_on_a_leading_block_leaves_the_group_unchanged(tiny):
 
 
 def _factor_spy(monkeypatch):
-    """(label, held, weak reference) of every online factor made from here
-    on; the workspace's block factors are made elsewhere."""
+    """(label, held, weak reference, online factors alive as it is asked
+    for) of every online factor made from here on; the workspace's block
+    factors are made elsewhere."""
     made = []
 
     class Spying(numerics.CheckedFactor):
         def __init__(self, K, label="", held=True, spd=False):
+            alive = sum(ref() is not None for _, _, ref, _ in made)
             super().__init__(K, label, held, spd)
-            made.append((label, held, weakref.ref(self)))
+            made.append((label, held, weakref.ref(self), alive))
 
     monkeypatch.setattr(coupling, "CheckedFactor", Spying)
     return made
@@ -602,93 +603,85 @@ def _factor_spy(monkeypatch):
 
 def _all_released(made):
     gc.collect()
-    return all(ref() is None for _, _, ref in made)
+    return all(ref() is None for _, _, ref, _ in made)
+
+
+def _alive_at_rows(tiny, monkeypatch, made):
+    """(one-shot factors, all factors, A A^T) alive at each row ``run_cell``
+    reports from here on, which is each state the loop yields."""
+    A, N = tiny.op.A, tiny.mesh.num_dofs
+    gram_nnz = (A @ A.T).nnz
+    alive, report = [], coupling.error_report
+
+    def reporting(*args, **kwargs):
+        gc.collect()
+        squares = [o for o in gc.get_objects() if sp.issparse(o) and o.shape == (N, N)]
+        live = [held for _, held, ref, _ in made if ref() is not None]
+        alive.append((live.count(False), len(live), sum(o.nnz == gram_nnz for o in squares)))
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "error_report", reporting)
+    return alive
 
 
 def test_a_cell_factors_each_online_node_once(tiny, monkeypatch):
-    made = _factor_spy(monkeypatch)
-    alive = []  # online factors alive as each local solve asks for its factor
-    columns = coupling._online_columns
+    # in every sweep, one sweep or two, a node's factor is made one-shot
+    # where the node is solved and is gone when the next node asks for its own
+    for sweeps in (1, 2):
+        made = _factor_spy(monkeypatch)
+        rows = tiny.run_cell(1, 1, 1, online_iters=sweeps)
+        assert [row.online_iter for row in rows] == list(range(sweeps + 1))
+        labels = [label for label, _, _, _ in made]
+        nodes = len(set(labels))
+        assert nodes > 0 and labels == labels[:nodes] * sweeps
+        assert not any(held for _, held, _, _ in made)
+        assert all(alive == 0 for _, _, _, alive in made)
+        assert _all_released(made)
 
-    def counting(*args):
-        *rest, factor = args
 
-        def counted(node, I):
-            alive.append(sum(ref() is not None for _, _, ref in made))
-            return factor(node, I)
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_the_loop_holds_no_factor_and_no_gram_at_a_yield(tiny, monkeypatch, sweeps):
+    # each sweep factors, one-shot, exactly the nodes whose residual passes
+    # the floor, and no factor it made and no A A^T outlives it
+    made, counts, columns = _factor_spy(monkeypatch), [], coupling._online_columns
 
-        return columns(*rest, counted)
+    def counting(state, topology, nodes, r, floor, gram):
+        start = len(made)
+        new = columns(state, topology, nodes, r, floor, gram)
+        interiors = [topology.neighborhoods[int(node)].interior for node in nodes]
+        passing = sum(np.linalg.norm(r[I]) > floor for I in interiors)
+        counts.append((passing, len(made) - start))
+        return new
 
     monkeypatch.setattr(coupling, "_online_columns", counting)
-    rows = tiny.run_cell(1, 1, 1, online_iters=2)
-    assert [row.online_iter for row in rows] == [0, 1, 2]
-    labels = [label for label, _, _ in made]
-    assert labels and len(set(labels)) == len(labels)
-    # held for the second sweep, which drops each one after its solve
-    assert all(held for _, held, _ in made)
-    nodes = len(labels)
-    assert alive == list(range(nodes)) + list(range(nodes, 0, -1))
-    assert _all_released(made)
-
-
-def test_a_one_sweep_cell_holds_no_factor(tiny, monkeypatch):
-    made = _factor_spy(monkeypatch)
-    tiny.run_cell(1, 1, 1, online_iters=1)
-    assert made and not any(held for _, held, _ in made)
-    assert _all_released(made)
+    alive = _alive_at_rows(tiny, monkeypatch, made)
+    tiny.run_cell(1, 1, 1, online_iters=sweeps)
+    assert alive == [(0, 0, 0)] * (sweeps + 1)
+    assert len(counts) == sweeps * len(coloring(tiny.topology))
+    assert all(passing == factored for passing, factored in counts)
+    assert made and not any(held for _, held, _, _ in made)
 
 
 @pytest.mark.parametrize("sweeps, skip_last", [(1, False), (2, False), (2, True)])
 def test_no_gram_and_no_last_sweep_factor_is_alive_at_a_yield(
     tiny, monkeypatch, sweeps, skip_last
 ):
-    # checked where run_cell reports each state the loop yields: a factor
-    # made one-shot (every one of the last sweep) and the sweep's A A^T die
-    # within the sweep, and after the last sweep no factor is left, not
-    # even the held one of a node whose residual the last sweep skips
+    # checked where run_cell reports each state the loop yields: every
+    # factor dies with its solve and the sweep's A A^T within the sweep, also
+    # when the last sweep skips every node's residual
     made = _factor_spy(monkeypatch)
     if skip_last:
         columns, calls, classes = coupling._online_columns, [], len(coloring(tiny.topology))
 
-        def skipping(state, topology, nodes, r, floor, factor):
+        def skipping(state, topology, nodes, r, floor, gram):
             calls.append(nodes)
             last = len(calls) > (sweeps - 1) * classes
-            return columns(state, topology, nodes, r, np.inf if last else floor, factor)
+            return columns(state, topology, nodes, r, np.inf if last else floor, gram)
 
         monkeypatch.setattr(coupling, "_online_columns", skipping)
-    A, N = tiny.op.A, tiny.mesh.num_dofs
-    gram_nnz = (A @ A.T).nnz
-    alive = []  # (one-shot factors, all factors, A A^T) alive at each row
-    report = coupling.error_report
-
-    def reporting(*args, **kwargs):
-        gc.collect()
-        squares = [o for o in gc.get_objects() if sp.issparse(o) and o.shape == (N, N)]
-        live = [held for _, held, ref in made if ref() is not None]
-        alive.append((live.count(False), len(live), sum(o.nnz == gram_nnz for o in squares)))
-        return report(*args, **kwargs)
-
-    monkeypatch.setattr(coupling, "error_report", reporting)
+    alive = _alive_at_rows(tiny, monkeypatch, made)
     tiny.run_cell(1, 1, 1, online_iters=sweeps)
-    assert len(alive) == sweeps + 1 and len(made) > 0
-    assert all(one_shot == 0 and grams == 0 for one_shot, _, grams in alive)
-    assert alive[-1] == (0, 0, 0)
-
-
-def test_a_zero_byte_budget_refactors_every_sweep(tiny, monkeypatch):
-    cached = tiny.run_cell(1, 1, 1, online_iters=2)
-    made = _factor_spy(monkeypatch)
-    monkeypatch.setattr(coupling, "HELD_FACTOR_BYTES", 0)
-    rows = tiny.run_cell(1, 1, 1, online_iters=2)
-    labels = [label for label, _, _ in made]
-    assert len(labels) == 2 * len(set(labels)) > 0
-    assert not any(held for _, held, _ in made)
-    # the factors come from the one-shot routine instead of the held one:
-    # the same solves up to rounding
-    for row, ref in zip(rows, cached, strict=True):
-        for field in dataclasses.fields(row):
-            a, b = getattr(row, field.name), getattr(ref, field.name)
-            assert a == (pytest.approx(b, rel=1e-12) if isinstance(a, float) else b), field.name
+    assert made and alive == [(0, 0, 0)] * (sweeps + 1)
 
 
 def _grown_by_blocks(basis, op, new):
@@ -749,8 +742,7 @@ def test_the_first_yield_is_the_state_itself(tiny):
 
 def test_a_stalled_loop_forms_no_residual(tiny, monkeypatch):
     # once a whole sweep adds no column, so would every later one: the loop
-    # drops its held factors and yields that state for each remaining sweep
-    # without a residual
+    # yields that state for each remaining sweep without a residual
     calls, residual, made = [], coupling.residual_full, _factor_spy(monkeypatch)
 
     def counting(state):
@@ -784,9 +776,14 @@ def test_online_rows_match_a_fresh_solve_on_the_grown_test_matrix(request, name)
     state = solve_coupled(ws.op, V, Xi, *ws.image_structure(m))
     states = list(online_enrich(state, ws.topology, 3))
     assert len(states) == 4 and states[-1].basis.count > state.basis.count
+    # the fresh solve has a rounding floor of its own: on example 5 the first
+    # sweep's infsup_estimate sits 1.2e-12 relative from it on 2 BLAS threads
+    # (3.6e-13 on one), so the gate admits 1e-12 relative or 1e-12 absolute,
+    # whichever is larger
+    gate = dict(rel=1e-12, abs=1e-12)
     for s in states:
         fresh = solve_coupled(ws.op, s.basis.V, Xi)
         rep, ref = error_report(s, ws.u_ref, proj), error_report(fresh, ws.u_ref, proj)
         for field in ("err_ms_pct", "w_norm"):
-            assert getattr(rep, field) == pytest.approx(getattr(ref, field), rel=1e-12), field
-        assert infsup_estimate(s) == pytest.approx(infsup_estimate(fresh), rel=1e-12)
+            assert getattr(rep, field) == pytest.approx(getattr(ref, field), **gate), field
+        assert infsup_estimate(s) == pytest.approx(infsup_estimate(fresh), **gate)

@@ -85,3 +85,25 @@ def test_every_flag_in_the_readme_usage_and_notes_is_accepted():
     accepted = set().union(*_long_options(build_parser()).values())
     named = _named_flags(usage) | _named_flags(notes)
     assert named and sorted(named - accepted) == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a retired knob takes its constant with it: every module-level
+    # UPPER_CASE name is read somewhere in the package
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    constants = {
+        target.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert constants  # the package has module constants
+    assert sorted(constants - read) == []

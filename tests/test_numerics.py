@@ -173,7 +173,7 @@ def test_harmonic_extension_default_traces_are_deltas():
 
 
 def test_harmonic_extension_csc_equals_csr():
-    # the adjoint extension slices a CSC transpose by columns first
+    # a CSC K is sliced by rows like a CSR one, into the same matrices
     op = assemble(build_fine_mesh(16), constant_field(kappa=0.1, b=(1.0, -0.5)))
     block = build_coarse_topology(op.mesh, 2).blocks[0]
     At = op.A.T
