@@ -639,6 +639,13 @@ def test_a_cell_factors_each_online_node_once(tiny, monkeypatch):
         assert _all_released(made)
 
 
+def test_a_one_sweep_cell_holds_no_factor(tiny, monkeypatch):
+    made = _factor_spy(monkeypatch)
+    tiny.run_cell(1, 1, 1, online_iters=1)
+    assert made and not any(held for _, held, _, _ in made)
+    assert _all_released(made)
+
+
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
 def test_the_loop_holds_no_factor_and_no_gram_at_a_yield(tiny, monkeypatch, sweeps):
     # each sweep factors, one-shot, exactly the nodes whose residual passes
