@@ -300,7 +300,8 @@ class Workspace:
         one to the orthonormalization solves on its own test matrix.  The
         group's solve is released before the last L's online sweeps, and
         each L's rows come from one online loop (``coupling.online_enrich``),
-        which factors every neighbourhood once per cell.
+        which factors each node in every sweep, where it is solved, and
+        holds no factor between sweeps.
         """
         Ls = sorted(np.atleast_1d(L).tolist())
         Xi = self.trial(m)

@@ -275,14 +275,6 @@ def orthonormal_row_blocks(V, steps):
         yield rows, block
 
 
-def form_coefficients(steps) -> np.ndarray:
-    """The K x K T = C R_1^{-1} [R_2^{-1}] of ``steps`` = (C, R_1[, R_2]),
-    Fortran-ordered: the formed reference of the products with T, which
-    all go through ``apply_coefficients`` and ``coefficient_product``."""
-    C, *factors = steps
-    return functools.reduce(_solve_right_upper, factors, np.array(C, order="F"))
-
-
 def apply_coefficients(steps, w) -> np.ndarray:
     """T w for the T = C R_1^{-1} [R_2^{-1}] of ``steps`` and a vector or
     matrix w, in the kernel's order: R_2^{-1} first, then R_1^{-1}, then C
@@ -360,8 +352,8 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     ``kept`` holds the ascending indices of the kept columns, and ``steps``
     = (C, R_1) or (C, R_1, R_2), so T = C R_1^{-1} [R_2^{-1}], with a row per
     column of V (zero for a zero column) and a column per kept one.  T is
-    not formed (``form_coefficients``): products with it go through
-    ``apply_coefficients`` and ``coefficient_product``.
+    not formed: products with it go through ``apply_coefficients`` and
+    ``coefficient_product``.
     """
     V = sp.csc_matrix(V, dtype=float) if sp.issparse(V) else np.asarray(V, dtype=float)
     num_rows, num_cols = V.shape

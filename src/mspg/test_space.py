@@ -305,54 +305,32 @@ def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_f
     return sp.hstack([(op.A.T @ V[:, :harmonic_from]).tocsc(), tail], format="csc")
 
 
-@dataclass(frozen=True)
-class CompressedImage:
+def compressed_image(Y: sp.csc_matrix, interiors=()) -> sp.spmatrix:
     """Rows with the Gram of a sparse image Y, for the orthonormalization.
 
-    ``rows`` holds the rows ``plain`` of Y as they are, then, per entry
-    ``(interior, F)`` of ``blocks``, the c x c factor R of the QR
-    Y[interior][:, stored] = F R on the c columns stored in those rows, so
-    ``rows``^T ``rows`` = Y^T Y up to rounding.  ``lift`` maps ``rows`` Z
-    back to the fine rows Y Z.
-    """
-
-    rows: sp.spmatrix
-    plain: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def lift(self, Z: np.ndarray) -> np.ndarray:
-        num_rows = self.plain.size + sum(interior.size for interior, _ in self.blocks)
-        out = np.empty((num_rows, Z.shape[1]))
-        at = self.plain.size
-        out[self.plain] = Z[:at]
-        for interior, F in self.blocks:
-            out[interior] = F @ Z[at : at + F.shape[1]]
-            at += F.shape[1]
-        return out
-
-
-def compressed_image(Y: sp.csc_matrix, interiors=()) -> CompressedImage:
-    """Y with each row set of ``interiors`` that has more rows than columns
-    stored replaced by the R factor of its QR; the small QRs run on one BLAS
-    thread (``serial_blas``).  Without such a set ``rows`` is Y itself."""
+    The rows outside every row set of ``interiors`` are Y's as they are;
+    then each set with more rows than columns stored gives the c x c factor
+    R of the QR Y[interior][:, stored] = F R on its c stored columns, so
+    the result Z has Z^T Z = Y^T Y up to rounding.  The small QRs form R
+    only, on one BLAS thread (``serial_blas``).  Without such a set Z is Y
+    itself."""
     Y_rows = Y.tocsr()
     plain = np.ones(Y.shape[0], dtype=bool)
-    blocks, factors = [], []
+    factors = []
     with serial_blas():
         for interior in interiors:
             local = Y_rows[interior]
             stored = np.unique(local.indices)
             if interior.size <= stored.size:
                 continue
-            F, R = sla.qr(local[:, stored].toarray(), mode="economic", check_finite=False)
+            (R,) = sla.qr(local[:, stored].toarray(), mode="r", check_finite=False)
             plain[interior] = False
-            blocks.append((interior, F))
-            factors.append((stored, R.T))  # the rows of R, as columns on ``stored``
-    if not blocks:
-        return CompressedImage(Y, np.arange(Y.shape[0]), ())
-    plain = np.flatnonzero(plain)
-    rows = sp.vstack([Y_rows[plain], column_sparse(Y.shape[1], factors).T], format="csr")
-    return CompressedImage(rows, plain, tuple(blocks))
+            factors.append((stored, R[: stored.size].T))  # the rows of R, as columns on ``stored``
+    if not factors:
+        return Y
+    return sp.vstack(
+        [Y_rows[np.flatnonzero(plain)], column_sparse(Y.shape[1], factors).T], format="csr"
+    )
 
 
 def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestBasis:
@@ -368,7 +346,7 @@ def test_basis(op: SparseOperator, V, interiors=(), harmonic_from=None) -> TestB
     """
     V = sp.csc_matrix(V, dtype=float)
     AtV = adjoint_image(op, V, interiors, harmonic_from)
-    kept, steps = orthonormalize_columns(compressed_image(AtV, interiors).rows)
+    kept, steps = orthonormalize_columns(compressed_image(AtV, interiors))
     return TestBasis(V=V, AtV=AtV, steps=steps, kept=kept)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import form_coefficients, image_lift
 
 from mspg import coupling, numerics, test_space
 from mspg.assembly import assemble, constant_field
@@ -24,7 +25,6 @@ from mspg.grid import build_fine_mesh, coloring
 from mspg.numerics import (
     apply_coefficients,
     coefficient_product,
-    form_coefficients,
     generalized_sym_eig,
     orthonormal_row_blocks,
     orthonormalize_columns,
@@ -340,10 +340,8 @@ def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, 
     m = ws.config.m
     interiors, harmonic_from = ws.image_structure(m)
     V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
-    image = test_space.compressed_image(
-        test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
-    )
-    X = image.rows
+    AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
+    X = test_space.compressed_image(AtV, interiors)
     monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * X.shape[0])
     kept, steps = orthonormalize_columns(X)
     assert len(list(orthonormal_row_blocks(X, steps))) == 1
@@ -354,7 +352,7 @@ def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, 
     assert np.array_equal(kept_b, kept)
     T, T_b = form_coefficients(steps), form_coefficients(steps_b)
     assert np.abs(T_b - T).max() <= 1e-13 * np.abs(T).max()
-    Q = image.lift(np.vstack([block for _, block in blocks]))  # in fine-dof rows
+    Q = image_lift(AtV, interiors)(np.vstack([block for _, block in blocks]))  # fine-dof rows
     assert np.abs(Q.T @ Q - np.eye(kept.size)).max() <= bound
 
 
@@ -368,7 +366,7 @@ def test_the_held_second_pass_matches_the_streamed_one(ws_contrast, monkeypatch)
     interiors, harmonic_from = ws.image_structure(ws.config.m)
     X = test_space.compressed_image(
         test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
-    ).rows
+    )
     assert 8 * X.shape[0] * X.shape[1] <= numerics.ROW_BLOCK_BYTES
     kept, steps = orthonormalize_columns(X)
     assert len(steps) == 3
@@ -424,26 +422,42 @@ def test_projection_error_matches_the_row_block_formula(ws_contrast, m):
 
 
 def _forming_spy(monkeypatch):
-    """(rows, columns) of every T formed from here on."""
-    shapes, form = [], numerics.form_coefficients
+    """(steps, formed): the steps of every ``orthonormalize_columns`` call
+    from here on, and the shape of every T formed from them.  Forming
+    T = C R_1^{-1} [R_2^{-1}] starts by solving its C, or an equal copy,
+    against R_1 (``numerics._solve_right_upper``); equality, not the shape
+    alone, tells that solve from the kernel's others, such as the 1 x 1
+    ones of a single-column online class."""
+    recorded, formed = [], []
+    kernel, solve = numerics.orthonormalize_columns, numerics._solve_right_upper
 
-    def spying(steps):
-        shapes.append((steps[0].shape[0], steps[-1].shape[1]))
-        return form(steps)
+    def orthonormalizing(*args, **kwargs):
+        kept, steps = kernel(*args, **kwargs)
+        recorded.append(steps)
+        return kept, steps
+
+    def solving(X, R):
+        if any(X.shape == C.shape and np.array_equal(X, C) for C, *_ in recorded):
+            formed.append(X.shape)
+        return solve(X, R)
 
     for module in (numerics, test_space, coupling):
-        if hasattr(module, "form_coefficients"):
-            monkeypatch.setattr(module, "form_coefficients", spying)
-    return shapes
+        monkeypatch.setattr(module, "orthonormalize_columns", orthonormalizing)
+    monkeypatch.setattr(numerics, "_solve_right_upper", solving)
+    return recorded, formed
 
 
 def test_no_t_is_formed_offline(tiny, ws_contrast, monkeypatch):
     # nor online: a grown basis holds one block of factors per class
-    shapes = _forming_spy(monkeypatch)
+    recorded, formed = _forming_spy(monkeypatch)
     rows = run_experiment(dataclasses.replace(tiny.config, online_iters=2))
-    assert [row.online_iter for row in rows] == [0, 1, 2] and shapes == []
+    assert [row.online_iter for row in rows] == [0, 1, 2] and formed == []
     rows = sweep_experiment(ws_contrast.config, [3], [1, 3], [1, 2], online_iters=0)
-    assert len(rows) == 4 and shapes == []
+    assert len(rows) == 4 and formed == []
+    # the spy sees the kernel's coefficients, and catches the formed T
+    steps = next(steps for steps in reversed(recorded) if len(steps) > 1)
+    form_coefficients(steps)
+    assert formed == [steps[0].shape]
 
 
 def test_no_array_with_a_row_per_fine_dof_is_held(tiny):

@@ -8,7 +8,8 @@ from pathlib import Path
 import mspg
 from mspg.cli import build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 SOURCES = sorted(Path(mspg.__file__).parent.glob("*.py"))
 MODULES = {module.name for module in pkgutil.iter_modules(mspg.__path__)}
 # a backticked span that starts with a dotted name, such as
@@ -87,6 +88,17 @@ def test_every_flag_in_the_readme_usage_and_notes_is_accepted():
     assert named and sorted(named - accepted) == []
 
 
+def _read_names(trees) -> set[str]:
+    """Every name or attribute that the code of ``trees`` reads; an import
+    or a string, such as an ``__init__`` export, reads nothing."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_module_constant_is_read_in_the_package():
     # a retired knob takes its constant with it: every module-level
     # UPPER_CASE name is read somewhere in the package
@@ -99,11 +111,56 @@ def test_every_module_constant_is_read_in_the_package():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
     }
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
     assert constants  # the package has module constants
-    assert sorted(constants - read) == []
+    assert sorted(constants - _read_names(trees)) == []
+
+
+def _definitions(tree) -> set[str]:
+    """Top-level functions and classes of a module, and the non-dunder
+    methods of its classes, as ``Class.method``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, defs):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                f"{node.name}.{method.name}"
+                for method in node.body
+                if isinstance(method, defs[:2]) and not re.fullmatch(r"__\w+__", method.name)
+            )
+    return names
+
+
+def test_every_function_class_and_method_is_read_in_the_package():
+    # code that only the tests read lives in the tests: every definition is
+    # read by package code
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    read = _read_names(trees.values())
+    defined = {
+        f"{module}.{name}" for module, tree in trees.items() for name in _definitions(tree)
+    }
+    assert defined  # the package defines functions
+    assert sorted(name for name in defined if name.rsplit(".", 1)[-1] not in read) == []
+
+
+def test_the_benchmark_binds_no_newly_missing_name():
+    # the tracer wraps (module, attribute) names of the package; a renamed
+    # or deleted one would make its span read zero
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (bindings,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["BINDINGS"]
+    ]
+    assert bindings
+    unresolved = {
+        (module, path) for module, path, _ in bindings if not _resolves(module, path)
+    }
+    # the three that no module of the package defines today
+    assert unresolved <= {
+        ("trial_space", "local_dirichlet_solve"),
+        ("test_space", "local_dirichlet_solve"),
+        ("coupling", "extend_orthonormal"),
+    }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import form_coefficients, image_lift
 
 from mspg import numerics, test_space
 from mspg.assembly import assemble, constant_field
@@ -13,7 +14,6 @@ from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.numerics import (
     CheckedFactor,
     column_sparse,
-    form_coefficients,
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
@@ -351,8 +351,7 @@ def _well_conditioned_or_test_matrix(request, name):
     V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
     interiors, harmonic_from = ws.image_structure(ws.config.m)
     AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
-    image = test_space.compressed_image(AtV, interiors)
-    return image.rows, image.lift
+    return test_space.compressed_image(AtV, interiors), image_lift(AtV, interiors)
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from conftest import form_coefficients
 
 from mspg import harness, test_space
 from mspg.assembly import assemble, constant_field
 from mspg.grid import build_coarse_topology, build_fine_mesh
 from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
-from mspg.numerics import form_coefficients, orthonormalize_columns
+from mspg.numerics import orthonormalize_columns
 from mspg.test_space import (
     assemble_test_matrix,
     build_W1,
@@ -399,15 +400,16 @@ def test_harmonic_columns_have_no_image_in_a_block_interior(request, name):
 @pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
 def test_the_kernel_on_the_compressed_image_matches_the_plain_one(request, name, bound):
     ws = request.getfixturevalue(name)
-    V, interiors, _, AtV, image = _structured_image(ws)
+    V, interiors, _, AtV, rows = _structured_image(ws)
     by_rows = AtV.tocsr()
     skeleton = V.shape[0] - sum(interior.size for interior in interiors)
-    stored = sum(np.unique(by_rows[interior].indices).size for interior in interiors)
-    assert image.rows.shape[0] <= skeleton + stored < V.shape[0]
-    # every block is compressed: it holds its bubbles only
-    assert len(image.blocks) == len(interiors)
-    assert abs(image.rows.T @ image.rows - AtV.T @ AtV).max() <= 1e-13 * abs(AtV.T @ AtV).max()
-    kept, steps = orthonormalize_columns(image.rows)
+    stored = [np.unique(by_rows[interior].indices).size for interior in interiors]
+    # every block is compressed, to a row per column it stores: it holds
+    # its bubbles only
+    assert all(interior.size > c for interior, c in zip(interiors, stored, strict=True))
+    assert rows.shape[0] == skeleton + sum(stored) < V.shape[0]
+    assert abs(rows.T @ rows - AtV.T @ AtV).max() <= 1e-13 * abs(AtV.T @ AtV).max()
+    kept, steps = orthonormalize_columns(rows)
     kept_plain, steps_plain = orthonormalize_columns((ws.op.A.T @ V).tocsc())
     T, T_plain = form_coefficients(steps), form_coefficients(steps_plain)
     assert np.array_equal(kept, kept_plain)
