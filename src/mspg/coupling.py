@@ -39,7 +39,7 @@ from .numerics import (
     serial_blas,
     smallest_singular_value,
 )
-from .test_space import TestBasis, extend_test_basis, test_basis
+from .test_space import TestBasis, compressed_image, extend_test_basis, test_basis
 
 # a local residual below RESIDUAL_FLOOR times the load norm gets no online
 # column at all
@@ -171,14 +171,17 @@ def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
     return 100.0 * float(np.linalg.norm(diff)) / (ref if ref > 0.0 else 1.0)
 
 
-def projection_error(Xi, u_ref: np.ndarray) -> tuple[np.ndarray, float]:
+def projection_error(Xi, u_ref: np.ndarray, interiors=()) -> tuple[np.ndarray, float]:
     """(kept, percent): the ascending indices of the columns of ``Xi``
     (sparse or dense) that ``orthonormalize_columns`` keeps, the trial
     span's one rank decision, and the span's best-approximation error in
     percent, in the Euclidean norm of the fine coefficient vectors: the
     projection Xi T (T^T Xi^T u) with T applied in the kernel's order, for
-    the Q = Xi T of the kernel."""
-    kept, steps = orthonormalize_columns(Xi)
+    the Q = Xi T of the kernel.  The kernel reads the rows of
+    ``test_space.compressed_image`` of Xi over the row sets ``interiors``
+    (the coarse block interiors), whose Gram is Xi^T Xi; with none it reads
+    Xi itself."""
+    kept, steps = orthonormalize_columns(compressed_image(sp.csc_matrix(Xi), interiors))
     coefficients = coefficient_product(steps, Xi.T @ u_ref)
     return kept, _percent_of(u_ref, u_ref - Xi @ apply_coefficients(steps, coefficients))
 

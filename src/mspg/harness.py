@@ -211,13 +211,18 @@ class Workspace:
 
         One ``coupling.projection_error`` call per m decides which columns
         of the assembled matrix are kept and gives the error of the span,
-        so the solve and the projection read the same span.
+        so the solve and the projection read the same span.  Its kernel
+        reads Xi compressed in the block interiors, as the test side's does
+        (``image_structure``).
         """
         if m not in self._trial:
             Xi = trial_space.assemble_trial_matrix(
                 self.topology, self.trial_modes(m), self.chi, m
             )
-            kept, self._projection_error[m] = coupling.projection_error(Xi, self.u_ref)
+            interiors = [block.interior for block in self.topology.blocks]
+            kept, self._projection_error[m] = coupling.projection_error(
+                Xi, self.u_ref, interiors
+            )
             self._trial[m] = Xi[:, kept]
         return self._trial[m]
 

@@ -3,12 +3,14 @@
 Every direct sparse solve goes through ``CheckedFactor``, the one place
 the package factors a matrix with SuperLU, whose solves check their
 residual; a factor made once serves many solves with its matrix or its
-transpose, and ``local_dirichlet_solve`` is its one-shot use.  The other
-kernels keep no state of their own and operate on plain numpy /
-scipy.sparse inputs.  What they do share is the BLAS thread pool of the
-process: ``serial_blas`` narrows it to one thread around the per-region
-stages, whose small dense kernels run slower on more threads, and the
-global kernels run at the count the process started with.
+transpose.  It is also made for one solve and dropped, by
+``local_dirichlet_solve`` and by the online loop's per-node ``spd`` factors
+(``coupling._online_columns``).  The other kernels keep no state of their
+own and operate on plain numpy / scipy.sparse inputs.  What they do share
+is the BLAS thread pool of the process: ``serial_blas`` narrows it to one
+thread around the per-region stages, whose small dense kernels run slower
+on more threads, and the global kernels run at the count the process
+started with.
 """
 
 from __future__ import annotations
@@ -220,8 +222,6 @@ def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:
 # a column is dropped when its residual against the others is at most
 # DROPTOL of its norm
 DROPTOL = 1e-10
-# bytes of one row block of an orthonormal Q, the most of Q ever held
-ROW_BLOCK_BYTES = 32 * 2**20
 # eta = ||Q_0^T Q_0 - I||_F <= 1/11 gives kappa(Q_0)^2 <= (1+eta)/(1-eta) <= 6/5,
 # where one CholeskyQR pass meets the CholeskyQR2 bound (``orthonormalize_columns``)
 ONE_PASS_MAX_DEVIATION = 1.0 / 11.0
@@ -255,24 +255,15 @@ def _solve_right_upper(X: np.ndarray, R: np.ndarray) -> np.ndarray:
     return blas.dtrsm(1.0, R, X.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
 
 
-def _row_step(width: int) -> int:
-    """Rows of one row block of a product with ``width`` columns."""
-    return max(1, ROW_BLOCK_BYTES // (8 * max(width, 1)))
-
-
-def orthonormal_row_blocks(V, steps):
-    """Row blocks ``(rows, V[rows] C R_1^{-1} ...)`` of the Q that
-    ``orthonormalize_columns`` made of V with ``steps`` = (C, R_1[, R_2]), in
-    the kernel's order of operations; a prefix of ``steps`` gives its
-    intermediate factors.  ``rows`` is a slice; C and each block C-ordered."""
-    V, (C, *factors) = (V.tocsr() if sp.issparse(V) else V), steps
-    step = _row_step(C.shape[1])
-    for start in range(0, V.shape[0], step):
-        rows = slice(start, start + step)
-        block = V[rows] @ C
-        for R in factors:
-            block = _solve_right_upper(block, R)
-        yield rows, block
+def orthonormal_rows(V, steps) -> np.ndarray:
+    """V C R_1^{-1} [R_2^{-1}], C-ordered: the Q that ``orthonormalize_columns``
+    made of V with ``steps`` = (C, R_1[, R_2]), in the kernel's order of
+    operations; a prefix of ``steps`` gives its intermediate factors."""
+    C, *factors = steps
+    Q = (V.tocsr() if sp.issparse(V) else V) @ C
+    for R in factors:
+        Q = _solve_right_upper(Q, R)
+    return Q
 
 
 def apply_coefficients(steps, w) -> np.ndarray:
@@ -289,24 +280,19 @@ def coefficient_product(steps, Z) -> np.ndarray:
     """T^T Z for the T = C R_1^{-1} [R_2^{-1}] that ``orthonormalize_columns``
     returned with ``steps`` = (C, R_1[, R_2]), for a sparse or dense Z with
     a row per column of V: the rows of Z^T pass through the steps as the
-    rows of V do (``orthonormal_row_blocks``).  The formed T has entries of
-    the order of the condition of V, and its product cancels digits that
-    this order keeps: on a 3969 x 1601 test image of condition 3e8, the
-    smallest singular value of Q^T Xi, exactly 1, came out 1 - 4e-12 this
-    way and 1 - 4e-11 to 1 - 2e-10 through T."""
-    rows = Z.T if Z.ndim == 2 else Z[None, :]
-    blocks = [block for _, block in orthonormal_row_blocks(rows, steps)]
-    product = (np.vstack(blocks) if blocks else np.zeros((0, steps[0].shape[1]))).T
+    rows of V do (``orthonormal_rows``).  The formed T has entries of the
+    order of the condition of V, and its product cancels digits that this
+    order keeps: on a 3969 x 1601 test image of condition 3e8, the smallest
+    singular value of Q^T Xi, exactly 1, came out 1 - 4e-12 this way and
+    1 - 4e-11 to 1 - 2e-10 through T."""
+    product = orthonormal_rows(Z.T if Z.ndim == 2 else Z[None, :], steps).T
     return product if Z.ndim == 2 else product[:, 0]
 
 
-def _gram_pass(blocks, width: int) -> np.ndarray:
-    """Upper triangle of X^T X, by ``dsyrk`` over the row blocks of X: one
-    Gram pass of the kernel, whether its blocks are streamed or held."""
-    gram = np.zeros((width, width), order="F")
-    for block in blocks:
-        gram = blas.dsyrk(1.0, block.T, beta=1.0, c=gram, overwrite_c=1)
-    return gram
+def _gram(X: np.ndarray) -> np.ndarray:
+    """Upper triangle of X^T X for a C-ordered X, by one ``dsyrk``: one Gram
+    pass of the kernel."""
+    return blas.dsyrk(1.0, X.T)
 
 
 def _deviation_sq(gram: np.ndarray) -> float:
@@ -338,11 +324,12 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     and, when eta = ||Q_0^T Q_0 - I||_F exceeds ONE_PASS_MAX_DEVIATION, R_2.
     ||Q^T Q - I||_2 is at most 5 kappa(Q_0)^2 (m n u + n (n + 1) u) after one
     pass and 6 (m n u + n (n + 1) u) after two for an m x n Q_0 (Yamamoto,
-    Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015).  Later Grams sum ``dsyrk``
-    over ``orthonormal_row_blocks``, which callers also use to regenerate Q;
-    when V C fits in one row block (ROW_BLOCK_BYTES) and no column was
-    dropped, the second pass solves the V C of the first Gram pass in place
-    instead of forming it again.
+    Nakatsukasa, Yanagisawa and Fukaya, ETNA 2015).  Q_0 = V C is formed
+    once and held whole, so V should be short: the package passes the
+    block-compressed images of ``test_space.compressed_image``.  Each later
+    Gram is one ``dsyrk``; after a drop Q_0 is sliced to the kept columns,
+    as V C[:, kept] = (V C)[:, kept], and the second pass solves it in
+    place.  ``orthonormal_rows`` regenerates Q in the same order.
 
     Only the drop step pivots, so T is upper triangular in the kept
     columns: without drops Q is the Q factor of V with a positive R
@@ -381,16 +368,12 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
         padded[nonzero] = C
         C = padded
 
-    # V C in one row block is held for a second pass; larger ones stream
-    V = V.tocsr() if sp.issparse(V) else V
-    VC = V @ C if num_rows <= _row_step(K) else None
-    gram = _gram_pass(
-        [VC] if VC is not None else (block for _, block in orthonormal_row_blocks(V, (C,))), K
-    )
+    Q_0 = orthonormal_rows(V, (C,))
+    gram = _gram(Q_0)
     # R_1 and eta reuse the upper triangle of the Gram the pivoting sees, and
-    # V C is dropped before the pivoting unless eta asks for a second pass
+    # Q_0 is dropped before the pivoting unless eta asks for a second pass
     two_passes = _deviation_sq(gram) > ONE_PASS_MAX_DEVIATION**2
-    VC = VC if two_passes else None
+    Q_0 = Q_0 if two_passes else None
     # a column with relative residual r against the others keeps a residual
     # of about r^2 / (r^2 + shift) in the Gram of V C
     tol = max(droptol**2 / (droptol**2 + shift), K * u)
@@ -399,16 +382,13 @@ def orthonormalize_columns(V, droptol: float = DROPTOL):
     if rank < K:
         kept = np.sort(piv[:rank] - 1)
         gram, C = gram[np.ix_(kept, kept)], np.ascontiguousarray(C[:, kept])
-        two_passes = _deviation_sq(gram) > ONE_PASS_MAX_DEVIATION**2
-        VC = None  # a second pass forms V C of the kept columns afresh
+        # a principal block of the Gram deviates from I no more than the whole
+        two_passes = two_passes and _deviation_sq(gram) > ONE_PASS_MAX_DEVIATION**2
+        Q_0 = Q_0[:, kept] if two_passes else None
     steps = (C, _cholesky_upper(gram))
     del C, gram
     if two_passes:
-        if VC is not None:
-            blocks = [_solve_right_upper(VC, steps[1])]
-        else:
-            blocks = (block for _, block in orthonormal_row_blocks(V, steps))
-        steps += (_cholesky_upper(_gram_pass(blocks, rank)),)
+        steps += (_cholesky_upper(_gram(_solve_right_upper(Q_0, steps[1]))),)
     return nonzero[kept], steps
 
 

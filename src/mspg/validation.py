@@ -103,7 +103,8 @@ def full_space_gap(ws: Workspace, m: int = 1, problem: int = 2):
 
 
 def _check_mms(n: int):
-    rate = mms_rate(n)
+    # grids n and 2n: grid n/2 of a tiny n has a single interior node
+    rate = mms_rate(2 * n)
     ok = 1.8 < rate < 2.2
     return "manufactured-solution order", ok, f"rate {rate:.3f}"
 
@@ -111,7 +112,7 @@ def _check_mms(n: int):
 def _check_partition_of_unity(ws: Workspace):
     sums = np.asarray(ws.chi.sum(axis=1)).ravel()
     err = np.abs(sums - 1.0).max()
-    low = ws.chi.toarray().min()
+    low = ws.chi.min()  # the implicit zeros count, with no dense copy
     ok = err < 1e-9 and low > -0.2
     return "partition of unity", ok, f"sum error {err:.1e}, min value {low:.3f}"
 

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from mspg import numerics, test_space
 from mspg.harness import ExperimentConfig, Workspace
-from mspg.numerics import DROPTOL, orthonormal_row_blocks, orthonormalize_columns, serial_blas
+from mspg.numerics import DROPTOL, orthonormal_rows, orthonormalize_columns, serial_blas
 
 
 @pytest.fixture(autouse=True)
@@ -80,17 +80,13 @@ def image_lift(Y, interiors=()):
     return lift
 
 
-def _regenerated(X, steps):
-    return np.vstack([block for _, block in orthonormal_row_blocks(X, steps)])
-
-
 @pytest.fixture
 def kernel_q():
-    """Q of ``orthonormalize_columns`` on X, regenerated from its row blocks
-    in the kernel's order (the kernel itself returns factors only)."""
+    """Q of ``orthonormalize_columns`` on X, regenerated from its steps in
+    the kernel's order (the kernel itself returns factors only)."""
 
     def q(X, droptol=DROPTOL):
-        return _regenerated(X, orthonormalize_columns(X, droptol=droptol)[1])
+        return orthonormal_rows(X, orthonormalize_columns(X, droptol=droptol)[1])
 
     return q
 
@@ -125,7 +121,7 @@ def basis_q(monkeypatch):
     def q():
         blocks = []
         for X, steps in calls:
-            Q = _regenerated(X, steps)
+            Q = orthonormal_rows(X, steps)
             if id(X) in images:
                 _, Y, interiors = images[id(X)]
                 Q = image_lift(Y, interiors)(Q)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import form_coefficients, image_lift
+from conftest import form_coefficients
 
-from mspg import coupling, numerics, test_space
+from mspg import coupling, numerics, test_space, trial_space
 from mspg.assembly import assemble, constant_field
 from mspg.harness import ExperimentConfig, Workspace, run_experiment, sweep_experiment
 from mspg.coupling import (
@@ -26,7 +26,7 @@ from mspg.numerics import (
     apply_coefficients,
     coefficient_product,
     generalized_sym_eig,
-    orthonormal_row_blocks,
+    orthonormal_rows,
     orthonormalize_columns,
 )
 
@@ -156,7 +156,7 @@ def _lifted_infsup(op, V, Xi):
     through a Householder QR of A^T Theta for a Euclidean orthonormal Theta
     (no Gram of A^T Theta, whose condition would square)."""
     _, steps = orthonormalize_columns(V)
-    Theta = np.vstack([block for _, block in orthonormal_row_blocks(V, steps)])
+    Theta = orthonormal_rows(V, steps)
     Z = spla.splu(op.A.T.tocsc()).solve(Xi.toarray())
     W = op.A.T @ Z
     C = W.T @ np.linalg.qr(op.A.T @ Theta)[0]
@@ -331,56 +331,6 @@ def test_an_unstructured_test_matrix_gets_the_plain_kernel(request, name, bound)
     assert np.abs(form_coefficients(basis.steps) - T).max() <= bound * np.abs(T).max()
 
 
-@pytest.mark.parametrize("name, bound", [("tiny", 1e-12), ("ws_contrast", 1e-10)])
-def test_kernel_over_several_row_blocks_matches_one_block(request, monkeypatch, name, bound):
-    # the kernel's Grams are sums over row blocks of its input, the block-
-    # compressed A^T V, times C^{-1} (then R_1^{-1}); a budget of about a
-    # seventh of the rows changes only their summation order
-    ws = request.getfixturevalue(name)
-    m = ws.config.m
-    interiors, harmonic_from = ws.image_structure(m)
-    V = ws.test_matrix(m, ws.config.L, ws.config.eigenproblem)
-    AtV = test_space.adjoint_image(ws.op, V, interiors, harmonic_from)
-    X = test_space.compressed_image(AtV, interiors)
-    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * X.shape[0])
-    kept, steps = orthonormalize_columns(X)
-    assert len(list(orthonormal_row_blocks(X, steps))) == 1
-    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * (X.shape[0] // 7))
-    kept_b, steps_b = orthonormalize_columns(X)
-    blocks = list(orthonormal_row_blocks(X, steps_b))
-    assert len(blocks) >= 7
-    assert np.array_equal(kept_b, kept)
-    T, T_b = form_coefficients(steps), form_coefficients(steps_b)
-    assert np.abs(T_b - T).max() <= 1e-13 * np.abs(T).max()
-    Q = image_lift(AtV, interiors)(np.vstack([block for _, block in blocks]))  # fine-dof rows
-    assert np.abs(Q.T @ Q - np.eye(kept.size)).max() <= bound
-
-
-def test_the_held_second_pass_matches_the_streamed_one(ws_contrast, monkeypatch):
-    # the compressed image of example 5 takes two CholeskyQR passes, and its
-    # V C fits in one row block, so the second pass solves the V C of the
-    # first in place; streamed over row blocks, the same pass differs in the
-    # summation order of its Gram only
-    ws = ws_contrast
-    V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
-    interiors, harmonic_from = ws.image_structure(ws.config.m)
-    X = test_space.compressed_image(
-        test_space.adjoint_image(ws.op, V, interiors, harmonic_from), interiors
-    )
-    assert 8 * X.shape[0] * X.shape[1] <= numerics.ROW_BLOCK_BYTES
-    kept, steps = orthonormalize_columns(X)
-    assert len(steps) == 3
-    monkeypatch.setattr(numerics, "ROW_BLOCK_BYTES", 8 * X.shape[1] * (X.shape[0] // 2))
-    blocks = [block for _, block in orthonormal_row_blocks(X, steps[:2])]
-    assert len(blocks) >= 2
-    R_2 = numerics._cholesky_upper(numerics._gram_pass(blocks, kept.size))
-    assert np.abs(R_2 - steps[2]).max() <= 1e-13 * np.abs(steps[2]).max()
-    kept_s, steps_s = orthonormalize_columns(X)  # every pass streamed
-    assert np.array_equal(kept_s, kept) and len(steps_s) == 3
-    T, T_s = form_coefficients(steps), form_coefficients(steps_s)
-    assert np.abs(T_s - T).max() <= 1e-13 * np.abs(T).max()
-
-
 @pytest.mark.parametrize("name", ["tiny", "ws_contrast"])
 def test_the_kernel_order_products_match_the_formed_t(request, name):
     # T = C R_1^{-1} [R_2^{-1}] applied factor by factor, for the full basis
@@ -409,25 +359,46 @@ def test_the_kernel_order_products_match_the_formed_t(request, name):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_projection_error_matches_the_row_block_formula(ws_contrast, m):
-    # Q = Xi T regenerated row block by row block, as the projection was
-    # formed before it went through the kernel-order products
+    # Q = Xi T regenerated whole, as the projection was formed before it
+    # went through the kernel-order products
     Xi, u = ws_contrast.trial(m), ws_contrast.u_ref
     _, steps = orthonormalize_columns(Xi)
-    coefficients = sum(Q.T @ u[rows] for rows, Q in orthonormal_row_blocks(Xi, steps))
-    projection = np.concatenate([Q @ coefficients for _, Q in orthonormal_row_blocks(Xi, steps)])
+    Q = orthonormal_rows(Xi, steps)
+    projection = Q @ (Q.T @ u)
     expected = 100.0 * np.linalg.norm(u - projection) / np.linalg.norm(u)
     kept, error = projection_error(Xi, u)
     assert np.array_equal(kept, np.arange(Xi.shape[1]))
     assert error == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "name, m, compressed",
+    [("tiny", 1, True), ("tiny", 3, False), ("ws_contrast", 1, True), ("ws_contrast", 3, True)],
+)
+def test_the_compressed_trial_span_matches_the_plain_one(request, name, m, compressed):
+    # the kernel on Xi's block-compressed rows, as Workspace.trial runs it,
+    # keeps the columns of the plain Xi and reads the same error; on tiny
+    # at m=3 each 9-dof block interior stores 12 columns: nothing compresses
+    ws = request.getfixturevalue(name)
+    Xi = trial_space.assemble_trial_matrix(ws.topology, ws.trial_modes(m), ws.chi, m)
+    interiors = [block.interior for block in ws.topology.blocks]
+    rows = test_space.compressed_image(Xi, interiors).shape[0]
+    assert (rows < Xi.shape[0]) == compressed
+    kept, error = projection_error(Xi, ws.u_ref, interiors)
+    kept_plain, error_plain = projection_error(Xi, ws.u_ref)
+    assert np.array_equal(kept, kept_plain)
+    assert error == pytest.approx(error_plain, rel=1e-13)
+
+
 def _forming_spy(monkeypatch):
     """(steps, formed): the steps of every ``orthonormalize_columns`` call
-    from here on, and the shape of every T formed from them.  Forming
-    T = C R_1^{-1} [R_2^{-1}] starts by solving its C, or an equal copy,
-    against R_1 (``numerics._solve_right_upper``); equality, not the shape
-    alone, tells that solve from the kernel's others, such as the 1 x 1
-    ones of a single-column online class."""
+    from here on, and the shape of every T formed from them.  T = C R_1^{-1}
+    [R_2^{-1}] is formed either by solving its C, or an equal copy, against
+    R_1 (``numerics._solve_right_upper``), or by applying the factors to the
+    identity of C's column count (``apply_coefficients``, wherever it is
+    bound).  Equality, not the shape alone, tells those calls from the
+    package's others, such as the 1 x 1 solves of a single-column online
+    class."""
     recorded, formed = [], []
     kernel, solve = numerics.orthonormalize_columns, numerics._solve_right_upper
 
@@ -441,8 +412,19 @@ def _forming_spy(monkeypatch):
             formed.append(X.shape)
         return solve(X, R)
 
+    def applying(apply):
+        def spied(steps, w):
+            k = np.shape(w)[0]
+            widths = {C.shape[1] for C, *_ in recorded}
+            if np.shape(w) == (k, k) and k in widths and np.array_equal(w, np.eye(k)):
+                formed.append(w.shape)
+            return apply(steps, w)
+
+        return spied
+
     for module in (numerics, test_space, coupling):
         monkeypatch.setattr(module, "orthonormalize_columns", orthonormalizing)
+        monkeypatch.setattr(module, "apply_coefficients", applying(module.apply_coefficients))
     monkeypatch.setattr(numerics, "_solve_right_upper", solving)
     return recorded, formed
 
@@ -454,10 +436,14 @@ def test_no_t_is_formed_offline(tiny, ws_contrast, monkeypatch):
     assert [row.online_iter for row in rows] == [0, 1, 2] and formed == []
     rows = sweep_experiment(ws_contrast.config, [3], [1, 3], [1, 2], online_iters=0)
     assert len(rows) == 4 and formed == []
-    # the spy sees the kernel's coefficients, and catches the formed T
+    # the spy sees the kernel's coefficients, and catches a T formed either
+    # way: C solved against R_1, or the factors applied to the identity
     steps = next(steps for steps in reversed(recorded) if len(steps) > 1)
     form_coefficients(steps)
     assert formed == [steps[0].shape]
+    basis = test_space.test_basis(tiny.op, tiny.test_matrix(1, 1, 1), *tiny.image_structure(1))
+    _formed(basis)
+    assert formed[1:] == [(basis.count, basis.count)]
 
 
 def test_no_array_with_a_row_per_fine_dof_is_held(tiny):

@@ -704,3 +704,10 @@ def test_cli_validate(capsys):
     assert code == 0
     assert "ok:" in out
     assert "FAIL" not in out
+
+
+def test_cli_validate_on_the_smallest_grids(capsys):
+    # the manufactured-solution rate reads grids 4 and 8: grid 2, half of
+    # the fine one, has a single interior node
+    assert main(["validate", "--fine", "4", "--coarse", "2"]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -17,7 +17,7 @@ from mspg.numerics import (
     generalized_sym_eig,
     harmonic_extension,
     local_dirichlet_solve,
-    orthonormal_row_blocks,
+    orthonormal_rows,
     orthonormalize_columns,
     smallest_singular_value,
 )
@@ -361,7 +361,7 @@ def test_orthonormalize_runs_the_second_pass_only_when_needed(request, name, pas
     X, lift = _well_conditioned_or_test_matrix(request, name)
     _, steps = orthonormalize_columns(X)
     assert len(steps) == 1 + passes
-    Q = lift(np.vstack([block for _, block in orthonormal_row_blocks(X, steps)]))
+    Q = lift(orthonormal_rows(X, steps))
     assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= bound
 
 
@@ -377,15 +377,39 @@ def test_a_forced_second_pass_moves_t_by_rounding_only(request, name, monkeypatc
     assert np.linalg.norm(T3 - T) <= 1e-13 * np.linalg.norm(T)
 
 
+def test_a_drop_before_the_second_pass_slices_the_held_v_c(monkeypatch):
+    # an input of condition 1e7 with one dependent column: the drop leaves a
+    # Gram that still asks for a second pass, which solves the held V C
+    # sliced to the kept columns; a fresh V C[:, kept] gives the same R_2
+    rng = np.random.default_rng(15)
+    U = np.linalg.qr(rng.standard_normal((300, 12)))[0]
+    W = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    V = U @ np.diag(np.logspace(0.0, -7.0, 12)) @ W.T
+    V = np.column_stack([V, V[:, 2] + V[:, 5]])
+    calls = []
+    monkeypatch.setattr(
+        numerics, "orthonormal_rows", lambda *a: calls.append(1) or orthonormal_rows(*a)
+    )
+    kept, steps = orthonormalize_columns(V)
+    assert np.array_equal(kept, np.arange(12)) and len(steps) == 3
+    assert len(calls) == 1  # V C is formed once
+    R_2 = numerics._cholesky_upper(numerics._gram(orthonormal_rows(V, steps[:2])))
+    assert np.abs(R_2 - steps[2]).max() <= 1e-13 * np.abs(steps[2]).max()
+    Q = orthonormal_rows(V, steps)
+    assert np.abs(Q.T @ Q - np.eye(12)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("name, grams", [("tiny", 1), ("ws_contrast", 2)])
 def test_a_well_conditioned_test_basis_skips_a_gram_pass(request, name, grams, monkeypatch):
-    # V^T V is a sparse product; every later Gram pass, of a held V C or of
-    # streamed row blocks, goes through _gram_pass
-    calls, gram_pass = [], numerics._gram_pass
-    monkeypatch.setattr(numerics, "_gram_pass", lambda *a: calls.append(1) or gram_pass(*a))
+    # V^T V is a sparse product; every later Gram pass, of V C and then of
+    # V C R_1^{-1}, goes through _gram.  The test matrix is built first, so
+    # the trial span's kernel call is not counted
     ws = request.getfixturevalue(name)
     V = ws.test_matrix(ws.config.m, ws.config.L, ws.config.eigenproblem)
-    test_space.test_basis(ws.op, V, *ws.image_structure(ws.config.m))
+    structure = ws.image_structure(ws.config.m)
+    calls, gram = [], numerics._gram
+    monkeypatch.setattr(numerics, "_gram", lambda *a: calls.append(1) or gram(*a))
+    test_space.test_basis(ws.op, V, *structure)
     assert len(calls) == grams
 
 
@@ -399,7 +423,7 @@ def test_orthonormalize_takes_a_dense_block_as_it_is(monkeypatch):
         monkeypatch.setattr(numerics.sp, name, None)
     kept, steps = orthonormalize_columns(Y)
     T = form_coefficients(steps)
-    Q = np.vstack([block for _, block in orthonormal_row_blocks(Y, steps)])
+    Q = orthonormal_rows(Y, steps)
     assert np.array_equal(kept, kept_sparse)
     assert np.linalg.norm(T - T_sparse) <= 1e-13 * np.linalg.norm(T_sparse)
     assert np.abs(Q - Y @ T).max() <= 1e-13
