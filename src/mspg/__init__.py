@@ -59,6 +59,7 @@ from .test_space import (
     eigenproblem_2,
 )
 from .trial_space import (
+    BlockExtensions,
     assemble_trial_matrix,
     block_factors,
     partition_of_unity,

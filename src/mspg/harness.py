@@ -4,7 +4,10 @@ A ``Workspace`` builds everything that does not depend on the per-cell
 parameters (operator, reference solve, block factors, partition of unity,
 trial eigen-combinations, edge spectra) exactly once, so sweeps over
 trial/test counts reuse the expensive local solves; one LU of each coarse
-block's interior operator serves all of its block-local solves.  Rows are
+block's interior operator serves all of its block-local solves.  The trial
+and edge stages read each block's harmonic extensions
+(``trial_space.BlockExtensions``), built inside the stage in ascending
+block order and dropped behind it.  Rows are
 emitted in a fixed schema so repeated runs of the same configuration are
 byte-identical.
 """
@@ -187,16 +190,20 @@ class Workspace:
         """Each neighborhood's eigen-combinations, ``{node: modes}`` aligned
         to ``nb.closure``, up to the larger of ``config.m`` and the largest
         m asked for (a sweep sets ``config.m`` to its largest count); the
-        snapshots are dropped once they are reduced.  The neighborhood loop
-        runs on one BLAS thread (``numerics.serial_blas``).
+        snapshots are dropped once they are reduced.  The snapshots come
+        from the blocks' forward extensions: the loop reads the
+        neighborhoods in ascending order of their blocks and drops each
+        block's extension once no later neighborhood reads it, so it holds
+        about one block row of them.  It runs on one BLAS thread
+        (``numerics.serial_blas``).
         """
         if m > self._modes_m:
             m_max, modes = max(m, self.config.m), {}
             with serial_blas():
-                for nb in self.topology.neighborhoods:
-                    phi = trial_space.trial_snapshots(
-                        self.topology, self.op, nb.node, self.block_factors
-                    )
+                extensions = trial_space.BlockExtensions(self.topology, self.op, self.block_factors)
+                for nb in sorted(self.topology.neighborhoods, key=lambda nb: nb.blocks):
+                    extensions.drop_below(nb.blocks[0])
+                    phi = trial_space.trial_snapshots(self.topology, self.op, nb.node, extensions)
                     if phi.shape[1]:
                         modes[nb.node] = trial_space.trial_eigenbasis(
                             nb, phi, self.op, min(m_max, phi.shape[1]),
@@ -254,24 +261,33 @@ class Workspace:
         Each spectrum holds every eigenvalue but only the first max(L,
         ``config.L``) eigen-combinations (a sweep sets ``config.L`` to its
         largest count); a larger L rebuilds them.  Each edge's snapshot set
-        is built for the eigenproblem and dropped once it is reduced.  The
-        edge loop runs on one BLAS thread (``numerics.serial_blas``).
+        is sliced from its blocks' adjoint extensions for the eigenproblem
+        and dropped once it is reduced; eigenproblem 2 also slices their
+        forward ones.  The loop reads the edges in ascending order of their
+        blocks, so it builds each block's extensions once and holds about a
+        block row of them.  It runs on one BLAS thread
+        (``numerics.serial_blas``).
         """
         keep = max(L, self.config.L)
         spectra = self._spectra.get(problem)
         if spectra is None or spectra[0].combos.shape[1] < keep:
-            spectra = []
+            topology = self.topology
+            spectra = [None] * len(topology.edges)
             with serial_blas():
-                for k, edge in enumerate(self.topology.edges):
-                    psi = test_space.build_W3_snapshots(
-                        self.topology, self.op, k, self.block_factors
-                    )
+                adjoint, forward = (
+                    trial_space.BlockExtensions(topology, self.op, self.block_factors, trans)
+                    for trans in ("T", "N")
+                )
+                for edge in sorted(topology.edges, key=lambda edge: edge.blocks):
+                    adjoint.drop_below(edge.blocks[0])
+                    forward.drop_below(edge.blocks[0])
+                    psi = test_space.build_W3_snapshots(topology, self.op, edge.index, adjoint)
                     if problem == 1:
                         full = test_space.eigenproblem_1(edge, psi, self.op)
                     else:
-                        full = test_space.eigenproblem_2(edge, psi, self.op, self.block_factors)
+                        full = test_space.eigenproblem_2(edge, psi, self.op, forward)
                     combos = np.ascontiguousarray(full.combos[:, :keep])
-                    spectra.append(replace(full, combos=combos))
+                    spectra[edge.index] = replace(full, combos=combos)
             self._spectra[problem] = spectra
         return spectra
 

@@ -2,10 +2,12 @@
 
 Every direct sparse solve goes through ``CheckedFactor``, the one place
 the package factors a matrix with SuperLU, whose solves check their
-residual; a factor made once serves many solves with its matrix or its
-transpose.  It is also made for one solve and dropped, by
-``local_dirichlet_solve`` and by the online loop's per-node ``spd`` factors
-(``coupling._online_columns``).  The other kernels keep no state of their
+residual (``check_residual``, which also checks the trial snapshots that
+``trial_space.trial_snapshots`` assembles from block solves); a factor made
+once serves many solves with its matrix or its transpose.  It is also made
+for one solve and dropped, by ``local_dirichlet_solve`` and by the online
+loop's per-node ``spd`` factors (``coupling._online_columns``).  The other
+kernels keep no state of their
 own and operate on plain numpy / scipy.sparse inputs.  What they do share
 is the BLAS thread pool of the process: ``serial_blas`` narrows it to one
 thread around the per-region stages, whose small dense kernels run slower
@@ -75,19 +77,25 @@ def serial_blas():
     return _blas_threads(1)
 
 
-def generalized_sym_eig(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def generalized_sym_eig(
+    S: np.ndarray, T: np.ndarray, count: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve S v = lambda T v for symmetric S and SPD T: (values, vectors),
-    the ascending eigenvalues and matching T-orthonormal columns.
+    the ascending eigenvalues and matching T-orthonormal columns, all of
+    them or the ``count`` smallest.
 
     Small symmetry drift (from forming Gram matrices in floating point) is
-    removed by averaging before factorization.
+    removed by averaging before factorization.  A ``count`` asks LAPACK for
+    those pairs only (its ``gvx`` driver): 0.51-0.62 ms against 1.73 ms for
+    every pair of a 96 x 96 pencil, on one thread of a 2-vCPU Xeon.
     """
     S = np.asarray(S, dtype=float)
     T = np.asarray(T, dtype=float)
     S = 0.5 * (S + S.T)
     T = 0.5 * (T + T.T)
+    subset = None if count is None else [0, count - 1]
     try:
-        values, vectors = sla.eigh(S, T)
+        values, vectors = sla.eigh(S, T, subset_by_index=subset)
     except (sla.LinAlgError, ValueError) as exc:
         raise SingularMetricError(f"metric not SPD: {exc}") from exc
     return values, vectors
@@ -159,19 +167,26 @@ class CheckedFactor:
         rhs = np.asarray(rhs, dtype=float)
         K = self.K if trans == "N" else self.K.T
         scale = np.linalg.norm(rhs)
-        scale = scale if scale > 0.0 else 1.0
         x = self._lu.solve(rhs, trans=trans)
         resid = K @ x - rhs
-        if np.linalg.norm(resid) / scale > tol:
+        if np.linalg.norm(resid) > tol * scale:
             x = x - self._lu.solve(resid, trans=trans)
             resid = K @ x - rhs
-        err = np.linalg.norm(resid) / scale
-        if not np.isfinite(err) or err > tol:
-            raise LocalSolverError(
-                f"local solve residual {err:.3e} exceeds tol {tol:.3e}{self._where}",
-                residual=err,
-            )
+        check_residual(resid, scale, tol, self.label)
         return x
+
+
+def check_residual(resid, scale: float, tol: float = 1e-10, label: str = "") -> None:
+    """The check of every local solve: a ``LocalSolverError`` naming
+    ``label``, with the achieved residual, unless ||resid|| / ``scale`` (the
+    norm of the right-hand side, or 1 for a zero one) is finite and at most
+    ``tol``."""
+    err = np.linalg.norm(resid) / (scale if scale > 0.0 else 1.0)
+    if not np.isfinite(err) or err > tol:
+        where = f" ({label})" if label else ""
+        raise LocalSolverError(
+            f"local solve residual {err:.3e} exceeds tol {tol:.3e}{where}", residual=err
+        )
 
 
 def local_dirichlet_solve(A_local, rhs, tol: float = 1e-10, label: str = ""):
@@ -180,19 +195,15 @@ def local_dirichlet_solve(A_local, rhs, tol: float = 1e-10, label: str = ""):
     return CheckedFactor(A_local, label, held=False).solve(rhs, tol=tol)
 
 
-def harmonic_extension(K, interior, boundary, traces=None, label: str = "", factor=None):
+def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
     """Interior values of the K-harmonic extension of boundary traces.
 
-    Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``, or
-    through ``factor``, a ``CheckedFactor`` of K_II (a coarse block
-    interior's, made once); with ``traces=None`` g is the identity, one
-    column per boundary delta.
+    Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``; with
+    ``traces=None`` g is the identity, one column per boundary delta.
     """
     K_I = K[interior]
     K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
     rhs = -(K_ib.toarray() if traces is None else K_ib @ traces)
-    if factor is not None:
-        return factor.solve(rhs)
     return local_dirichlet_solve(K_ii, rhs, label=label)
 
 

@@ -4,8 +4,12 @@ spectral reductions of the edge component.
 All test snapshots are built from the discrete adjoint (the transpose of
 the assembled stiffness matrix).  Every solve inside a coarse block goes
 through the one factorization of the block's interior operator A_II
-(``trial_space.block_factors``): W1, W2 and the W3 snapshots solve with
-A_II^T, the minimum-energy extensions of eigenproblem 2 with A_II.
+(``trial_space.block_factors``): W1 and W2 solve with A_II^T.  The edge
+stages read each block's harmonic extension of its frame dofs
+(``trial_space.BlockExtensions``), one multi-column solve per block: an
+edge's W3 snapshots are columns of its two blocks' adjoint extensions, and
+the minimum-energy extensions of eigenproblem 2 columns of their forward
+ones.
 
 The edge component dominates the snapshot count, so it is compressed per
 edge by one of two eigenproblems posed in the squared-adjoint energy
@@ -94,20 +98,16 @@ def build_W2(topology: CoarseTopology, op: SparseOperator, factors) -> sp.csc_ma
 
 
 def build_W3_snapshots(
-    topology: CoarseTopology, op: SparseOperator, k: int, factors
+    topology: CoarseTopology, op: SparseOperator, k: int, adjoint
 ) -> np.ndarray:
     """Edge k's snapshots, one per interior fine node of the edge, aligned to
     ``edge.region`` (interior(K1) ++ interior(K2) ++ edge dofs): column j
     carries a unit value at edge node j and is, in each adjacent block, the
-    adjoint-harmonic extension of that delta, solved with the block's factor
-    (``trial_space.block_factors``) transposed."""
+    adjoint-harmonic extension of that delta, the block's column of the
+    ``adjoint`` extensions (``trial_space.BlockExtensions``, ``trans="T"``)."""
     edge = topology.edges[k]
-    A_edge = op.A[edge.interior]  # the rows of the edge dofs
     return np.vstack(
-        [
-            factors[kb].solve(-A_edge[:, topology.blocks[kb].interior].T.toarray(), trans="T")
-            for kb in edge.blocks
-        ]
+        [adjoint.columns(kb, edge.interior) for kb in edge.blocks]
         + [np.eye(edge.interior.size)]
     )
 
@@ -168,7 +168,7 @@ def eigenproblem_1(edge: CoarseEdge, psi: np.ndarray, op: SparseOperator) -> Edg
     return EdgeSpectrum(edge, values, psi @ vectors)
 
 
-def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndarray:
+def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, forward) -> np.ndarray:
     """ext^T B ext for the minimum-energy extensions ext of the edge deltas
     in B = A_loc A_loc^T, without forming B.
 
@@ -178,24 +178,19 @@ def _min_energy_gram(A_loc: sp.csr_matrix, edge: CoarseEdge, factors) -> np.ndar
     N of null(A_f) (the null-space method; Golub and Van Loan, Matrix
     Computations, 6.2).  The block interiors do not couple, so A_f has the
     interior block diag(A_K1, A_K2), and N = [N_f; I] with N_f =
-    -diag(A_K1, A_K2)^{-1} A_loc[f, e] takes one forward solve with each
-    block's factor.  N^T N = I + N_f^T N_f is well conditioned, and no
-    product squares the condition of A_loc as B does.
+    -diag(A_K1, A_K2)^{-1} A_loc[f, e]: the edge columns of the two blocks'
+    ``forward`` extensions (``trial_space.BlockExtensions``).  N^T N = I +
+    N_f^T N_f is well conditioned, and no product squares the condition of
+    A_loc as B does.
     """
-    nf = edge.region.size - edge.interior.size
-    A_fe = A_loc[:nf, nf:]
-    N_f, at = [], 0
-    for kb in edge.blocks:
-        size = factors[kb].K.shape[0]
-        N_f.append(factors[kb].solve(-A_fe[at : at + size].toarray()))
-        at += size
-    N_f = np.vstack(N_f)
+    N_f = np.vstack([forward.columns(kb, edge.interior) for kb in edge.blocks])
+    nf = N_f.shape[0]
     AeN = A_loc[nf:, :nf] @ N_f + A_loc[nf:, nf:].toarray()
     NtN = N_f.T @ N_f + np.eye(N_f.shape[1])
     return AeN @ np.linalg.solve(NtN, AeN.T)
 
 
-def eigenproblem_2(edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, factors) -> EdgeSpectrum:
+def eigenproblem_2(edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, forward) -> EdgeSpectrum:
     """Reduction of the edge's snapshots ``psi`` (``build_W3_snapshots``)
     against the snapshot energy itself, with every mode kept.
 
@@ -204,10 +199,10 @@ def eigenproblem_2(edge: CoarseEdge, psi: np.ndarray, op: SparseOperator, factor
     close to 1 signal that the remaining snapshots add almost nothing.
     Both sides are Grams in the squared-adjoint energy B = E E^T
     (``_edge_operator``): S = Y^T Y with Y = E^T psi, and the left side from
-    the block ``factors`` (``_min_energy_gram``).
+    the blocks' ``forward`` extensions (``_min_energy_gram``).
     """
     E = _edge_operator(op, edge)
-    S_min = _min_energy_gram(E, edge, factors)
+    S_min = _min_energy_gram(E, edge, forward)
     S = _snapshot_energy(E, psi)
     try:
         values, vectors = generalized_sym_eig(S_min, S)
@@ -308,23 +303,33 @@ def adjoint_image(op: SparseOperator, V: sp.csc_matrix, interiors=(), harmonic_f
 def compressed_image(Y: sp.csc_matrix, interiors=()) -> sp.spmatrix:
     """Rows with the Gram of a sparse image Y, for the orthonormalization.
 
-    The rows outside every row set of ``interiors`` are Y's as they are;
-    then each set with more rows than columns stored gives the c x c factor
-    R of the QR Y[interior][:, stored] = F R on its c stored columns, so
-    the result Z has Z^T Z = Y^T Y up to rounding.  The small QRs form R
-    only, on one BLAS thread (``serial_blas``).  Without such a set Z is Y
-    itself."""
+    The rows outside every row set of ``interiors`` (disjoint) are Y's as
+    they are; then each set with more rows than columns stored gives the
+    c x c factor R of the QR Y[interior][:, stored] = F R on its c stored
+    columns, so the result Z has Z^T Z = Y^T Y up to rounding.  The rows of
+    every set are gathered by one row permutation of Y, and the small QRs
+    form R only, on one BLAS thread (``serial_blas``).  Without such a set
+    Z is Y itself."""
+    if not len(interiors):
+        return Y
     Y_rows = Y.tocsr()
     plain = np.ones(Y.shape[0], dtype=bool)
+    plain[np.concatenate(interiors)] = False
+    grouped = Y_rows[np.concatenate([*interiors, np.flatnonzero(plain)])]
+    grouped.sum_duplicates()
+    bounds = np.cumsum([0] + [interior.size for interior in interiors])
     factors = []
     with serial_blas():
-        for interior in interiors:
-            local = Y_rows[interior]
-            stored = np.unique(local.indices)
+        for interior, first, last in zip(interiors, bounds[:-1], bounds[1:]):
+            begin, end = grouped.indptr[first], grouped.indptr[last]
+            stored, column = np.unique(grouped.indices[begin:end], return_inverse=True)
             if interior.size <= stored.size:
+                plain[interior] = True
                 continue
-            (R,) = sla.qr(local[:, stored].toarray(), mode="r", check_finite=False)
-            plain[interior] = False
+            local = np.zeros((interior.size, stored.size))
+            row = np.repeat(np.arange(interior.size), np.diff(grouped.indptr[first : last + 1]))
+            local[row, column] = grouped.data[begin:end]
+            (R,) = sla.qr(local, mode="r", check_finite=False)
             factors.append((stored, R[: stored.size].T))  # the rows of R, as columns on ``stored``
     if not factors:
         return Y

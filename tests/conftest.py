@@ -7,7 +7,13 @@ import scipy.linalg as sla
 
 from mspg import numerics, test_space
 from mspg.harness import ExperimentConfig, Workspace
-from mspg.numerics import DROPTOL, orthonormal_rows, orthonormalize_columns, serial_blas
+from mspg.numerics import (
+    DROPTOL,
+    harmonic_extension,
+    orthonormal_rows,
+    orthonormalize_columns,
+    serial_blas,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +53,44 @@ def form_coefficients(steps) -> np.ndarray:
     ``numerics.coefficient_product`` only."""
     C, *factors = steps
     return functools.reduce(numerics._solve_right_upper, factors, np.array(C, order="F"))
+
+
+def direct_snapshots(op, nb) -> np.ndarray:
+    """A neighborhood's snapshot set from one direct solve of its whole
+    interior, aligned to ``nb.closure``: the reference of
+    ``trial_space.trial_snapshots``, which assembles it from block
+    extensions."""
+    X = harmonic_extension(op.A, nb.interior, nb.boundary, label=f"neighborhood {nb.node}")
+    return np.vstack([X, np.eye(nb.boundary.size)])
+
+
+def per_edge_snapshots(ws, edge) -> np.ndarray:
+    """An edge's W3 snapshots from one adjoint solve per adjacent block
+    against the edge's rows alone, aligned to ``edge.region``: the reference
+    of the slices of ``test_space.build_W3_snapshots``."""
+    A_edge = ws.op.A[edge.interior]
+    blocks = [ws.topology.blocks[kb] for kb in edge.blocks]
+    return np.vstack(
+        [
+            ws.block_factors[block.index].solve(-A_edge[:, block.interior].T.toarray(), trans="T")
+            for block in blocks
+        ]
+        + [np.eye(edge.interior.size)]
+    )
+
+
+def per_edge_extensions(ws, edge) -> np.ndarray:
+    """N_f of eigenproblem 2 from one forward solve per adjacent block
+    against the edge's columns alone: the reference of the forward slices."""
+    blocks = [ws.topology.blocks[kb] for kb in edge.blocks]
+    return np.vstack(
+        [
+            ws.block_factors[block.index].solve(
+                -ws.op.A[block.interior][:, edge.interior].toarray()
+            )
+            for block in blocks
+        ]
+    )
 
 
 def image_lift(Y, interiors=()):

@@ -144,9 +144,8 @@ def test_every_function_class_and_method_is_read_in_the_package():
     assert sorted(name for name in defined if name.rsplit(".", 1)[-1] not in read) == []
 
 
-def test_the_benchmark_binds_no_newly_missing_name():
-    # the tracer wraps (module, attribute) names of the package; a renamed
-    # or deleted one would make its span read zero
+def _bindings() -> tuple:
+    """The tracer's ``(module, attribute path, span name)`` bindings."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
     (bindings,) = [
         ast.literal_eval(node.value)
@@ -155,8 +154,14 @@ def test_the_benchmark_binds_no_newly_missing_name():
         and [getattr(target, "id", None) for target in node.targets] == ["BINDINGS"]
     ]
     assert bindings
+    return bindings
+
+
+def test_the_benchmark_binds_no_newly_missing_name():
+    # the tracer wraps (module, attribute) names of the package; a renamed
+    # or deleted one would make its span read zero
     unresolved = {
-        (module, path) for module, path, _ in bindings if not _resolves(module, path)
+        (module, path) for module, path, _ in _bindings() if not _resolves(module, path)
     }
     # the three that no module of the package defines today
     assert unresolved <= {
@@ -164,3 +169,33 @@ def test_the_benchmark_binds_no_newly_missing_name():
         ("test_space", "local_dirichlet_solve"),
         ("coupling", "extend_orthonormal"),
     }
+
+
+def test_a_tiny_sweep_calls_every_binding_the_benchmark_wraps(monkeypatch):
+    # the tracer times a layer only where the package calls it through the
+    # bound name, such as ``trial_space.trial_snapshots`` once per
+    # neighborhood; a restructure that bypasses one zeroes its span
+    from mspg.harness import ExperimentConfig, sweep_experiment
+
+    calls = {}
+    for module, path, _ in _bindings():
+        if not _resolves(module, path):
+            continue
+        owner = importlib.import_module(f"mspg.{module}")
+        *owner_path, attr = path.split(".")
+        for part in owner_path:
+            owner = getattr(owner, part)
+        calls[f"{module}.{path}"] = 0
+
+        def counting(*args, _fn=getattr(owner, attr), _name=f"{module}.{path}", **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    config = ExperimentConfig(
+        example=1, alpha=2.0, nc=4, n=16, m=2, L=3, online_iters=1, infsup=True
+    )
+    rows = sweep_experiment(config, [1, 2], [1, 3], [1, 2])
+    assert len(rows) == 2 * 2 * 2 * 2
+    assert "trial_space.trial_snapshots" in calls and "test_space.eigenproblem_2" in calls
+    assert sorted(name for name, count in calls.items() if count == 0) == []

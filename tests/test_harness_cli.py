@@ -152,10 +152,10 @@ def test_sweep_orthonormalizes_once_per_trial_count_and_eigenproblem(tmp_path, m
 
 
 def test_sweep_factors_each_block_interior_once(monkeypatch):
-    # W1 for every m, W2, the partition of unity, the trial snapshots of the
-    # one-block (corner) neighborhoods, whose interior is their block's, and
-    # every edge's snapshots and extensions under both eigenproblems solve
-    # with the Workspace's block factors
+    # W1 for every m, W2, the partition of unity, every neighborhood's trial
+    # snapshots, assembled from block extensions, and every edge's snapshots
+    # and extensions under both eigenproblems solve with the Workspace's
+    # block factors; no neighborhood is factored
     from mspg import harness, numerics
 
     factored = []  # the matrix of every factorization made
@@ -189,6 +189,10 @@ def test_sweep_factors_each_block_interior_once(monkeypatch):
         count = sum(same(K, A_ii) or same(K, A_ii.T) for K in factored)
         assert count == 1, block.index
     assert len(ws.block_factors) == len(ws.topology.blocks)
+    for nb in ws.topology.neighborhoods:
+        if len(nb.blocks) > 1:
+            A_ii = A[nb.interior][:, nb.interior]
+            assert not any(same(K, A_ii) for K in factored), nb.node
 
 
 def test_cli_singular_block_interior_exits_3(monkeypatch, capsys):

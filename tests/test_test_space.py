@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import form_coefficients
+from conftest import form_coefficients, per_edge_extensions, per_edge_snapshots
 
 from mspg import harness, test_space
 from mspg.assembly import assemble, constant_field
@@ -19,7 +19,7 @@ from mspg.test_space import (
     eigenproblem_1,
     eigenproblem_2,
 )
-from mspg.trial_space import block_factors, partition_of_unity
+from mspg.trial_space import BlockExtensions, block_factors, partition_of_unity
 
 
 def bubble_order(topo, Xi):
@@ -145,7 +145,7 @@ def test_vertex_traces_equal_partition_for_pure_diffusion():
 
 def test_edge_snapshot_count_and_delta(ws_small):
     topo = ws_small.topology
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0, ws_small.block_factors)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 0, adjoint(ws_small))
     r = topo.r
     assert snap.shape[1] == r - 1
     edge = topo.edges[0]
@@ -158,7 +158,7 @@ def test_edge_snapshot_count_and_delta(ws_small):
 
 def test_edge_snapshot_support_and_residual(ws_small):
     op = ws_small.op
-    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 3, ws_small.block_factors)
+    snap = build_W3_snapshots(ws_small.topology, ws_small.op, 3, adjoint(ws_small))
     edge = ws_small.topology.edges[3]
     full = np.zeros((op.A.shape[0], snap.shape[1]))
     full[edge.region, :] = snap
@@ -171,13 +171,18 @@ def test_edge_snapshot_support_and_residual(ws_small):
     assert np.abs(resid).max() <= 1e-9 * np.abs(snap).max()
 
 
+def adjoint(ws):
+    """The adjoint block extensions of a workspace, built on use."""
+    return BlockExtensions(ws.topology, ws.op, ws.block_factors, trans="T")
+
+
 def _spectrum(ws, k, problem):
     """Edge k's spectrum with every mode kept, built outside the workspace."""
     edge = ws.topology.edges[k]
-    psi = build_W3_snapshots(ws.topology, ws.op, k, ws.block_factors)
+    psi = build_W3_snapshots(ws.topology, ws.op, k, adjoint(ws))
     if problem == 1:
         return eigenproblem_1(edge, psi, ws.op)
-    return eigenproblem_2(edge, psi, ws.op, ws.block_factors)
+    return eigenproblem_2(edge, psi, ws.op, BlockExtensions(ws.topology, ws.op, ws.block_factors))
 
 
 def test_eigenproblem_1_nonnegative_and_full_selection(ws_small):
@@ -196,7 +201,7 @@ def test_eigenproblem_1_grows_under_refinement():
         mesh = build_fine_mesh(n)
         topo = build_coarse_topology(mesh, 4)
         op = assemble(mesh, constant_field(kappa=1.0, b=(1.0, 0.5)))
-        snap = build_W3_snapshots(topo, op, 5, block_factors(topo, op))
+        snap = build_W3_snapshots(topo, op, 5, BlockExtensions(topo, op, block_factors(topo, op), "T"))
         res = eigenproblem_1(topo.edges[5], snap, op)
         tops.append(res.eigenvalues.max())
     assert tops[1] > tops[0]
@@ -276,9 +281,10 @@ def test_eigenproblem_2_region_grams_match_the_minimum_energy_formula(
         return kernel(S_min, S)
 
     monkeypatch.setattr(test_space, "generalized_sym_eig", recording)
+    forward = BlockExtensions(ws.topology, ws.op, ws.block_factors)
     for edge in ws.topology.edges:
-        snap = build_W3_snapshots(ws.topology, ws.op, edge.index, ws.block_factors)
-        eigenproblem_2(edge, snap, ws.op, ws.block_factors)
+        snap = build_W3_snapshots(ws.topology, ws.op, edge.index, adjoint(ws))
+        eigenproblem_2(edge, snap, ws.op, forward)
         for got, oracle in zip(grams[-1], _min_energy_oracle(ws.op, edge, snap)):
             assert np.linalg.norm(got - oracle) <= rel * np.linalg.norm(oracle), edge.index
 
@@ -305,9 +311,7 @@ def test_full_selection_spans_whole_snapshot_space(ws_small):
     columns = [w1.toarray(), w2.toarray()]
     for k, edge in enumerate(ws_small.topology.edges):
         snap = np.zeros((ws_small.mesh.num_dofs, r - 1))
-        snap[edge.region] = build_W3_snapshots(
-            ws_small.topology, ws_small.op, k, ws_small.block_factors
-        )
+        snap[edge.region] = build_W3_snapshots(ws_small.topology, ws_small.op, k, adjoint(ws_small))
         columns.append(snap)
     raw = np.hstack(columns)
     rank = np.linalg.matrix_rank(raw, tol=1e-8 * np.linalg.norm(raw))
@@ -344,12 +348,20 @@ def test_w3_columns_are_mode_major(ws_small):
 
 
 def test_sweep_builds_each_edge_snapshot_set_once_per_eigenproblem(monkeypatch):
-    calls, workspaces = [], []
-    build = test_space.build_W3_snapshots
+    # a set is a slice of its blocks' adjoint extensions, and each stage
+    # solves each block once per direction it reads
+    calls, solved, workspaces = [], [], []
+    build, get = test_space.build_W3_snapshots, BlockExtensions.__getitem__
 
-    def counting(topology, op, k, factors):
+    def counting(topology, op, k, adjoint):
         calls.append(k)
-        return build(topology, op, k, factors)
+        return build(topology, op, k, adjoint)
+
+    def solving(self, b):
+        H = get(self, b)
+        if not any(H is held for _, _, held in solved):
+            solved.append((self.trans, b, H))
+        return H
 
     class Recorded(Workspace):
         def __init__(self, config):
@@ -357,18 +369,36 @@ def test_sweep_builds_each_edge_snapshot_set_once_per_eigenproblem(monkeypatch):
             workspaces.append(self)
 
     monkeypatch.setattr(test_space, "build_W3_snapshots", counting)
+    monkeypatch.setattr(BlockExtensions, "__getitem__", solving)
     monkeypatch.setattr(harness, "Workspace", Recorded)
     config = ExperimentConfig(example=1, alpha=2.0, nc=4, n=16)
     rows = sweep_experiment(config, [1], [1, 3], [1, 2])
     assert len(rows) == 4
     (ws,) = workspaces
-    E = len(ws.topology.edges)
+    E, blocks = len(ws.topology.edges), list(range(len(ws.topology.blocks)))
     assert E == 24
     assert sorted(calls) == sorted(list(range(E)) * 2)
+    # the trial stage's forward extensions, then eigenproblem 1's adjoint
+    # ones, then eigenproblem 2's adjoint and forward ones
+    by_direction = sorted((trans, b) for trans, b, _ in solved)
+    assert by_direction == sorted([("N", b) for b in blocks] * 2 + [("T", b) for b in blocks] * 2)
     # a later cell at a smaller L reads the kept modes
     for problem in (1, 2):
         ws.run_cell(1, 1, problem)
-    assert len(calls) == 2 * E
+    assert len(calls) == 2 * E and len(solved) == 4 * len(blocks)
+
+
+@pytest.mark.parametrize("name", ["ws_small", "ws_contrast"])
+def test_edge_sets_match_the_per_edge_block_solves(request, name):
+    ws = request.getfixturevalue(name)
+    forward = BlockExtensions(ws.topology, ws.op, ws.block_factors)
+    for edge in ws.topology.edges:
+        psi = build_W3_snapshots(ws.topology, ws.op, edge.index, adjoint(ws))
+        want = per_edge_snapshots(ws, edge)
+        assert np.abs(psi - want).max() <= 1e-13 * np.abs(want).max(), edge.index
+        N_f = np.vstack([forward.columns(kb, edge.interior) for kb in edge.blocks])
+        want = per_edge_extensions(ws, edge)
+        assert np.abs(N_f - want).max() <= 1e-13 * np.abs(want).max(), edge.index
 
 
 def _structured_image(ws):

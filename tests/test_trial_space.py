@@ -1,11 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from conftest import direct_snapshots
 
 from mspg import harness, trial_space
 from mspg.assembly import assemble, constant_field
+from mspg.errors import LocalSolverError
 from mspg.grid import build_coarse_topology, build_fine_mesh, hat_values
 from mspg.harness import ExperimentConfig, Workspace, sweep_experiment
 from mspg.trial_space import (
+    BlockExtensions,
     block_factors,
     partition_of_unity,
     trial_eigenbasis,
@@ -28,7 +34,8 @@ def interior_node(topo):
 def interior_snapshots(topo, op):
     """The interior node's neighborhood and its snapshots."""
     node = interior_node(topo)
-    return topo.neighborhoods[node], trial_snapshots(topo, op, node)
+    extensions = BlockExtensions(topo, op, block_factors(topo, op))
+    return topo.neighborhoods[node], trial_snapshots(topo, op, node, extensions)
 
 
 def test_snapshot_count_interior(laplace32):
@@ -178,9 +185,10 @@ def dense_trial_matrix(ws, m):
     """The per-column dense assembly of the trial matrix, as an oracle."""
     topo, op = ws.topology, ws.op
     chi = ws.chi.toarray()
+    extensions = BlockExtensions(topo, op, ws.block_factors)
     columns = []
     for nb in topo.neighborhoods:
-        phi = trial_snapshots(topo, op, nb.node, ws.block_factors)
+        phi = trial_snapshots(topo, op, nb.node, extensions)
         if phi.shape[1] == 0:
             continue
         modes = trial_eigenbasis(nb, phi, op, min(m, phi.shape[1]), "submatrix")
@@ -257,12 +265,88 @@ def test_projection_error_monotone_in_m(ws_small):
 
 
 def test_corner_snapshots_solve_through_the_block_factor(ws_small):
-    # a one-block neighborhood's interior is its block's, in the same order
+    # a one-block neighborhood's interior is its block's, in the same order,
+    # and its boundary the block's frame: its snapshots are the block's
+    # forward extension, one solve through the held factor
     topo, op = ws_small.topology, ws_small.op
+    extensions = BlockExtensions(topo, op, ws_small.block_factors)
     corners = [nb for nb in topo.neighborhoods if len(nb.blocks) == 1]
     assert len(corners) == 4
     for nb in corners:
-        assert np.array_equal(nb.interior, topo.blocks[nb.blocks[0]].interior)
-        held = trial_snapshots(topo, op, nb.node, ws_small.block_factors)
-        own = trial_snapshots(topo, op, nb.node)
+        (b,) = nb.blocks
+        assert np.array_equal(nb.interior, topo.blocks[b].interior)
+        assert np.array_equal(nb.boundary, topo.blocks[b].boundary)
+        held = trial_snapshots(topo, op, nb.node, extensions)
+        assert np.array_equal(held[: nb.interior.size], extensions[b])
+        own = direct_snapshots(op, nb)
         assert np.abs(held - own).max() <= 1e-13 * np.abs(own).max()
+
+
+# ws_contrast (example 5, contrast 500) reads 1.8e-13 on neighborhood 50,
+# where the cross Schur complement has condition 4.7e4 against 1.6e3 for the
+# interior operator; the direct solve itself lies 9.2e-14 from a refined one
+@pytest.mark.parametrize("name, bound", [("ws_small", 1e-13), ("ws_contrast", 1e-12)])
+def test_snapshots_match_a_direct_neighborhood_solve(request, name, bound):
+    ws = request.getfixturevalue(name)
+    topo, op = ws.topology, ws.op
+    extensions = BlockExtensions(topo, op, ws.block_factors)
+    for nb in topo.neighborhoods:
+        got, want = trial_snapshots(topo, op, nb.node, extensions), direct_snapshots(op, nb)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= bound * np.abs(want).max(), nb.node
+
+
+def test_a_corrupted_extension_raises_naming_its_neighborhood(ws_small):
+    topo, op = ws_small.topology, ws_small.op
+    nb = topo.neighborhoods[interior_node(topo)]
+    extensions = BlockExtensions(topo, op, ws_small.block_factors)
+    extensions[nb.blocks[0]][0] *= 1.0 + 1e-6  # one interior row off by 1e-6
+    with pytest.raises(LocalSolverError, match=f"neighborhood {nb.node}\\b") as caught:
+        trial_snapshots(topo, op, nb.node, extensions)
+    assert 1e-10 < caught.value.residual < 1e-4
+
+
+def test_block_extensions_span_two_block_rows_and_die_with_their_stage(monkeypatch):
+    # an extension of the 6,241-dof blocks at n=800 takes 15.8 MB: a stage
+    # holds one block row and two blocks of them per direction at most, and
+    # none outlives the stage that built it
+    built = []  # (weak ref to its BlockExtensions, direction, block, weak ref)
+    get = BlockExtensions.__getitem__
+
+    def spying(self, b):
+        H = get(self, b)
+        if not any(ref() is H for *_, ref in built):
+            built.append((weakref.ref(self), self.trans, b, weakref.ref(H)))
+            for trans in ("N", "T"):
+                alive = [
+                    block
+                    for owner, direction, block, ref in built
+                    if owner() is self and direction == trans and ref() is not None
+                ]
+                assert len(alive) <= self.topology.nc + 2, alive
+                assert len({self.topology.blocks[block].ij[1] for block in alive}) <= 2
+            # the extensions of a finished stage are gone
+            assert all(ref() is None for owner, *_, ref in built if owner() is None)
+        return H
+
+    workspaces = []
+
+    class Recorded(Workspace):
+        def __init__(self, config):
+            super().__init__(config)
+            workspaces.append(self)
+
+    monkeypatch.setattr(BlockExtensions, "__getitem__", spying)
+    monkeypatch.setattr(harness, "Workspace", Recorded)
+    config = ExperimentConfig(example=1, alpha=2.0, nc=4, n=16)
+    rows = sweep_experiment(config, [1, 3], [1], [1, 2])
+    assert len(rows) == 4
+    (ws,) = workspaces
+    blocks = len(ws.topology.blocks)
+    # the trial stage forward, eigenproblem 1 adjoint, eigenproblem 2 both
+    assert len(built) == 4 * blocks
+    # a view of an extension keeps it alive, so no dead one shares memory
+    # with what the Workspace holds (as test_sweep_builds_each_trial_snapshot_set_once
+    # checks of the snapshots)
+    gc.collect()
+    assert all(ref() is None for *_, ref in built)
