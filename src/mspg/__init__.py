@@ -46,8 +46,6 @@ from .fields import (
 from .numerics import (
     CheckedFactor,
     generalized_sym_eig,
-    harmonic_extension,
-    local_dirichlet_solve,
     orthonormalize_columns,
 )
 from .test_space import (

@@ -5,11 +5,13 @@ discretized with bilinear quadrilaterals and a 2x2 Gauss rule per cell,
 exact for the pure-diffusion Q1 entries with constant kappa.  Matrices are
 assembled over all lattice nodes first; the Dirichlet rows/columns are then
 removed (not penalized) so that the transpose of the stiffness matrix is
-exactly the discrete adjoint.
+exactly the discrete adjoint.  The same samples of kappa and b give the
+largest cell Peclet number, which ``assemble`` checks against PECLET_WARN.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +20,9 @@ import scipy.sparse as sp
 
 from .errors import InvalidCoefficientError
 from .grid import FineMesh
-from .numerics import local_dirichlet_solve
+from .numerics import CheckedFactor
+
+PECLET_WARN = 2.0
 
 # reference square [-1,1]^2, counterclockwise corners
 _XI = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -65,11 +69,10 @@ def constant_field(kappa=1.0, b=(0.0, 0.0), f=1.0) -> CoefficientField:
 class SparseOperator:
     """Assembled fine-scale operator.
 
-    ``A``, ``M``, ``f`` live on the interior dofs.  ``A_nodes`` and
-    ``M_nodes`` keep the unrestricted versions over all lattice nodes; they
-    are needed wherever boundary values enter (partition of unity with
-    nonzero boundary traces, Dirichlet lifting, mass bookkeeping).  The
-    coefficient field is kept so patch-local re-assembly stays possible.
+    ``A``, ``M``, ``f`` live on the interior dofs.  ``A_nodes`` keeps the
+    unrestricted stiffness matrix over all lattice nodes, for the partition
+    of unity, whose boundary traces are nonzero.  The coefficient field is
+    kept so patch-local re-assembly stays possible.
     """
 
     mesh: FineMesh
@@ -77,12 +80,13 @@ class SparseOperator:
     M: sp.csr_matrix
     f: np.ndarray
     A_nodes: sp.csr_matrix
-    M_nodes: sp.csr_matrix
     field: CoefficientField
 
 
 def assemble_nodes(mesh: FineMesh, field: CoefficientField, cell_box=None):
-    """Assemble (A, M, f) over all lattice nodes, no boundary conditions.
+    """Assemble (A, M, f, peclet) over all lattice nodes, no boundary
+    conditions; ``peclet`` is the largest cell Peclet number |b| h / (2 kappa)
+    at the quadrature points.
 
     ``cell_box`` = (i0, i1, j0, j1) integrates only the fine cells with
     i0 <= i < i1 and j0 <= j < j1 (matrices keep the global node shape);
@@ -106,6 +110,7 @@ def assemble_nodes(mesh: FineMesh, field: CoefficientField, cell_box=None):
     Me = np.zeros((ne, 4, 4))
     fe = np.zeros((ne, 4))
     detJ = h * h / 4.0
+    peclet = 0.0
 
     for xi, eta in _QP:
         N, dN = _shape(xi, eta)
@@ -120,6 +125,7 @@ def assemble_nodes(mesh: FineMesh, field: CoefficientField, cell_box=None):
             )
         bq = np.asarray(field.b(xq, yq), dtype=float)  # (2, ne)
         fq = np.asarray(field.f(xq, yq), dtype=float)
+        peclet = max(peclet, float(np.max(np.sqrt(np.sum(bq**2, axis=0)) / kq)))
 
         GG = G @ G.T  # (4,4)
         Ke += detJ * kq[:, None, None] * GG[None, :, :]
@@ -135,27 +141,27 @@ def assemble_nodes(mesh: FineMesh, field: CoefficientField, cell_box=None):
     M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
     f = np.zeros(nn)
     np.add.at(f, conn.ravel(), fe.ravel())
-    return A, M, f
+    return A, M, f, peclet * h / 2.0
 
 
 def assemble(mesh: FineMesh, field: CoefficientField) -> SparseOperator:
-    """Assemble the operator and eliminate the Dirichlet boundary."""
-    A_nodes, M_nodes, f_nodes = assemble_nodes(mesh, field)
+    """Assemble the operator and eliminate the Dirichlet boundary; warns
+    when the largest cell Peclet number exceeds PECLET_WARN."""
+    A_nodes, M_nodes, f_nodes, peclet = assemble_nodes(mesh, field)
+    if peclet > PECLET_WARN:
+        warnings.warn(
+            f"cell Peclet {peclet:.2f} exceeds {PECLET_WARN}; the fine grid may be "
+            "too coarse for a stable fine discretization",
+            stacklevel=2,
+        )
     dofs = mesh.node_of_dof
     A = A_nodes[dofs][:, dofs].tocsr()
     M = M_nodes[dofs][:, dofs].tocsr()
-    return SparseOperator(
-        mesh=mesh,
-        A=A,
-        M=M,
-        f=f_nodes[dofs],
-        A_nodes=A_nodes,
-        M_nodes=M_nodes,
-        field=field,
-    )
+    return SparseOperator(mesh=mesh, A=A, M=M, f=f_nodes[dofs], A_nodes=A_nodes, field=field)
 
 
 def solve_fine_reference(op: SparseOperator, tol: float = 1e-10) -> np.ndarray:
-    """Direct solve of A u = f through the checked kernel; a missed residual
-    raises ``LocalSolverError``, a ``SolverFailureError`` with ``residual``."""
-    return local_dirichlet_solve(op.A, op.f, tol=tol, label="fine reference")
+    """Direct solve of A u = f through a one-shot ``CheckedFactor``; a missed
+    residual raises ``LocalSolverError``, a ``SolverFailureError`` with
+    ``residual``."""
+    return CheckedFactor(op.A, "fine reference", held=False).solve(op.f, tol=tol)

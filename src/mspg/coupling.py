@@ -161,9 +161,6 @@ class ErrorReport:
     err_ms_pct: float
     err_proj_pct: float
     w_norm: float
-    min_lambda_excluded: float | None = None
-    infsup_est: float | None = None
-    online_iter: int = 0
 
 
 def _percent_of(u_ref: np.ndarray, diff: np.ndarray) -> float:
@@ -186,23 +183,13 @@ def projection_error(Xi, u_ref: np.ndarray, interiors=()) -> tuple[np.ndarray, f
     return kept, _percent_of(u_ref, u_ref - Xi @ apply_coefficients(steps, coefficients))
 
 
-def error_report(
-    state: SaddleState,
-    u_ref: np.ndarray,
-    err_proj_pct: float,
-    min_lambda_excluded: float | None = None,
-    infsup_est: float | None = None,
-    online_iter: int = 0,
-) -> ErrorReport:
+def error_report(state: SaddleState, u_ref: np.ndarray, err_proj_pct: float) -> ErrorReport:
     """Multiscale error of a solve in percent, next to the trial span's
     ``projection_error`` (which depends on the trial space alone)."""
     return ErrorReport(
         err_ms_pct=_percent_of(u_ref, u_ref - state.u_fine),
         err_proj_pct=err_proj_pct,
         w_norm=float(np.linalg.norm(state.w_fine)),
-        min_lambda_excluded=min_lambda_excluded,
-        infsup_est=infsup_est,
-        online_iter=online_iter,
     )
 
 

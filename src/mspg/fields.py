@@ -22,7 +22,7 @@ from .errors import (
     UnknownExampleError,
 )
 from .grid import FineMesh
-from .numerics import harmonic_extension
+from .numerics import CheckedFactor
 
 DELTA_DEFAULT = math.sqrt(2.0) / 4.0
 
@@ -207,7 +207,8 @@ def darcy_velocity(
     """Velocity from a pure-diffusion pressure solve on the raster.
 
     The pressure carries the bilinear boundary data x*y by default (any
-    other trace can be injected for testing) and the returned velocity is
+    other trace can be injected for testing), its interior values come from
+    one solve with a one-shot ``CheckedFactor``, and the returned velocity is
     ``sign * kappa * grad(p)``, element-wise from the Q1 gradient.
     """
     n = mesh.n
@@ -229,7 +230,7 @@ def darcy_velocity(
         b=lambda x, y: np.zeros((2,) + np.shape(x)),
         f=lambda x, y: np.zeros(np.shape(x)),
     )
-    A_nodes, _, _ = assemble_nodes(mesh, field)
+    A_nodes = assemble_nodes(mesh, field)[0]
 
     if boundary is None:
         boundary = lambda x, y: x * y
@@ -238,9 +239,12 @@ def darcy_velocity(
     bx, by = mesh.node_coords(bnd)
     g = np.asarray(boundary(bx, by), dtype=float)
 
+    A_interior = A_nodes[interior]
     p_nodes = np.zeros(mesh.num_nodes)
     p_nodes[bnd] = g
-    p_nodes[interior] = harmonic_extension(A_nodes, interior, bnd, g, label="pressure")
+    p_nodes[interior] = CheckedFactor(A_interior[:, interior], "pressure", held=False).solve(
+        -(A_interior[:, bnd] @ g)
+    )
     return DarcyVelocity(mesh=mesh, kappa_cells=values, p_nodes=p_nodes, sign=sign)
 
 

@@ -17,20 +17,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import coupling, test_space, trial_space
-from .assembly import CoefficientField, SparseOperator, assemble, solve_fine_reference
+from .assembly import SparseOperator, assemble, solve_fine_reference
 from .errors import ConfigError, UnknownExampleError
 from .fields import ALPHA_DEFAULTS, DELTA_DEFAULT, DIFFUSION_ALPHA, field_for_example
-from .grid import FineMesh, build_coarse_topology, build_fine_mesh
+from .grid import build_coarse_topology, build_fine_mesh
 from .numerics import serial_blas
-
-PECLET_WARN = 2.0
 
 # allowed values of the string-valued options; the command line takes its
 # ``choices`` from here too
@@ -136,23 +133,6 @@ def full_resolution(example: int, alpha: float) -> tuple[int, int]:
     raise UnknownExampleError(f"example id {example} outside 1..5")
 
 
-def cell_peclet(mesh: FineMesh, fld: CoefficientField) -> float:
-    """Largest cell Peclet number, sampled at the element quadrature points."""
-    n = mesh.n
-    g = 1.0 / np.sqrt(3.0)
-    centers = (np.arange(n) + 0.5) * mesh.h
-    pe = 0.0
-    for dx in (-g, g):
-        for dy in (-g, g):
-            X, Y = np.meshgrid(
-                centers + 0.5 * dx * mesh.h, centers + 0.5 * dy * mesh.h, indexing="xy"
-            )
-            bmag = np.sqrt(np.sum(np.asarray(fld.b(X, Y)) ** 2, axis=0))
-            kq = np.asarray(fld.kappa(X, Y))
-            pe = max(pe, float(np.max(bmag / kq)) * mesh.h / 2.0)
-    return pe
-
-
 class Workspace:
     """Cached offline pipeline for one (example, alpha, grids) setup."""
 
@@ -161,13 +141,6 @@ class Workspace:
         self.mesh = build_fine_mesh(config.n)
         self.topology = build_coarse_topology(self.mesh, config.nc)
         self.field = field_for_example(config, self.mesh)
-        pe = cell_peclet(self.mesh, self.field)
-        if pe > PECLET_WARN:
-            warnings.warn(
-                f"cell Peclet {pe:.2f} exceeds {PECLET_WARN}; the fine grid may be "
-                "too coarse for a stable fine discretization",
-                stacklevel=2,
-            )
         self.op: SparseOperator = assemble(self.mesh, self.field)
         self.u_ref = solve_fine_reference(self.op)
         # per-region stages, on one BLAS thread like the lazy ones below
@@ -341,18 +314,13 @@ class Workspace:
                 group = None  # no later L reads it: release its solve
             for it, state in enumerate(coupling.online_enrich(state, self.topology, online_iters)):
                 infsup = coupling.infsup_estimate(state) if self.config.infsup else None
-                err = coupling.error_report(
-                    state,
-                    self.u_ref,
-                    self.projection_error(m),
-                    min_lambda_excluded=min_lambda,
-                    infsup_est=infsup,
-                    online_iter=it,
-                )
-                rows.append(self._row(m, L, problem, err))
+                err = coupling.error_report(state, self.u_ref, self.projection_error(m))
+                rows.append(self._row(m, L, problem, it, err, min_lambda, infsup))
         return rows
 
-    def _row(self, m, L, problem, err: coupling.ErrorReport) -> ReportRow:
+    def _row(
+        self, m, L, problem, online_iter, err: coupling.ErrorReport, min_lambda, infsup
+    ) -> ReportRow:
         cfg = self.config
         return ReportRow(
             example=cfg.example,
@@ -362,7 +330,10 @@ class Workspace:
             m_trial=m,
             L_test=L,
             eigenproblem=problem,
+            online_iter=online_iter,
             **vars(err),  # the error report's fields, by name
+            min_lambda_excluded=min_lambda,
+            infsup_est=infsup,
         )
 
 

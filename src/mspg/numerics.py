@@ -5,9 +5,9 @@ the package factors a matrix with SuperLU, whose solves check their
 residual (``check_residual``, which also checks the trial snapshots that
 ``trial_space.trial_snapshots`` assembles from block solves); a factor made
 once serves many solves with its matrix or its transpose.  It is also made
-for one solve and dropped, by ``local_dirichlet_solve`` and by the online
-loop's per-node ``spd`` factors (``coupling._online_columns``).  The other
-kernels keep no state of their
+for one solve and dropped (``held=False``): the fine reference solve, the
+Darcy pressure of example 5 and the online loop's per-node ``spd`` factors
+(``coupling._online_columns``).  The other kernels keep no state of their
 own and operate on plain numpy / scipy.sparse inputs.  What they do share
 is the BLAS thread pool of the process: ``serial_blas`` narrows it to one
 thread around the per-region stages, whose small dense kernels run slower
@@ -187,24 +187,6 @@ def check_residual(resid, scale: float, tol: float = 1e-10, label: str = "") -> 
         raise LocalSolverError(
             f"local solve residual {err:.3e} exceeds tol {tol:.3e}{where}", residual=err
         )
-
-
-def local_dirichlet_solve(A_local, rhs, tol: float = 1e-10, label: str = ""):
-    """Solve a square sparse or dense system once, through a ``CheckedFactor``
-    that is dropped afterwards."""
-    return CheckedFactor(A_local, label, held=False).solve(rhs, tol=tol)
-
-
-def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
-    """Interior values of the K-harmonic extension of boundary traces.
-
-    Solves K_II x = -K_IB g once, through ``local_dirichlet_solve``; with
-    ``traces=None`` g is the identity, one column per boundary delta.
-    """
-    K_I = K[interior]
-    K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
-    rhs = -(K_ib.toarray() if traces is None else K_ib @ traces)
-    return local_dirichlet_solve(K_ii, rhs, label=label)
 
 
 def column_sparse(num_rows: int, blocks) -> sp.csc_matrix:

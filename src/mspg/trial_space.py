@@ -170,7 +170,7 @@ def trial_eigenbasis(
     c = nb.closure
     if restriction == "patch":
         nodes = op.mesh.node_of_dof[c]
-        A_full, M_full, _ = assemble_nodes(op.mesh, op.field, cell_box=nb.cell_box)
+        A_full, M_full, *_ = assemble_nodes(op.mesh, op.field, cell_box=nb.cell_box)
         A_sub = A_full[nodes][:, nodes]
         M_sub = M_full[nodes][:, nodes]
     elif restriction == "submatrix":

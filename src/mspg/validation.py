@@ -11,7 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import coupling
-from .assembly import CoefficientField, assemble, constant_field, solve_fine_reference
+from .assembly import (
+    CoefficientField,
+    assemble,
+    assemble_nodes,
+    constant_field,
+    solve_fine_reference,
+)
 from .grid import build_coarse_topology, build_fine_mesh, coloring
 from .harness import ExperimentConfig, Workspace
 
@@ -46,9 +52,10 @@ def _check_grid(n: int, nc: int):
 
 def _check_assembly(n: int):
     mesh = build_fine_mesh(n)
-    op = assemble(mesh, constant_field(kappa=1.0, b=(0.0, 0.0), f=1.0))
+    field = constant_field(kappa=1.0, b=(0.0, 0.0), f=1.0)
+    op = assemble(mesh, field)
     sym = abs(op.A - op.A.T).max()
-    total = op.M_nodes.sum()
+    total = assemble_nodes(mesh, field)[1].sum()
     op_c = assemble(mesh, constant_field(kappa=1.0, b=(0.7, -0.3), f=1.0))
     drift = abs(op_c.A + op_c.A.T - 2.0 * op.A).max()
     ok = sym < 1e-12 and abs(total - 1.0) < 1e-12 and drift < 1e-10

@@ -9,7 +9,7 @@ from mspg import numerics, test_space
 from mspg.harness import ExperimentConfig, Workspace
 from mspg.numerics import (
     DROPTOL,
-    harmonic_extension,
+    CheckedFactor,
     orthonormal_rows,
     orthonormalize_columns,
     serial_blas,
@@ -53,6 +53,37 @@ def form_coefficients(steps) -> np.ndarray:
     ``numerics.coefficient_product`` only."""
     C, *factors = steps
     return functools.reduce(numerics._solve_right_upper, factors, np.array(C, order="F"))
+
+
+def harmonic_extension(K, interior, boundary, traces=None, label: str = ""):
+    """Interior values of the K-harmonic extension of boundary traces, from
+    one direct solve of K_II x = -K_IB g with a one-shot ``CheckedFactor``;
+    with ``traces=None`` g is the identity, one column per boundary delta.
+    The direct-solve reference of the package's block-assembled
+    extensions."""
+    K_I = K[interior]
+    K_ii, K_ib = K_I[:, interior], K_I[:, boundary]
+    rhs = -(K_ib.toarray() if traces is None else K_ib @ traces)
+    return CheckedFactor(K_ii, label, held=False).solve(rhs)
+
+
+def cell_peclet(mesh, fld) -> float:
+    """Largest cell Peclet number of ``fld`` on ``mesh``, from a second
+    sampling at the 2 x 2 Gauss points of every cell: the reference of the
+    one ``assembly.assemble_nodes`` takes from its own samples."""
+    n = mesh.n
+    g = 1.0 / np.sqrt(3.0)
+    centers = (np.arange(n) + 0.5) * mesh.h
+    pe = 0.0
+    for dx in (-g, g):
+        for dy in (-g, g):
+            X, Y = np.meshgrid(
+                centers + 0.5 * dx * mesh.h, centers + 0.5 * dy * mesh.h, indexing="xy"
+            )
+            bmag = np.sqrt(np.sum(np.asarray(fld.b(X, Y)) ** 2, axis=0))
+            kq = np.asarray(fld.kappa(X, Y))
+            pe = max(pe, float(np.max(bmag / kq)) * mesh.h / 2.0)
+    return pe
 
 
 def direct_snapshots(op, nb) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mspg import assembly, coupling, numerics, test_space, trial_space
+from mspg import coupling, numerics, test_space, trial_space
 from mspg.harness import ExperimentConfig, Workspace, run_experiment
 from mspg.numerics import _blas_threads, serial_blas
 
@@ -112,7 +112,6 @@ def test_local_stages_run_on_one_thread_and_global_kernels_on_the_process_count(
         return spied
 
     bindings = {
-        "local_dirichlet_solve": (numerics, assembly),
         "generalized_sym_eig": (trial_space, test_space),
         "orthonormalize_columns": (test_space, coupling),
         "smallest_singular_value": (coupling,),

@@ -63,12 +63,9 @@ def test_error_report_projection_consistency(tiny):
     r = tiny.topology.r
     V = tiny.test_matrix(1, r - 1, 1)
     state = solve_coupled(tiny.op, V, tiny.trial(1))
-    rep = error_report(
-        state, tiny.u_ref, tiny.projection_error(1),
-        min_lambda_excluded=min(s.excluded(r - 1) for s in tiny.edge_spectra(1, r - 1)),
-    )
+    rep = error_report(state, tiny.u_ref, tiny.projection_error(1))
     assert rep.err_ms_pct == pytest.approx(rep.err_proj_pct, abs=1e-6)
-    assert rep.min_lambda_excluded == np.inf
+    assert min(s.excluded(r - 1) for s in tiny.edge_spectra(1, r - 1)) == np.inf
 
 
 def test_error_report_full_trial_space(tiny):

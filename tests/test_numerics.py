@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import form_coefficients, image_lift
+from conftest import form_coefficients, harmonic_extension, image_lift
 
 from mspg import numerics, test_space
 from mspg.assembly import assemble, constant_field
@@ -15,8 +15,6 @@ from mspg.numerics import (
     CheckedFactor,
     column_sparse,
     generalized_sym_eig,
-    harmonic_extension,
-    local_dirichlet_solve,
     orthonormal_rows,
     orthonormalize_columns,
     smallest_singular_value,
@@ -88,26 +86,26 @@ def test_eig_metric_not_spd():
 
 def test_local_solve_identity():
     rhs = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(local_dirichlet_solve(np.eye(3), rhs), rhs)
+    assert np.allclose(CheckedFactor(np.eye(3), held=False).solve(rhs), rhs)
 
 
 def test_local_solve_tridiagonal_closed_form():
     # inverse of tridiag(-1, 2, -1), first column: (k+1-i)/(k+1)
     k = 4
     T = np.diag(2.0 * np.ones(k)) + np.diag(-np.ones(k - 1), 1) + np.diag(-np.ones(k - 1), -1)
-    x = local_dirichlet_solve(T, np.eye(k)[:, 0])
+    x = CheckedFactor(T, held=False).solve(np.eye(k)[:, 0])
     assert np.allclose(x, [4 / 5, 3 / 5, 2 / 5, 1 / 5], atol=1e-12)
 
 
 def test_local_solve_zero_rhs():
     A = sp.eye(5, format="csr") * 3.0
-    assert np.array_equal(local_dirichlet_solve(A, np.zeros(5)), np.zeros(5))
+    assert np.array_equal(CheckedFactor(A, held=False).solve(np.zeros(5)), np.zeros(5))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_local_solve_singular():
     with pytest.raises(LocalSolverError):
-        local_dirichlet_solve(np.zeros((3, 3)), np.ones(3))
+        CheckedFactor(np.zeros((3, 3)), held=False).solve(np.ones(3))
 
 
 # both routines, with partial pivoting and in symmetric mode
@@ -528,12 +526,12 @@ def test_local_solve_refines_once_when_the_residual_misses():
     b = rng.standard_normal(200)
     x0 = spla.splu(A).solve(b)
     first = np.linalg.norm(A @ x0 - b) / np.linalg.norm(b)
-    x = local_dirichlet_solve(A, b, tol=0.5 * first)
+    x = CheckedFactor(A, held=False).solve(b, tol=0.5 * first)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 0.5 * first
     # a solve that meets the bound at once is not refined
-    assert np.array_equal(local_dirichlet_solve(A, b, tol=first), x0)
+    assert np.array_equal(CheckedFactor(A, held=False).solve(b, tol=first), x0)
     with pytest.raises(LocalSolverError) as err:
-        local_dirichlet_solve(A, b, tol=1e-30)
+        CheckedFactor(A, held=False).solve(b, tol=1e-30)
     assert err.value.residual > 1e-30
 
 
